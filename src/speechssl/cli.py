@@ -71,10 +71,18 @@ def write_run_manifest(out_dir: Path, command: str, config_dict: dict,
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
+    """Merge `extra` into `base`; a key `base` lacks, or a value where `base`
+    has a section (or the reverse), is a UsageError."""
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+        name = prefix + key
+        if key not in base:
+            raise UsageError(f"unknown config key: {name!r}")
+        if isinstance(base[key], dict) != isinstance(value, dict):
+            kind = "an object of keys" if isinstance(base[key], dict) else "a single value"
+            raise UsageError(f"config key {name!r} takes {kind}")
+        if isinstance(value, dict):
+            _deep_update(base[key], value, f"{name}.")
         else:
             base[key] = value
     return base
@@ -90,20 +98,18 @@ def _parse_value(raw: str):
 def build_train_config(args) -> TrainConfig:
     data = TrainConfig().to_dict()
     if getattr(args, "config", None):
-        _deep_update(data, json.loads(Path(args.config).read_text(encoding="utf-8")))
+        extra = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(extra, dict):
+            raise UsageError(f"--config {args.config} must hold a JSON object")
+        _deep_update(data, extra)
     for item in getattr(args, "set", None) or []:
         key, sep, raw = item.partition("=")
         if not sep:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise UsageError(f"unknown config key: {key!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise UsageError(f"unknown config key: {key!r}")
-        node[parts[-1]] = _parse_value(raw)
+        override = _parse_value(raw)
+        for part in reversed(key.split(".")):
+            override = {part: override}
+        _deep_update(data, override)
     for name in ("data", "model", "mixing", "masking", "negatives", "noise"):
         value = getattr(args, f"seed_{name}", None)
         if value is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import log_sigmoid, sigmoid, softmax
+from .numerics import log_sigmoid, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -197,6 +197,12 @@ def contrastive_loss(taps, quantized, masks, weights: LossWeights,
     Gradients are returned with respect to the full tap matrices and the
     quantized vectors. Rescaling any latent by a positive constant leaves
     the value unchanged (cosine similarity).
+
+    All similarities are entries of one P x P cosine matrix over the P masked
+    steps (positives on its diagonal, negatives gathered from it), so both
+    gradients are P x P @ P x d products. That holds O(P^2) floats where a
+    (P, K, d) negative gather holds O(P*K*d): break-even at P = K*d, 6400
+    masked frames at K=100, d=64.
     """
     for mask in masks:
         if len(mask) == 0:
@@ -225,26 +231,26 @@ def contrastive_loss(taps, quantized, masks, weights: LossWeights,
 
     num_neg = num_pos * k_neg
     pos_weight = (0.5 if k_neg > 0 else 1.0) / num_pos
-    sim_pos = np.einsum("pd,pd->p", unit_a, unit_q)
+    neg_weight = 0.5 / num_neg if k_neg > 0 else 0.0
+    rows = np.arange(num_pos)
+    sim = unit_a @ unit_q.T                            # (P, P)
+    sim_pos = np.diagonal(sim)
+    sim_neg = sim[rows[:, None], neg_idx]              # (P, K)
     value = pos_weight * float(np.sum(-log_sigmoid(sim_pos / kappa)))
-    # d(-log sigmoid(s/kappa))/ds = -sigmoid(-s/kappa)/kappa
+    value += neg_weight * float(np.sum(-log_sigmoid(-sim_neg / kappa)))
+    # d(-log sigmoid(s/kappa))/ds = -sigmoid(-s/kappa)/kappa for a positive,
+    # d(-log sigmoid(-s/kappa))/ds = sigmoid(s/kappa)/kappa for a negative
     coeff_pos = pos_weight * (-sigmoid(-sim_pos / kappa) / kappa)
-    # cosine: ds/da = q/(|a||q|) - s*a/|a|^2, symmetrically for b
-    danchors = coeff_pos[:, None] * (unit_q - sim_pos[:, None] * unit_a) / norm_a[:, None]
-    dq_all = coeff_pos[:, None] * (unit_a - sim_pos[:, None] * unit_q) / norm_q[:, None]
-
-    if k_neg > 0:
-        neg_weight = 0.5 / num_neg
-        unit_n = unit_q[neg_idx]                       # (P, K, d)
-        sim_neg = np.einsum("pd,pkd->pk", unit_a, unit_n)
-        value += neg_weight * float(np.sum(-log_sigmoid(-sim_neg / kappa)))
-        coeff_neg = neg_weight * (sigmoid(sim_neg / kappa) / kappa)
-        danchors += np.einsum(
-            "pk,pkd->pd", coeff_neg, unit_n - sim_neg[..., None] * unit_a[:, None, :]
-        ) / norm_a[:, None]
-        dneg = coeff_neg[..., None] * (unit_a[:, None, :] - sim_neg[..., None] * unit_n)
-        dneg /= norm_q[neg_idx][..., None]
-        np.add.at(dq_all, neg_idx.ravel(), dneg.reshape(-1, dneg.shape[-1]))
+    coeff_neg = neg_weight * (sigmoid(sim_neg / kappa) / kappa)
+    # coeff[p, j] = dvalue/dsim[p, j]; bincount sums a negative drawn twice
+    # (replacement fallback), which fancy-index += would count once
+    flat = np.concatenate([rows * (num_pos + 1), (rows[:, None] * num_pos + neg_idx).ravel()])
+    coeff = np.bincount(flat, weights=np.concatenate([coeff_pos, coeff_neg.ravel()]),
+                        minlength=num_pos * num_pos).reshape(num_pos, num_pos)
+    # cosine: ds/da = q/(|a||q|) - s*a/|a|^2, symmetrically for q
+    coeff_sim = coeff * sim
+    danchors = (coeff @ unit_q - coeff_sim.sum(axis=1)[:, None] * unit_a) / norm_a[:, None]
+    dq_all = (coeff.T @ unit_a - coeff_sim.sum(axis=0)[:, None] * unit_q) / norm_q[:, None]
 
     dtaps = []
     dqs = []

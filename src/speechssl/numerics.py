@@ -1,5 +1,5 @@
 """Shared numerical kernels: stable softmax/sigmoid, seeded RNG derivation,
-and forward/backward pairs for the linear, layer-norm and GELU building blocks.
+the linear backward, and forward/backward pairs for layer norm and GELU.
 
 Everything runs in float64. Backward functions return gradients in the same
 shapes as their forward inputs; parameter gradients are returned, never
@@ -61,10 +61,6 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Linear
-
-
-def linear_forward(x, w, b):
-    return x @ w + b
 
 
 def linear_backward(x, w, dy):

@@ -15,7 +15,7 @@ import numpy as np
 from .dsp import FeatureSequence, mfcc
 from .numerics import rng_from
 
-FIT_CHUNK = 4096
+FIT_CHUNK = 512   # rows per (chunk, k, d) difference block in _pairwise_sq_dists
 
 
 @dataclass

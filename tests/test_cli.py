@@ -99,6 +99,23 @@ def test_set_unknown_key_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"num_layer": 2}, "unknown config key: 'num_layer'"),
+    ({"encoder": {"num_layer": 2}}, "unknown config key: 'encoder.num_layer'"),
+    ({"encoder": 3}, "config key 'encoder' takes an object of keys"),
+    ({"encoder": {"num_layers": {"x": 1}}},
+     "config key 'encoder.num_layers' takes a single value"),
+    ([1], "must hold a JSON object"),
+], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object"])
+def test_config_file_bad_key_rejected(tmp_path, capsys, body, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    code = main(["pretrain", "--manifest", "whatever.jsonl", "--labels", "whatever.jsonl",
+                 "--out", str(tmp_path / "run"), "--config", str(config)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> mfcc -> cluster -> pretrain, shared across CLI tests."""

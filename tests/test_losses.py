@@ -213,13 +213,16 @@ class TestContrastiveLoss:
         scaled = contrastive_loss(taps, qouts, masks, weights, seed=5).value
         assert abs(base - scaled) < 1e-10
 
-    def test_gradients_match_finite_differences(self):
+    # K=5 exceeds either utterance's pool of other-utterance steps (3 and 2),
+    # so the replacement fallback draws the same negative more than once
+    @pytest.mark.parametrize("num_negatives", [2, 5], ids=["distinct", "duplicate-picks"])
+    def test_gradients_match_finite_differences(self, num_negatives):
         rng = np.random.default_rng(9)
         b, t, d = 2, 4, 3
         taps = [rng.standard_normal((t, d)) for _ in range(b)]
         masks = [MaskSet.from_indices([0, 2], t), MaskSet.from_indices([1, 2, 3], t)]
         qvals = [rng.standard_normal((len(m), d)) for m in masks]
-        weights = LossWeights(kappa=0.4, num_negatives=2)
+        weights = LossWeights(kappa=0.4, num_negatives=num_negatives)
 
         def value(taps_, qvals_):
             return contrastive_loss(

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from speechssl.corpus import synth_corpus
 from speechssl.dsp import FeatureSequence
 from speechssl.pseudolabel import (
+    FIT_CHUNK,
     KmeansModel,
     PseudoLabelSequence,
+    _pairwise_sq_dists,
     assign,
     kmeans_fit,
     load_kmeans,
@@ -125,6 +127,15 @@ class TestAssign:
         ])
         labels = assign(model, frames)
         assert np.array_equal(labels.labels, oracle)
+
+    def test_chunked_distances_match_unchunked(self):
+        # two full chunks plus a ragged tail, against one unchunked einsum
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal((2 * FIT_CHUNK + 37, 5))
+        centers = rng.standard_normal((6, 5))
+        diff = points[:, None, :] - centers[None, :, :]
+        oracle = np.einsum("nkd,nkd->nk", diff, diff)
+        assert np.array_equal(_pairwise_sq_dists(points, centers), oracle)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
