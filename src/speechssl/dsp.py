@@ -5,6 +5,7 @@ mel filterbank -> floored log -> orthonormal DCT-II, optionally followed by
 first/second order deltas. All math is float64 and fully deterministic.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,8 +75,11 @@ def mel_band_centers(num_mel: int, sample_rate: int) -> np.ndarray:
     return mel_to_hz(edges[1:-1])
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(num_mel: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """num_mel x (fft_size//2 + 1) triangular filters sampled at bin frequencies."""
+    """num_mel x (fft_size//2 + 1) triangular filters sampled at bin
+    frequencies. Built once per argument tuple; the array is shared, so it
+    is read-only."""
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), num_mel + 2))
     bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     fb = np.zeros((num_mel, bin_hz.size))
@@ -84,6 +88,7 @@ def mel_filterbank(num_mel: int, fft_size: int, sample_rate: int) -> np.ndarray:
         up = (bin_hz - lo) / (mid - lo)
         down = (hi - bin_hz) / (hi - mid)
         fb[j] = np.maximum(0.0, np.minimum(up, down))
+    fb.flags.writeable = False
     return fb
 
 

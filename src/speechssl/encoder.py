@@ -4,29 +4,28 @@ intermediate tap feeding the contrastive objective, and a linear
 content-prediction head over pseudo-label classes.
 
 Forward and backward passes are written out by hand in float64; backward is
-verified against central finite differences in the test suite. Utterances
-never interact, so everything here is per-utterance.
+verified against central finite differences in the test suite. Both are
+batched: they take B equal-length utterances stacked as (B, T, D) with one
+MaskSet each. Projection, layer norm, the FFN, the head and the mask
+embedding act row-wise on the B*T frames, and only attention reshapes to
+(B, H, T, dh), so utterances never interact and a single utterance is the
+B=1 case.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FeatureSequence
 from .numerics import (
     gelu_backward,
     gelu_forward,
     layer_norm_backward,
     layer_norm_forward,
+    layer_norm_output,
     linear_backward,
     softmax,
     softmax_backward,
 )
-
-# (kernel, stride) per conv layer; overall stride 5*4*8 = 160 samples, the
-# default MFCC hop, so conv-mode frame rates line up with precomputed mode.
-CONV_SHAPE = ((10, 5), (8, 4), (8, 8))
-
 
 @dataclass
 class EncoderConfig:
@@ -39,8 +38,6 @@ class EncoderConfig:
     tap_layer: int = 2
     mask_span: int = 10
     mask_start_prob: float = 0.08
-    front_end: str = "precomputed"
-    conv_channels: int = 16
 
     def __post_init__(self):
         if not 0 <= self.tap_layer <= self.num_layers:
@@ -51,10 +48,6 @@ class EncoderConfig:
             raise ValueError("mask_span must be >= 1")
         if not 0.0 <= self.mask_start_prob <= 1.0:
             raise ValueError("mask_start_prob must lie in [0, 1]")
-        if self.front_end not in ("precomputed", "conv"):
-            raise ValueError("front_end must be 'precomputed' or 'conv'")
-        if self.front_end == "conv" and self.input_dim != self.conv_channels:
-            raise ValueError("conv mode requires input_dim == conv_channels")
 
 
 @dataclass
@@ -138,8 +131,25 @@ def sinusoidal_positions(num_frames: int, dim: int) -> np.ndarray:
     return enc
 
 
+def _stack_masks(masks, num_frames: int) -> MaskSet:
+    """One MaskSet over the B*num_frames rows of a stacked batch: utterance
+    b's frame i is row b*num_frames + i."""
+    for mask in masks:
+        if mask.num_frames != num_frames:
+            raise ValueError(
+                f"mask covers {mask.num_frames} frames but encoder sees {num_frames}"
+            )
+    indices = [b * num_frames + m.indices for b, m in enumerate(masks)]
+    spans = [(b * num_frames + s, l) for b, m in enumerate(masks) for s, l in m.spans]
+    return MaskSet(np.concatenate(indices) if indices else [], spans,
+                   len(masks) * num_frames)
+
+
 @dataclass
 class EncoderOutput:
+    """tap, final and layer_outputs are (B, T, d), content_logits (B, T, C);
+    mask is the batch's masked rows over the flattened B*T frames."""
+
     tap: np.ndarray
     final: np.ndarray
     content_logits: np.ndarray
@@ -149,7 +159,8 @@ class EncoderOutput:
 
     @property
     def num_frames(self) -> int:
-        return self.final.shape[0]
+        """Total frames of the batch, B*T."""
+        return self.final.shape[0] * self.final.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +176,6 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict:
         return rng.uniform(-limit, limit, (n_in, n_out))
 
     params = {}
-    if cfg.front_end == "conv":
-        c_in = 1
-        for i, (kernel, _) in enumerate(CONV_SHAPE):
-            params[f"conv{i}/W"] = xavier(kernel * c_in, cfg.conv_channels)
-            params[f"conv{i}/b"] = np.zeros(cfg.conv_channels)
-            c_in = cfg.conv_channels
     params["proj/W"] = xavier(cfg.input_dim, d)
     params["proj/b"] = np.zeros(d)
     params["mask_emb"] = rng.normal(0.0, 0.1, d)
@@ -199,152 +204,145 @@ def zero_grads(params: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Conv front end (waveform mode): valid strided conv + GELU per layer
+# Transformer. Activations are (B*T, d) row matrices; attention alone sees
+# the batch axis.
 
 
-def _conv_forward(samples: np.ndarray, params: dict, cfg: EncoderConfig):
-    h = samples[:, None]
-    caches = []
-    for i, (kernel, stride) in enumerate(CONV_SHAPE):
-        t_out = 1 + (h.shape[0] - kernel) // stride
-        if t_out < 1:
-            raise ValueError("waveform too short for the conv front end")
-        idx = stride * np.arange(t_out)[:, None] + np.arange(kernel)[None, :]
-        windows = h[idx].reshape(t_out, kernel * h.shape[1])
-        pre = windows @ params[f"conv{i}/W"] + params[f"conv{i}/b"]
-        caches.append((windows, pre, idx, h.shape))
-        h = gelu_forward(pre)
-    return h, caches
+def _qkv_weights(params, prefix):
+    """Wq, Wk and Wv side by side: one (d, 3d) projection whose output rows
+    split into the q, k and v heads."""
+    return np.concatenate([params[f"{prefix}/W{c}"] for c in "qkv"], axis=1)
 
 
-def _conv_backward(caches, dh, params: dict, grads: dict):
-    for i in reversed(range(len(CONV_SHAPE))):
-        windows, pre, idx, h_shape = caches[i]
-        dpre = gelu_backward(pre, dh)
-        dwin, dw, db = linear_backward(windows, params[f"conv{i}/W"], dpre)
-        grads[f"conv{i}/W"] += dw
-        grads[f"conv{i}/b"] += db
-        kernel = CONV_SHAPE[i][0]
-        dprev = np.zeros(h_shape)
-        np.add.at(dprev, idx, dwin.reshape(dwin.shape[0], kernel, h_shape[1]))
-        dh = dprev
-    return dh
-
-
-# ---------------------------------------------------------------------------
-# Transformer
-
-
-def _attention_forward(x, params, prefix, num_heads):
-    t, d = x.shape
+def _attention_forward(x, params, prefix, num_heads, batch):
+    n, d = x.shape
+    t = n // batch
     dh = d // num_heads
-    q = x @ params[f"{prefix}/Wq"]
-    k = x @ params[f"{prefix}/Wk"]
-    v = x @ params[f"{prefix}/Wv"]
-    qh = q.reshape(t, num_heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(t, num_heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(t, num_heads, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+    qkv = x @ _qkv_weights(params, prefix)
+    qh, kh, vh = qkv.reshape(batch, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
+    scores = qh @ kh.transpose(0, 1, 3, 2)            # (B, H, T, T)
+    scores /= np.sqrt(dh)
     attn = softmax(scores, axis=-1)
-    ctx = (attn @ vh).transpose(1, 0, 2).reshape(t, d)
+    ctx = np.empty((batch, t, num_heads, dh))
+    np.matmul(attn, vh, out=ctx.transpose(0, 2, 1, 3))
+    ctx = ctx.reshape(n, d)
     out = ctx @ params[f"{prefix}/Wo"]
-    return out, (x, qh, kh, vh, attn, ctx)
+    return out, (qh, kh, vh, attn, ctx)
 
 
-def _attention_backward(cache, dout, params, prefix, num_heads, grads):
-    x, qh, kh, vh, attn, ctx = cache
-    t, d = x.shape
-    dh = d // num_heads
+def _attention_backward(cache, x, dout, params, prefix, num_heads, grads):
+    """`x` is the attention input, recomputed by the caller rather than cached."""
+    qh, kh, vh, attn, ctx = cache
+    n, d = x.shape
+    batch, _, t, dh = qh.shape
     grads[f"{prefix}/Wo"] += ctx.T @ dout
-    dctx = dout @ params[f"{prefix}/Wo"].T
-    dctx_h = dctx.reshape(t, num_heads, dh).transpose(1, 0, 2)
-    dattn = dctx_h @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dctx_h
-    dscores = softmax_backward(attn, dattn) / np.sqrt(dh)
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
-    dx = np.zeros_like(x)
-    for name, dhead in (("Wq", dqh), ("Wk", dkh), ("Wv", dvh)):
-        dflat = dhead.transpose(1, 0, 2).reshape(t, d)
-        grads[f"{prefix}/{name}"] += x.T @ dflat
-        dx += dflat @ params[f"{prefix}/{name}"].T
-    return dx
+    dctx_h = (dout @ params[f"{prefix}/Wo"].T).reshape(batch, t, num_heads, dh)
+    dctx_h = dctx_h.transpose(0, 2, 1, 3)
+    # the score gradient is formed before dqkv is allocated, and dies before
+    # the last product, which keeps the step's peak memory down
+    dscores = softmax_backward(attn, dctx_h @ vh.transpose(0, 1, 3, 2))
+    dscores /= np.sqrt(dh)
+    dqkv = np.empty((batch, t, 3, num_heads, dh))       # rows laid out as qkv
+    dqh, dkh, dvh = dqkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(attn.transpose(0, 1, 3, 2), dctx_h, out=dvh)
+    np.matmul(dscores, kh, out=dqh)
+    np.matmul(dscores.transpose(0, 1, 3, 2), qh, out=dkh)
+    del dscores, dctx_h
+    dflat = dqkv.reshape(n, 3 * d)
+    dw = x.T @ dflat
+    for j, name in enumerate(("Wq", "Wk", "Wv")):
+        grads[f"{prefix}/{name}"] += dw[:, j * d:(j + 1) * d]
+    return dflat @ _qkv_weights(params, prefix).T
 
 
-def _block_forward(x, params, i, cfg):
+def _block_forward(x, params, i, cfg, batch):
+    # The cache keeps the layer-norm, GELU and attention caches only: backward
+    # recomputes the two layer-norm outputs and the GELU output from them with
+    # the same operations, so the activations held from forward to backward
+    # stay below what B separate single-utterance calls held.
     n1, c_ln1 = layer_norm_forward(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"])
-    attn_out, c_attn = _attention_forward(n1, params, f"block{i}/attn", cfg.num_heads)
-    a = x + attn_out
+    a, c_attn = _attention_forward(n1, params, f"block{i}/attn", cfg.num_heads, batch)
+    a += x
     n2, c_ln2 = layer_norm_forward(a, params[f"block{i}/ln2/g"], params[f"block{i}/ln2/b"])
-    pre = n2 @ params[f"block{i}/ffn/W1"] + params[f"block{i}/ffn/b1"]
-    act = gelu_forward(pre)
-    out = act @ params[f"block{i}/ffn/W2"] + params[f"block{i}/ffn/b2"]
-    y = a + out
-    return y, (c_ln1, c_attn, c_ln2, n2, pre, act)
+    pre = n2 @ params[f"block{i}/ffn/W1"]
+    pre += params[f"block{i}/ffn/b1"]
+    act, c_gelu = gelu_forward(pre)
+    y = act @ params[f"block{i}/ffn/W2"]
+    y += params[f"block{i}/ffn/b2"]
+    y += a
+    return y, (c_ln1, c_attn, c_ln2, c_gelu)
 
 
 def _block_backward(cache, dy, params, i, cfg, grads):
-    c_ln1, c_attn, c_ln2, n2, pre, act = cache
-    dact, dw2, db2 = linear_backward(act, params[f"block{i}/ffn/W2"], dy)
+    # `d` carries the gradient down the block; rebinding it frees each
+    # intermediate as soon as the next one exists
+    c_ln1, c_attn, c_ln2, c_gelu = cache
+    pre, cdf = c_gelu
+    d, dw2, db2 = linear_backward(pre * cdf, params[f"block{i}/ffn/W2"], dy)
     grads[f"block{i}/ffn/W2"] += dw2
     grads[f"block{i}/ffn/b2"] += db2
-    dpre = gelu_backward(pre, dact)
-    dn2, dw1, db1 = linear_backward(n2, params[f"block{i}/ffn/W1"], dpre)
+    d = gelu_backward(c_gelu, d)
+    d, dw1, db1 = linear_backward(layer_norm_output(c_ln2, params[f"block{i}/ln2/b"]),
+                                  params[f"block{i}/ffn/W1"], d)
     grads[f"block{i}/ffn/W1"] += dw1
     grads[f"block{i}/ffn/b1"] += db1
-    da, dg2, dbias2 = layer_norm_backward(c_ln2, dn2)
+    da, dg2, dbias2 = layer_norm_backward(c_ln2, d)
     grads[f"block{i}/ln2/g"] += dg2
     grads[f"block{i}/ln2/b"] += dbias2
-    da = da + dy
-    dn1 = _attention_backward(c_attn, da, params, f"block{i}/attn", cfg.num_heads, grads)
-    dx, dg1, dbias1 = layer_norm_backward(c_ln1, dn1)
+    da += dy
+    d = _attention_backward(c_attn, layer_norm_output(c_ln1, params[f"block{i}/ln1/b"]),
+                            da, params, f"block{i}/attn", cfg.num_heads, grads)
+    d, dg1, dbias1 = layer_norm_backward(c_ln1, d)
     grads[f"block{i}/ln1/g"] += dg1
     grads[f"block{i}/ln1/b"] += dbias1
-    return dx + da
+    d += da
+    return d
 
 
-def forward(features: FeatureSequence, mask: MaskSet, params: dict,
-            cfg: EncoderConfig) -> EncoderOutput:
-    """Project, corrupt masked frames, run the transformer stack, and emit
-    per-layer outputs plus content logits. layer_outputs[0] is the projected
-    corrupted input; layer_outputs[j] is the output of block j."""
-    feats = features.frames
-    conv_caches = None
-    if cfg.front_end == "conv":
-        if feats.shape[1] != 1:
-            raise ValueError("conv front end expects a T x 1 sample matrix")
-        feats, conv_caches = _conv_forward(feats[:, 0], params, cfg)
-    if feats.shape[1] != cfg.input_dim:
-        raise ValueError(f"feature dim {feats.shape[1]} != configured input_dim {cfg.input_dim}")
-    t = feats.shape[0]
-    if mask.num_frames != t:
-        raise ValueError(f"mask covers {mask.num_frames} frames but encoder sees {t}")
+def forward(frames: np.ndarray, masks, params: dict, cfg: EncoderConfig) -> EncoderOutput:
+    """Project a (B, T, D) batch, corrupt each utterance's masked frames
+    (`masks` holds one MaskSet per utterance), run the transformer stack,
+    and emit per-layer outputs plus content logits. layer_outputs[0] is the
+    projected corrupted input; layer_outputs[j] is the output of block j."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3:
+        raise ValueError(f"frames must be a (B, T, D) array, got shape {frames.shape}")
+    batch, t, dim = frames.shape
+    if dim != cfg.input_dim:
+        raise ValueError(f"feature dim {dim} != configured input_dim {cfg.input_dim}")
+    if len(masks) != batch:
+        raise ValueError(f"{len(masks)} masks for a batch of {batch} utterances")
+    mask = _stack_masks(masks, t)
 
-    projected = feats @ params["proj/W"] + params["proj/b"]
+    def per_utterance(rows):
+        return rows.reshape(batch, t, -1)
+
+    feats = frames.reshape(batch * t, dim)
+    projected = feats @ params["proj/W"]
+    projected += params["proj/b"]
     h0 = corrupt(projected, mask, params["mask_emb"])
-    layer_outputs = [h0]
+    layer_outputs = [per_utterance(h0)]
     block_caches = []
     h = h0
     if cfg.num_layers >= 1:
-        h = h0 + sinusoidal_positions(t, cfg.model_dim)
+        h = (layer_outputs[0] + sinusoidal_positions(t, cfg.model_dim)).reshape(h0.shape)
         for i in range(cfg.num_layers):
-            h, cache = _block_forward(h, params, i, cfg)
+            h, cache = _block_forward(h, params, i, cfg, batch)
             if not np.all(np.isfinite(h)):
                 raise FloatingPointError(f"non-finite activations after layer {i + 1}")
             block_caches.append(cache)
-            layer_outputs.append(h)
+            layer_outputs.append(per_utterance(h))
     final, c_final = layer_norm_forward(h, params["final_ln/g"], params["final_ln/b"])
-    logits = final @ params["head/W"] + params["head/b"]
+    logits = final @ params["head/W"]
+    logits += params["head/b"]
     cache = {
         "features": feats,
-        "conv": conv_caches,
         "blocks": block_caches,
         "final_ln": c_final,
         "final": final,
-        "mask": mask,
     }
-    return EncoderOutput(layer_outputs[cfg.tap_layer], final, logits, mask,
-                         layer_outputs, cache)
+    return EncoderOutput(layer_outputs[cfg.tap_layer], per_utterance(final),
+                         per_utterance(logits), mask, layer_outputs, cache)
 
 
 def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
@@ -352,21 +350,24 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
              dtap: np.ndarray | None = None,
              grads: dict | None = None) -> dict:
     """Accumulate parameter gradients for upstream gradients arriving at the
-    content logits and/or at the tap layer. Returns the grads dict."""
+    content logits (B, T, C) and/or at the tap layer (B, T, d). Returns the
+    grads dict."""
     cache = output.cache
     if grads is None:
         grads = zero_grads(params)
-    t = output.num_frames
+    n = output.num_frames
     d = cfg.model_dim
+    if dtap is not None:
+        dtap = np.reshape(dtap, (n, d))
 
     if dlogits is not None:
-        final = cache["final"]
-        dfinal, dwh, dbh = linear_backward(final, params["head/W"], dlogits)
+        dh, dwh, dbh = linear_backward(cache["final"], params["head/W"],
+                                       np.reshape(dlogits, (n, -1)))
         grads["head/W"] += dwh
         grads["head/b"] += dbh
     else:
-        dfinal = np.zeros((t, d))
-    dh, dg, db = layer_norm_backward(cache["final_ln"], dfinal)
+        dh = np.zeros((n, d))
+    dh, dg, db = layer_norm_backward(cache["final_ln"], dh)
     grads["final_ln/g"] += dg
     grads["final_ln/b"] += db
 
@@ -377,13 +378,9 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
     if dtap is not None and cfg.tap_layer == 0:
         dh = dh + dtap
 
-    mask = cache["mask"]
-    grads["mask_emb"] += dh[mask.indices].sum(axis=0)
-    dproj = dh.copy()
-    dproj[mask.indices] = 0.0
-    dfeats, dwp, dbp = linear_backward(cache["features"], params["proj/W"], dproj)
-    grads["proj/W"] += dwp
-    grads["proj/b"] += dbp
-    if cfg.front_end == "conv":
-        _conv_backward(cache["conv"], dfeats, params, grads)
+    rows = output.mask.indices
+    grads["mask_emb"] += dh[rows].sum(axis=0)
+    dh[rows] = 0.0                      # masked rows never saw the projection
+    grads["proj/W"] += cache["features"].T @ dh
+    grads["proj/b"] += dh.sum(axis=0)
     return grads

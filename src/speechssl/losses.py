@@ -98,42 +98,49 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def content_loss(content_logits: np.ndarray, labels, mask):
-    """Mean negative log-probability of the pseudo-label over masked frames.
+    """Mean negative log-probability of the pseudo-label over the masked
+    frames of one utterance: content_loss_batch at B=1.
 
     Returns (loss, dlogits) with dlogits zero on unmasked frames.
     """
-    logits = np.asarray(content_logits, dtype=np.float64)
-    t, k = logits.shape
-    if len(labels) != t:
-        raise ValueError(f"labels length {len(labels)} != logits frames {t}")
-    if labels.labels.size and labels.labels.max() >= k:
-        raise ValueError("label id exceeds number of classes")
-    if len(mask) == 0:
+    loss, dlogits = content_loss_batch(np.asarray(content_logits)[None], [labels], [mask])
+    return loss, dlogits[0]
+
+
+def content_loss_batch(logits, labels_list, masks):
+    """Batch content loss over stacked (B, T, C) logits: the mean negative
+    log-probability of the pseudo-label over all masked frames of all
+    utterances. Returns (loss, dlogits) with dlogits (B, T, C), zero on
+    unmasked frames."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 3:
+        raise ValueError(f"logits must be a (B, T, C) array, got shape {logits.shape}")
+    b, t, k = logits.shape
+    if len(labels_list) != b or len(masks) != b:
+        raise ValueError(
+            f"{b} utterances of logits, {len(labels_list)} label sequences, {len(masks)} masks"
+        )
+    for labels, mask in zip(labels_list, masks):
+        if len(labels) != t or mask.num_frames != t:
+            raise ValueError(
+                f"labels length {len(labels)} / mask frames {mask.num_frames} "
+                f"!= logits frames {t}"
+            )
+        if labels.labels.size and labels.labels.max() >= k:
+            raise ValueError("label id exceeds number of classes")
+    rows = np.concatenate([i * t + m.indices for i, m in enumerate(masks)])
+    if rows.size == 0:
         raise ValueError("content loss needs a non-empty mask")
-    rows = mask.indices
-    targets = labels.labels[rows]
-    logp = _log_softmax(logits[rows])
-    loss = float(-logp[np.arange(rows.size), targets].mean())
+    targets = np.concatenate([lab.labels[m.indices] for lab, m in zip(labels_list, masks)])
+    flat = logits.reshape(b * t, k)
+    logp = _log_softmax(flat[rows])
+    picked = np.arange(rows.size)
+    loss = float(-logp[picked, targets].mean())
     dmasked = np.exp(logp)
-    dmasked[np.arange(rows.size), targets] -= 1.0
-    dlogits = np.zeros_like(logits)
+    dmasked[picked, targets] -= 1.0
+    dlogits = np.zeros_like(flat)
     dlogits[rows] = dmasked / rows.size
-    return loss, dlogits
-
-
-def content_loss_batch(logits_list, labels_list, masks):
-    """Batch content loss: mean over all masked frames of all utterances."""
-    total_masked = sum(len(m) for m in masks)
-    if total_masked == 0:
-        raise ValueError("content loss needs a non-empty mask")
-    loss = 0.0
-    dlogits_list = []
-    for logits, labels, mask in zip(logits_list, labels_list, masks):
-        part, dlogits = content_loss(logits, labels, mask)
-        share = len(mask) / total_masked
-        loss += part * share
-        dlogits_list.append(dlogits * share)
-    return loss, dlogits_list
+    return loss, dlogits.reshape(b, t, k)
 
 
 # ---------------------------------------------------------------------------

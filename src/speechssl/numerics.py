@@ -3,7 +3,10 @@ the linear backward, and forward/backward pairs for layer norm and GELU.
 
 Everything runs in float64. Backward functions return gradients in the same
 shapes as their forward inputs; parameter gradients are returned, never
-accumulated in place, so callers control reduction order.
+accumulated in place, so callers control reduction order. The elementwise
+kernels work in place on one fresh buffer where they can: on batched
+activations every temporary is a large allocation, and fresh large
+allocations cost page faults.
 """
 
 import hashlib
@@ -33,15 +36,19 @@ def rng_from(*parts) -> np.random.Generator:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Row-stable softmax (max subtraction)."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Gradient through softmax given its output `probs`."""
-    inner = np.sum(dprobs * probs, axis=axis, keepdims=True)
-    return probs * (dprobs - inner)
+    out = dprobs * probs
+    inner = np.sum(out, axis=axis, keepdims=True)
+    np.subtract(dprobs, inner, out=out)
+    out *= probs
+    return out
 
 
 def sigmoid(x):
@@ -78,22 +85,38 @@ def linear_backward(x, w, dy):
 def layer_norm_forward(x, gain, bias, eps: float = LN_EPS):
     """Returns (y, cache) where cache feeds layer_norm_backward."""
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    return gain * xhat + bias, (xhat, inv, gain)
+    xhat *= inv
+    cache = (xhat, inv, gain)
+    return layer_norm_output(cache, bias), cache
+
+
+def layer_norm_output(cache, bias):
+    """gain * xhat + bias from a layer_norm_forward cache: the forward output,
+    bit-identical, for callers that recompute it instead of keeping it."""
+    xhat, _, gain = cache
+    y = gain * xhat
+    y += bias
+    return y
 
 
 def layer_norm_backward(cache, dy):
     """Returns (dx, dgain, dbias)."""
     xhat, inv, gain = cache
-    dgain = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    dbias = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    rows = tuple(range(dy.ndim - 1))
+    scratch = dy * xhat
+    dgain = np.sum(scratch, axis=rows)
+    dbias = np.sum(dy, axis=rows)
+    dx = dy * gain                      # dxhat, turned into dx in place
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=scratch)
+    m2 = np.mean(scratch, axis=-1, keepdims=True)
+    dx -= m1
+    np.multiply(xhat, m2, out=scratch)
+    dx -= scratch
+    dx *= inv                           # inv * (dxhat - m1 - xhat * m2)
     return dx, dgain, dbias
 
 
@@ -102,10 +125,22 @@ def layer_norm_backward(cache, dy):
 
 
 def gelu_forward(x):
-    return 0.5 * x * (1.0 + erf(x / SQRT_2))
+    """Returns (y, cache); the cache keeps x and its normal CDF, so that
+    gelu_backward needs no second erf."""
+    cdf = x / SQRT_2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5                          # 0.5 * (1 + erf(x / sqrt 2))
+    return x * cdf, (x, cdf)
 
 
-def gelu_backward(x, dy):
-    cdf = 0.5 * (1.0 + erf(x / SQRT_2))
-    pdf = np.exp(-0.5 * x * x) / SQRT_2PI
-    return dy * (cdf + x * pdf)
+def gelu_backward(cache, dy):
+    x, cdf = cache
+    dx = -0.5 * x
+    dx *= x
+    np.exp(dx, out=dx)
+    dx /= SQRT_2PI                      # the normal pdf at x
+    dx *= x
+    dx += cdf
+    dx *= dy                            # dy * (cdf + x * pdf)
+    return dx

@@ -53,8 +53,9 @@ def embed_utterances(checkpoint, corpus, layer: int):
     speakers = []
     for utt in corpus:
         feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        out = forward(feats, MaskSet.empty(feats.num_frames), checkpoint.params, cfg)
-        embeddings.append(out.layer_outputs[layer].mean(axis=0))
+        out = forward(feats.frames[None], [MaskSet.empty(feats.num_frames)],
+                      checkpoint.params, cfg)
+        embeddings.append(out.layer_outputs[layer][0].mean(axis=0))
         speakers.append(utt.speaker)
     return np.stack(embeddings), speakers
 
@@ -171,8 +172,9 @@ def layer_profile(checkpoint, corpus, steps: int = 200, lr: float = 0.1, seed: i
     tags = []
     for utt in corpus:
         feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        out = forward(feats, MaskSet.empty(feats.num_frames), checkpoint.params, cfg)
-        per_layer.append([layer.mean(axis=0) for layer in out.layer_outputs])
+        out = forward(feats.frames[None], [MaskSet.empty(feats.num_frames)],
+                      checkpoint.params, cfg)
+        per_layer.append([layer[0].mean(axis=0) for layer in out.layer_outputs])
         tags.append(utt.speaker)
     stacked = np.stack([np.stack(rows) for rows in per_layer], axis=1)
     targets = np.array([index[t] for t in tags])
@@ -194,8 +196,8 @@ def masked_prediction_accuracy(checkpoint, corpus, labels_by_id, seed: int = 0) 
         feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
         mask = sample_mask(feats.num_frames, cfg, derive_seed(seed, "eval-mask", b),
                            min_spans=1)
-        out = forward(feats, mask, checkpoint.params, cfg)
-        predicted = np.argmax(out.content_logits[mask.indices], axis=1)
+        out = forward(feats.frames[None], [mask], checkpoint.params, cfg)
+        predicted = np.argmax(out.content_logits[0, mask.indices], axis=1)
         target = labels_by_id[utt.id].labels[mask.indices]
         correct += int(np.sum(predicted == target))
         total += len(mask)

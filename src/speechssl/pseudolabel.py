@@ -193,8 +193,9 @@ def recluster_from_embeddings(
             raise ValueError(
                 f"feature dim {feats.dim} does not match encoder input dim {cfg.input_dim}"
             )
-        out = forward(feats, MaskSet.empty(feats.num_frames), checkpoint.params, cfg)
-        per_utt.append((utt.id, out.layer_outputs[tap_layer]))
+        out = forward(feats.frames[None], [MaskSet.empty(feats.num_frames)],
+                      checkpoint.params, cfg)
+        per_utt.append((utt.id, out.layer_outputs[tap_layer][0]))
     pooled = np.concatenate([frames for _, frames in per_utt], axis=0)
     model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts,
                        sample_cap=sample_cap)

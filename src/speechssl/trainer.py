@@ -173,13 +173,71 @@ def _check_label_provenance(labels) -> None:
             )
 
 
+@dataclass
+class ObjectiveSeeds:
+    noise: list       # quantizer noise seed, one per utterance
+    negatives: int    # negative-sampling seed of the batch
+
+
+@dataclass
+class ObjectiveResult:
+    breakdown: LossBreakdown
+    grads: dict | None                  # set when called with grads=True
+    usage: np.ndarray | None            # batch-averaged codebook usage (speaker loss)
+
+
+def objective(params: dict, features: np.ndarray, labels, masks, seeds: ObjectiveSeeds,
+              tau: float, config: TrainConfig, grads: bool) -> ObjectiveResult:
+    """The combined loss of a (B, T, D) feature batch with one mask per
+    utterance: encoder forward -> quantize each utterance's tap rows at its
+    masked steps -> contrastive, diversity and content terms, and with
+    grads=True the manual backward into every parameter. Training and the
+    finite-difference check both evaluate this one function."""
+    enc_cfg = config.encoder
+    out = forward(features, masks, params, enc_cfg)
+    if config.speaker_loss:
+        qstate = QuantizerState(config.quantizer, params, tau)
+        qouts = [
+            quantize(tap[mask.indices], qstate, seed=noise, hard=config.quantizer_hard)
+            for tap, mask, noise in zip(out.tap, masks, seeds.noise)
+        ]
+        usage = usage_stats(qouts)
+        div_value, dp_bar = diversity_loss(usage)
+        contr = contrastive_loss(out.tap, qouts, masks, config.weights, seed=seeds.negatives)
+        contrastive_value = contr.value
+        num_pos, num_neg = contr.num_positives, contr.num_negatives
+    else:
+        usage = None
+        contrastive_value, div_value = 0.0, 0.0
+        num_pos = num_neg = 0
+    cont_value, dlogits = content_loss_batch(out.content_logits, labels, masks)
+    counts = LossCounts(num_pos, num_neg, len(out.mask))
+    breakdown = combine(contrastive_value, div_value, cont_value, config.weights, counts)
+    if not grads:
+        return ObjectiveResult(breakdown, None, usage)
+
+    param_grads = zero_grads(params)
+    dtap = None
+    if config.speaker_loss:
+        dtap = np.stack(contr.dtaps)
+        dprobs_row = config.weights.alpha * dp_bar / sum(q.num_frames for q in qouts)
+        for b, (qout, mask) in enumerate(zip(qouts, masks)):
+            dprobs = np.broadcast_to(dprobs_row, qout.probs.shape)
+            dlatent, qgrads = quantize_backward(qout, qstate, contr.dqs[b], dprobs)
+            for key, grad in qgrads.items():
+                param_grads[key] += grad
+            dtap[b, mask.indices] += dlatent
+    backward(out, params, enc_cfg, dlogits=config.weights.beta * dlogits,
+             dtap=dtap, grads=param_grads)
+    return ObjectiveResult(breakdown, param_grads, usage)
+
+
 def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     """One optimization step. `labels` are per-batch-member pseudo-labels
     computed from the clean audio. Returns (state, LossBreakdown)."""
     _check_label_provenance(labels)
     step = state.step + 1
     seeds = config.seeds
-    enc_cfg = config.encoder
 
     mixed = mix_batch(
         batch, config.mix_probability, config.gain_policy,
@@ -195,63 +253,25 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
             )
 
     masks = [
-        sample_mask(f.num_frames, enc_cfg, derive_seed(seeds.masking, "mask", step, b),
-                    min_spans=1)
+        sample_mask(f.num_frames, config.encoder,
+                    derive_seed(seeds.masking, "mask", step, b), min_spans=1)
         for b, f in enumerate(features)
     ]
-    outputs = [forward(f, m, state.params, enc_cfg) for f, m in zip(features, masks)]
-
-    if config.speaker_loss:
-        qstate = QuantizerState(
-            config.quantizer, state.params,
-            tau_at(step, config.steps, config.quantizer.tau_start,
-                   config.quantizer.tau_end),
-        )
-        qouts = [
-            quantize(out.tap[mask.indices], qstate,
-                     seed=derive_seed(seeds.noise, "noise", step, b),
-                     hard=config.quantizer_hard)
-            for b, (out, mask) in enumerate(zip(outputs, masks))
-        ]
-        p_bar = usage_stats(qouts)
-        state.last_usage = p_bar
-        div_value, dp_bar = diversity_loss(p_bar)
-        contr = contrastive_loss(
-            [out.tap for out in outputs], qouts, masks, config.weights,
-            seed=derive_seed(seeds.negatives, "neg", step),
-        )
-        contrastive_value = contr.value
-        num_pos, num_neg = contr.num_positives, contr.num_negatives
-    else:
-        contrastive_value, div_value = 0.0, 0.0
-        num_pos = num_neg = 0
-    cont_value, dlogits_list = content_loss_batch(
-        [out.content_logits for out in outputs], labels, masks
+    step_seeds = ObjectiveSeeds(
+        [derive_seed(seeds.noise, "noise", step, b) for b in range(len(features))],
+        derive_seed(seeds.negatives, "neg", step),
     )
-    counts = LossCounts(num_pos, num_neg, sum(len(m) for m in masks))
-    breakdown = combine(contrastive_value, div_value, cont_value, config.weights, counts)
+    tau = tau_at(step, config.steps, config.quantizer.tau_start, config.quantizer.tau_end)
+    result = objective(state.params, np.stack([f.frames for f in features]), labels,
+                       masks, step_seeds, tau, config, grads=True)
+    breakdown = result.breakdown
     if not np.isfinite(breakdown.total):
         raise FloatingPointError(f"non-finite loss at step {step}: {breakdown}")
-
-    grads = zero_grads(state.params)
-    for b, out in enumerate(outputs):
-        dtap = None
-        if config.speaker_loss:
-            total_frames = sum(q.num_frames for q in qouts)
-            dprobs = np.broadcast_to(
-                config.weights.alpha * dp_bar / total_frames, qouts[b].probs.shape
-            )
-            dlatent, qgrads = quantize_backward(qouts[b], qstate, contr.dqs[b], dprobs)
-            for key, grad in qgrads.items():
-                grads[key] += grad
-            dtap = contr.dtaps[b].copy()
-            dtap[masks[b].indices] += dlatent
-        backward(out, state.params, enc_cfg,
-                 dlogits=config.weights.beta * dlogits_list[b],
-                 dtap=dtap, grads=grads)
+    if result.usage is not None:
+        state.last_usage = result.usage
 
     state.step = step
-    adam_update(state, grads, learning_rate_at(step, config), config)
+    adam_update(state, result.grads, learning_rate_at(step, config), config)
     return state, breakdown
 
 
@@ -288,14 +308,21 @@ def train(
     """Run (or continue) pre-training. Returns (Checkpoint, metrics list).
 
     With out_dir set, metrics stream to metrics.jsonl and checkpoints are
-    written on the checkpoint_every schedule plus at the end.
+    written on the checkpoint_every schedule plus at the end. A checkpoint
+    carries the metrics rows of every step up to it, so a resumed run's
+    metrics, metrics.jsonl and summary.json equal the uninterrupted run's.
     """
     missing = [u.id for u in corpus if u.id not in labels_by_id]
     if missing:
         raise ValueError(f"no labels for utterances: {missing[:5]}")
     if resume is not None:
+        if [m["step"] for m in resume.metrics] != list(range(1, resume.step + 1)):
+            raise ValueError(
+                f"checkpoint at step {resume.step} does not carry the metrics of "
+                f"steps 1..{resume.step}; it cannot be resumed"
+            )
         state = TrainState(resume.params, resume.adam_m, resume.adam_v, resume.step)
-        metrics = list(resume.metrics_tail)
+        metrics = list(resume.metrics)
     else:
         state = init_state(config)
         metrics = []
@@ -305,8 +332,10 @@ def train(
     metrics_fh = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        mode = "a" if resume is not None else "w"
-        metrics_fh = open(out_dir / "metrics.jsonl", mode, encoding="utf-8")
+        # a resumed run rewrites the rows up to its checkpoint, so rows past
+        # an intermediate checkpoint are not left behind as duplicates
+        metrics_fh = open(out_dir / "metrics.jsonl", "w", encoding="utf-8")
+        metrics_fh.writelines(json.dumps(record) + "\n" for record in metrics)
     try:
         while state.step < last_step:
             step = state.step + 1
@@ -327,7 +356,7 @@ def train(
             metrics_fh.close()
 
     ckpt = Checkpoint(config, state.params, state.adam_m, state.adam_v,
-                      state.step, metrics[-10:])
+                      state.step, list(metrics))
     if out_dir is not None:
         save_checkpoint(out_dir / "checkpoint_final", state, config, metrics)
         summary = {
@@ -366,7 +395,7 @@ class Checkpoint:
     adam_m: dict
     adam_v: dict
     step: int
-    metrics_tail: list = field(default_factory=list)
+    metrics: list = field(default_factory=list)   # one row per step, 1..step
 
     @property
     def encoder_config(self) -> EncoderConfig:
@@ -394,7 +423,7 @@ def save_checkpoint(stem, state: TrainState, config: TrainConfig, metrics) -> No
         "step": state.step,
         "config": config.to_dict(),
         "manifest": manifest,
-        "metrics_tail": metrics[-10:],
+        "metrics": metrics,
     }
     stem.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     stem.with_suffix(".bin").write_bytes(
@@ -417,7 +446,7 @@ def load_checkpoint(stem) -> Checkpoint:
         )
     config = TrainConfig.from_dict(meta["config"])
     return Checkpoint(config, groups["param"], groups["adam_m"], groups["adam_v"],
-                      meta["step"], meta.get("metrics_tail", []))
+                      meta["step"], meta.get("metrics", []))
 
 
 # ---------------------------------------------------------------------------
@@ -455,50 +484,6 @@ def tiny_config(seed: int = 0) -> TrainConfig:
     )
 
 
-def _loss_on_instance(params: dict, features, labels, masks, config: TrainConfig,
-                      noise_seeds, neg_seed, tau: float) -> float:
-    outputs = [forward(f, m, params, config.encoder) for f, m in zip(features, masks)]
-    qstate = QuantizerState(config.quantizer, params, tau)
-    qouts = [
-        quantize(out.tap[mask.indices], qstate, seed=ns, hard=config.quantizer_hard)
-        for out, mask, ns in zip(outputs, masks, noise_seeds)
-    ]
-    div_value, _ = diversity_loss(usage_stats(qouts))
-    contr = contrastive_loss([o.tap for o in outputs], qouts, masks, config.weights,
-                             seed=neg_seed)
-    cont_value, _ = content_loss_batch([o.content_logits for o in outputs], labels, masks)
-    return combine(contr.value, div_value, cont_value, config.weights).total
-
-
-def _grads_on_instance(params: dict, features, labels, masks, config: TrainConfig,
-                       noise_seeds, neg_seed, tau: float) -> dict:
-    outputs = [forward(f, m, params, config.encoder) for f, m in zip(features, masks)]
-    qstate = QuantizerState(config.quantizer, params, tau)
-    qouts = [
-        quantize(out.tap[mask.indices], qstate, seed=ns, hard=config.quantizer_hard)
-        for out, mask, ns in zip(outputs, masks, noise_seeds)
-    ]
-    p_bar = usage_stats(qouts)
-    _, dp_bar = diversity_loss(p_bar)
-    contr = contrastive_loss([o.tap for o in outputs], qouts, masks, config.weights,
-                             seed=neg_seed)
-    _, dlogits_list = content_loss_batch([o.content_logits for o in outputs], labels, masks)
-    grads = zero_grads(params)
-    total_frames = sum(q.num_frames for q in qouts)
-    for b, out in enumerate(outputs):
-        dprobs = np.broadcast_to(
-            config.weights.alpha * dp_bar / total_frames, qouts[b].probs.shape
-        )
-        dlatent, qgrads = quantize_backward(qouts[b], qstate, contr.dqs[b], dprobs)
-        for key, grad in qgrads.items():
-            grads[key] += grad
-        dtap = contr.dtaps[b].copy()
-        dtap[masks[b].indices] += dlatent
-        backward(out, params, config.encoder,
-                 dlogits=config.weights.beta * dlogits_list[b], dtap=dtap, grads=grads)
-    return grads
-
-
 def grad_check(
     config: TrainConfig | None = None,
     seed: int = 0,
@@ -508,18 +493,15 @@ def grad_check(
 ) -> GradCheckReport:
     """Analytic gradients of the full combined loss vs central finite
     differences, sampled across every parameter group (soft quantizer mode)."""
-    from .dsp import FeatureSequence
-
     config = config or tiny_config(seed)
     if config.quantizer_hard:
         config = replace(config, quantizer_hard=False)
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
     num_frames = 8
     enc = config.encoder
-    features = [
-        FeatureSequence(rng.standard_normal((num_frames, enc.input_dim)), 100.0, f"probe{b}")
-        for b in range(config.batch_size)
-    ]
+    features = np.stack([
+        rng.standard_normal((num_frames, enc.input_dim)) for _ in range(config.batch_size)
+    ])
     labels = [
         PseudoLabelSequence(rng.integers(0, enc.num_classes, num_frames), enc.num_classes)
         for _ in range(config.batch_size)
@@ -528,15 +510,19 @@ def grad_check(
         sample_mask(num_frames, enc, derive_seed(seed, "mask", b), min_spans=1)
         for b in range(config.batch_size)
     ]
-    noise_seeds = [derive_seed(seed, "noise", b) for b in range(config.batch_size)]
-    neg_seed = derive_seed(seed, "neg")
+    seeds = ObjectiveSeeds([derive_seed(seed, "noise", b) for b in range(config.batch_size)],
+                           derive_seed(seed, "neg"))
     tau = 1.0
 
     params = init_encoder_params(enc, derive_seed(seed, "enc-params"))
     params.update(init_quantizer_params(config.quantizer, derive_seed(seed, "q-params")))
 
-    analytic = _grads_on_instance(params, features, labels, masks, config,
-                                  noise_seeds, neg_seed, tau)
+    def loss() -> float:
+        return objective(params, features, labels, masks, seeds, tau, config,
+                         grads=False).breakdown.total
+
+    analytic = objective(params, features, labels, masks, seeds, tau, config,
+                         grads=True).grads
 
     keys = sorted(params) if groups is None else [
         k for k in sorted(params) if any(k.startswith(g) for g in groups)
@@ -554,11 +540,9 @@ def grad_check(
         for c in coords:
             original = flat[c]
             flat[c] = original + step_size
-            up = _loss_on_instance(params, features, labels, masks, config,
-                                   noise_seeds, neg_seed, tau)
+            up = loss()
             flat[c] = original - step_size
-            down = _loss_on_instance(params, features, labels, masks, config,
-                                     noise_seeds, neg_seed, tau)
+            down = loss()
             flat[c] = original
             fd = (up - down) / (2 * step_size)
             an = analytic[key].reshape(-1)[c]

@@ -12,6 +12,7 @@ from speechssl.dsp import (
     load_features,
     log_mel_energies,
     mel_band_centers,
+    mel_filterbank,
     mel_to_hz,
     mfcc,
     save_features,
@@ -74,6 +75,13 @@ class TestMfcc:
         a = mfcc(wav)
         b = mfcc(Waveform(wav.samples.copy(), wav.sample_rate))
         assert np.array_equal(a.frames, b.frames)
+
+    def test_filterbank_built_once_and_read_only(self):
+        fb = mel_filterbank(26, 512, 16000)
+        assert mel_filterbank(26, 512, 16000) is fb
+        assert fb.shape == (26, 257)
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
 
     def test_dct_orthonormal_inverse(self):
         # square case: DCT then its transpose recovers the input

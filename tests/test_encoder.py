@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from speechssl.dsp import FeatureSequence
 from speechssl.encoder import (
-    CONV_SHAPE,
     EncoderConfig,
     MaskSet,
     backward,
@@ -178,10 +177,10 @@ class TestForward:
         params = init_encoder_params(cfg, seed=0)
         feats = tiny_features()
         mask = MaskSet.from_indices([1], feats.num_frames)
-        out = forward(feats, mask, params, cfg)
+        out = forward(feats.frames[None], [mask], params, cfg)
         expected = feats.frames @ params["proj/W"] + params["proj/b"]
         expected[1] = params["mask_emb"]
-        assert np.array_equal(out.tap, expected)
+        assert np.array_equal(out.tap[0], expected)
 
     def test_masking_locality_zero_layers(self):
         cfg = EncoderConfig(input_dim=6, model_dim=8, num_layers=0, num_heads=2,
@@ -189,28 +188,29 @@ class TestForward:
         params = init_encoder_params(cfg, seed=0)
         feats = tiny_features()
         mask = MaskSet.from_indices([2], feats.num_frames)
-        out1 = forward(feats, mask, params, cfg)
+        out1 = forward(feats.frames[None], [mask], params, cfg)
         params["mask_emb"] = params["mask_emb"] + 5.0
-        out2 = forward(feats, mask, params, cfg)
+        out2 = forward(feats.frames[None], [mask], params, cfg)
         keep = [0, 1, 3, 4]
-        assert np.array_equal(out1.final[keep], out2.final[keep])
-        assert not np.array_equal(out1.final[2], out2.final[2])
+        assert np.array_equal(out1.final[0, keep], out2.final[0, keep])
+        assert not np.array_equal(out1.final[0, 2], out2.final[0, 2])
 
     def test_shapes(self):
         params = init_encoder_params(TINY, seed=1)
         feats = tiny_features(t=7)
-        out = forward(feats, MaskSet.empty(7), params, TINY)
-        assert out.tap.shape == (7, 8)
-        assert out.final.shape == (7, 8)
-        assert out.content_logits.shape == (7, 5)
+        out = forward(feats.frames[None], [MaskSet.empty(7)], params, TINY)
+        assert out.tap.shape == (1, 7, 8)
+        assert out.final.shape == (1, 7, 8)
+        assert out.content_logits.shape == (1, 7, 5)
         assert len(out.layer_outputs) == 3
+        assert out.num_frames == 7
 
     def test_deterministic(self):
         params = init_encoder_params(TINY, seed=1)
         feats = tiny_features(t=6, seed=3)
         mask = sample_mask(6, TINY, seed=2, min_spans=1)
-        a = forward(feats, mask, params, TINY)
-        b = forward(feats, mask, params, TINY)
+        a = forward(feats.frames[None], [mask], params, TINY)
+        b = forward(feats.frames[None], [mask], params, TINY)
         assert np.array_equal(a.content_logits, b.content_logits)
         assert np.array_equal(a.tap, b.tap)
 
@@ -218,32 +218,32 @@ class TestForward:
         params = init_encoder_params(TINY, seed=1)
         batch = [tiny_features(t=5, seed=s) for s in range(3)]
         mask = MaskSet.empty(5)
-        solo = [forward(f, mask, params, TINY).content_logits for f in batch]
+        solo = [forward(f.frames[None], [mask], params, TINY).content_logits for f in batch]
         for order in ([2, 0, 1], [1, 2, 0]):
             for pos, idx in enumerate(order):
-                again = forward(batch[idx], mask, params, TINY).content_logits
+                again = forward(batch[idx].frames[None], [mask], params, TINY).content_logits
                 assert np.array_equal(again, solo[idx])
 
     def test_matches_reference_implementation(self):
         params = init_encoder_params(TINY, seed=4)
         feats = tiny_features(t=5, seed=9)
         mask = MaskSet.from_indices([1, 2], 5)
-        out = forward(feats, mask, params, TINY)
+        out = forward(feats.frames[None], [mask], params, TINY)
         taps, final, logits = reference_forward(feats.frames, [1, 2], params, TINY)
-        assert np.max(np.abs(out.content_logits - logits)) < 1e-10
-        assert np.max(np.abs(out.final - final)) < 1e-10
+        assert np.max(np.abs(out.content_logits[0] - logits)) < 1e-10
+        assert np.max(np.abs(out.final[0] - final)) < 1e-10
         for mine, ref in zip(out.layer_outputs, taps):
-            assert np.max(np.abs(mine - ref)) < 1e-10
+            assert np.max(np.abs(mine[0] - ref)) < 1e-10
 
     def test_dim_mismatch(self):
         params = init_encoder_params(TINY, seed=0)
         with pytest.raises(ValueError, match="input_dim"):
-            forward(tiny_features(dim=4), MaskSet.empty(5), params, TINY)
+            forward(tiny_features(dim=4).frames[None], [MaskSet.empty(5)], params, TINY)
 
     def test_mask_frame_count_mismatch(self):
         params = init_encoder_params(TINY, seed=0)
         with pytest.raises(ValueError, match="frames"):
-            forward(tiny_features(t=5), MaskSet.empty(9), params, TINY)
+            forward(tiny_features(t=5).frames[None], [MaskSet.empty(9)], params, TINY)
 
 
 class TestConfig:
@@ -257,34 +257,38 @@ class TestConfig:
 
 
 class TestBackward:
-    def scalar_loss(self, params, feats, mask, cfg):
-        out = forward(feats, mask, params, cfg)
+    def scalar_loss(self, params, frames, masks, cfg):
+        out = forward(frames, masks, params, cfg)
         return float(np.sum(np.sin(out.content_logits)) + np.sum(out.tap**2))
 
     def test_gradients_match_finite_differences(self):
         cfg = TINY
         params = init_encoder_params(cfg, seed=6)
-        feats = tiny_features(t=5, seed=2)
-        mask = MaskSet.from_indices([0, 3], 5)
-        out = forward(feats, mask, params, cfg)
-        dlogits = np.cos(out.content_logits)
-        dtap = 2.0 * out.tap
-        grads = backward(out, params, cfg, dlogits=dlogits, dtap=dtap)
+        single = ([tiny_features(t=5, seed=2)], [[0, 3]])
+        # B=3, a different mask per utterance, one of them empty
+        batched = ([tiny_features(t=5, seed=s) for s in (2, 7, 8)], [[0, 3], [1, 2, 4], []])
         h = 1e-5
-        rng = np.random.default_rng(0)
-        for key in sorted(params):
-            flat = params[key].reshape(-1)
-            for c in rng.choice(flat.size, min(4, flat.size), replace=False):
-                orig = flat[c]
-                flat[c] = orig + h
-                up = self.scalar_loss(params, feats, mask, cfg)
-                flat[c] = orig - h
-                down = self.scalar_loss(params, feats, mask, cfg)
-                flat[c] = orig
-                fd = (up - down) / (2 * h)
-                an = grads[key].reshape(-1)[c]
-                rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-8)
-                assert rel < 1e-4, f"{key}: analytic {an} vs fd {fd}"
+        for feats, mask_indices in (single, batched):
+            frames = np.stack([f.frames for f in feats])
+            masks = [MaskSet.from_indices(idx, 5) for idx in mask_indices]
+            out = forward(frames, masks, params, cfg)
+            dlogits = np.cos(out.content_logits)
+            dtap = 2.0 * out.tap
+            grads = backward(out, params, cfg, dlogits=dlogits, dtap=dtap)
+            rng = np.random.default_rng(0)
+            for key in sorted(params):
+                flat = params[key].reshape(-1)
+                for c in rng.choice(flat.size, min(4, flat.size), replace=False):
+                    orig = flat[c]
+                    flat[c] = orig + h
+                    up = self.scalar_loss(params, frames, masks, cfg)
+                    flat[c] = orig - h
+                    down = self.scalar_loss(params, frames, masks, cfg)
+                    flat[c] = orig
+                    fd = (up - down) / (2 * h)
+                    an = grads[key].reshape(-1)[c]
+                    rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-8)
+                    assert rel < 1e-4, f"B={len(feats)} {key}: analytic {an} vs fd {fd}"
 
     def test_tap_at_top_layer(self):
         cfg = EncoderConfig(input_dim=6, model_dim=8, num_layers=2, num_heads=2,
@@ -292,68 +296,71 @@ class TestBackward:
         params = init_encoder_params(cfg, seed=3)
         feats = tiny_features(t=4, seed=5)
         mask = MaskSet.from_indices([1], 4)
-        out = forward(feats, mask, params, cfg)
+        out = forward(feats.frames[None], [mask], params, cfg)
         grads = backward(out, params, cfg, dtap=np.ones_like(out.tap))
         assert any(np.any(g != 0) for g in grads.values())
 
     def test_grads_zero_without_upstream(self):
         params = init_encoder_params(TINY, seed=3)
-        out = forward(tiny_features(), MaskSet.empty(5), params, TINY)
+        out = forward(tiny_features().frames[None], [MaskSet.empty(5)], params, TINY)
         grads = backward(out, params, TINY)
         assert all(np.all(g == 0) for k, g in grads.items() if k.startswith("head"))
 
 
-class TestConvFrontEnd:
-    def config(self):
-        return EncoderConfig(input_dim=12, model_dim=8, num_layers=1, num_heads=2,
-                             ffn_dim=12, num_classes=4, tap_layer=1,
-                             front_end="conv", conv_channels=12)
+class TestBatch:
+    """A (B, T, D) batch is B independent utterances."""
 
-    def waveform_features(self, n=1000, seed=0):
+    T = 6
+    MASKS = ([0, 3], [1, 2, 5], [], [4])
+
+    def batch(self, seed=0):
         rng = np.random.default_rng(seed)
-        return FeatureSequence(rng.uniform(-0.5, 0.5, (n, 1)), 16000.0, "wave")
+        frames = rng.standard_normal((len(self.MASKS), self.T, TINY.input_dim))
+        return frames, [MaskSet.from_indices(idx, self.T) for idx in self.MASKS]
 
-    def expected_frames(self, n):
-        t = n
-        for kernel, stride in CONV_SHAPE:
-            t = 1 + (t - kernel) // stride
-        return t
+    @staticmethod
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-    def test_output_frame_count(self):
-        cfg = self.config()
-        params = init_encoder_params(cfg, seed=7)
-        feats = self.waveform_features(n=1000)
-        t = self.expected_frames(1000)
-        out = forward(feats, MaskSet.empty(t), params, cfg)
-        assert out.final.shape == (t, 8)
-
-    def test_gradients_match_finite_differences(self):
-        cfg = self.config()
-        params = init_encoder_params(cfg, seed=8)
-        feats = self.waveform_features(n=400, seed=4)
-        t = self.expected_frames(400)
-        mask = MaskSet.from_indices([0], t)
-
-        def loss(p):
-            out = forward(feats, mask, p, cfg)
-            return float(np.sum(out.content_logits**2))
-
-        out = forward(feats, mask, params, cfg)
-        grads = backward(out, params, cfg, dlogits=2.0 * out.content_logits)
-        h = 1e-5
+    def test_matches_single_utterance_calls(self):
+        params = init_encoder_params(TINY, seed=11)
+        frames, masks = self.batch()
+        out = forward(frames, masks, params, TINY)
+        assert out.num_frames == len(masks) * self.T
+        assert len(out.mask) == sum(len(m) for m in masks)
         rng = np.random.default_rng(1)
-        for key in ("conv0/W", "conv1/b", "conv2/W", "proj/W"):
-            flat = params[key].reshape(-1)
-            for c in rng.choice(flat.size, 3, replace=False):
-                orig = flat[c]
-                flat[c] = orig + h
-                up = loss(params)
-                flat[c] = orig - h
-                down = loss(params)
-                flat[c] = orig
-                fd = (up - down) / (2 * h)
-                an = grads[key].reshape(-1)[c]
-                assert abs(an - fd) / max(abs(an) + abs(fd), 1e-8) < 1e-4, key
+        dlogits = rng.standard_normal(out.content_logits.shape)
+        dtap = rng.standard_normal(out.tap.shape)
+        grads = backward(out, params, TINY, dlogits=dlogits, dtap=dtap)
+        summed = None
+        for b, mask in enumerate(masks):
+            solo = forward(frames[b:b + 1], [mask], params, TINY)
+            assert self.rel(out.content_logits[b], solo.content_logits[0]) < 1e-12
+            assert self.rel(out.tap[b], solo.tap[0]) < 1e-12
+            for mine, ref in zip(out.layer_outputs, solo.layer_outputs):
+                assert self.rel(mine[b], ref[0]) < 1e-12
+            summed = backward(solo, params, TINY, dlogits=dlogits[b:b + 1],
+                              dtap=dtap[b:b + 1], grads=summed)
+        for key in params:
+            assert self.rel(grads[key], summed[key]) < 1e-12, key
+
+    def test_perturbing_one_utterance_leaves_others_bit_identical(self):
+        params = init_encoder_params(TINY, seed=12)
+        frames, masks = self.batch(seed=3)
+        before = forward(frames, masks, params, TINY)
+        frames[1] += np.random.default_rng(4).standard_normal(frames[1].shape)
+        after = forward(frames, masks, params, TINY)
+        assert not np.array_equal(before.content_logits[1], after.content_logits[1])
+        for b in (0, 2, 3):
+            assert np.array_equal(before.content_logits[b], after.content_logits[b])
+            for x, y in zip(before.layer_outputs, after.layer_outputs):
+                assert np.array_equal(x[b], y[b])
+
+    def test_one_mask_per_utterance(self):
+        params = init_encoder_params(TINY, seed=0)
+        frames, masks = self.batch()
+        with pytest.raises(ValueError, match="masks"):
+            forward(frames, masks[:-1], params, TINY)
 
 
 class TestPositions:

@@ -105,7 +105,14 @@ class TestContentLoss:
         logits = [rng.standard_normal((4, 3)), rng.standard_normal((6, 3))]
         labels = [make_labels(rng.integers(0, 3, 4), 3), make_labels(rng.integers(0, 3, 6), 3)]
         masks = [MaskSet.from_indices([0], 4), MaskSet.from_indices([1, 2, 3], 6)]
-        loss, grads = content_loss_batch(logits, labels, masks)
+        # the batch is stacked (B, T, C): pad the 4-frame utterance with two
+        # unmasked frames, which the loss must ignore
+        stacked = np.stack([np.concatenate([logits[0], np.full((2, 3), 50.0)]), logits[1]])
+        padded_labels = [make_labels(np.concatenate([labels[0].labels, [0, 0]]), 3), labels[1]]
+        padded_masks = [MaskSet.from_indices([0], 6), masks[1]]
+        loss, grads = content_loss_batch(stacked, padded_labels, padded_masks)
+        assert grads.shape == (2, 6, 3)
+        assert np.all(grads[0, 4:] == 0.0)
         # oracle: pool every masked frame, then average
         total = 0.0
         for lg, lb, m in zip(logits, labels, masks):

@@ -109,16 +109,17 @@ class TestLayerNorm:
 
 class TestGelu:
     def test_known_values(self):
-        assert gelu_forward(np.array([0.0]))[0] == 0.0
+        assert gelu_forward(np.array([0.0]))[0][0] == 0.0
         # gelu(x) -> x for large x, -> 0 for very negative x
-        assert abs(gelu_forward(np.array([10.0]))[0] - 10.0) < 1e-12
-        assert abs(gelu_forward(np.array([-10.0]))[0]) < 1e-12
+        assert abs(gelu_forward(np.array([10.0]))[0][0] - 10.0) < 1e-12
+        assert abs(gelu_forward(np.array([-10.0]))[0][0]) < 1e-12
 
     def test_backward_matches_finite_differences(self):
         x = np.linspace(-3, 3, 25)
-        grad = gelu_backward(x, np.ones_like(x))
+        _, cache = gelu_forward(x)
+        grad = gelu_backward(cache, np.ones_like(x))
         h = 1e-6
-        fd = (gelu_forward(x + h) - gelu_forward(x - h)) / (2 * h)
+        fd = (gelu_forward(x + h)[0] - gelu_forward(x - h)[0]) / (2 * h)
         assert np.max(np.abs(grad - fd)) < 1e-9
 
 

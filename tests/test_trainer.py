@@ -135,6 +135,32 @@ class TestTrain:
             assert np.array_equal(full_ckpt.params[key], resumed_ckpt.params[key]), key
             assert np.array_equal(full_ckpt.adam_m[key], resumed_ckpt.adam_m[key]), key
 
+    @pytest.mark.parametrize("resume_from", ["checkpoint_final", "checkpoint_000015"])
+    def test_resume_past_metrics_tail_byte_identical(self, small_setup, tmp_path,
+                                                     resume_from):
+        # step 15 lies past the ten rows a checkpoint once kept; resuming from
+        # the intermediate checkpoint of a finished run must not duplicate rows
+        config, corpus, labels = small_setup
+        config = dataclasses.replace(config, steps=30, checkpoint_every=15)
+        train(config, corpus, labels, out_dir=tmp_path / "full")
+        split = tmp_path / "split"
+        first_leg = 15 if resume_from == "checkpoint_final" else None
+        train(config, corpus, labels, out_dir=split, until_step=first_leg)
+        resumed = load_checkpoint(split / resume_from)
+        assert resumed.step == 15
+        _, metrics = train(config, corpus, labels, out_dir=split, resume=resumed)
+        assert len(metrics) == 30
+        for name in ("metrics.jsonl", "summary.json", "checkpoint_final.json",
+                     "checkpoint_final.bin"):
+            assert (tmp_path / "full" / name).read_bytes() == (split / name).read_bytes(), name
+
+    def test_resume_without_metrics_history_rejected(self, small_setup):
+        config, corpus, labels = small_setup
+        state = init_state(config)
+        ckpt = Checkpoint(config, state.params, state.adam_m, state.adam_v, 3, [])
+        with pytest.raises(ValueError, match="metrics"):
+            train(config, corpus, labels, resume=ckpt)
+
     def test_loss_descends_on_longer_run(self, small_setup):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=40, learning_rate=5e-3)
@@ -161,8 +187,8 @@ class TestCheckpoint:
             assert np.array_equal(back.params[key], ckpt.params[key]), key
         feats = mfcc(corpus[0].waveform, config.mfcc)
         mask = MaskSet.empty(feats.num_frames)
-        a = forward(feats, mask, ckpt.params, config.encoder)
-        b = forward(feats, mask, back.params, back.config.encoder)
+        a = forward(feats.frames[None], [mask], ckpt.params, config.encoder)
+        b = forward(feats.frames[None], [mask], back.params, back.config.encoder)
         assert np.array_equal(a.content_logits, b.content_logits)
         assert np.array_equal(a.final, b.final)
 
