@@ -28,8 +28,7 @@ from .corpus import (
 )
 from .dsp import MfccConfig, mfcc, save_features
 from .pseudolabel import (
-    assign,
-    kmeans_fit,
+    fit_labels,
     load_labels,
     recluster_from_embeddings,
     save_kmeans,
@@ -41,6 +40,7 @@ from .trainer import (
     TrainConfig,
     grad_check,
     load_checkpoint,
+    mean_total_last_tenth,
     train,
 )
 
@@ -180,11 +180,9 @@ def cmd_cluster(args) -> int:
     ids = sorted(p.stem for p in feature_dir.glob("*.json") if p.stem != "run_manifest")
     if not ids:
         raise UsageError(f"no feature sidecars found in {feature_dir}")
-    feats = {uid: load_features(feature_dir, uid) for uid in ids}
-    pooled = np.concatenate([f.frames for f in feats.values()])
-    model = kmeans_fit(pooled, args.k, max_iters=args.max_iters, seed=args.seed,
-                       restarts=args.restarts)
-    labels = {uid: assign(model, f) for uid, f in feats.items()}
+    frames = {uid: load_features(feature_dir, uid).frames for uid in ids}
+    model, labels = fit_labels(frames, args.k, seed=args.seed, restarts=args.restarts,
+                               max_iters=args.max_iters)
     labels_path = out / "labels.jsonl"
     save_labels(labels_path, labels)
     save_kmeans(out / "kmeans", model)
@@ -311,10 +309,9 @@ def cmd_sweep_mix(args) -> int:
     corpus = synth_corpus(args.num_speakers, args.utts_per_speaker,
                           duration=base.utterance_length / 16000,
                           seed=args.corpus_seed)
-    feats = {u.id: mfcc(u.waveform, base.mfcc, meta=u.id) for u in corpus}
-    pooled = np.concatenate([f.frames for f in feats.values()])
-    km = kmeans_fit(pooled, base.encoder.num_classes, seed=args.corpus_seed, restarts=3)
-    labels = {uid: assign(km, f) for uid, f in feats.items()}
+    frames = {u.id: mfcc(u.waveform, base.mfcc, meta=u.id).frames for u in corpus}
+    _, labels = fit_labels(frames, base.encoder.num_classes, seed=args.corpus_seed,
+                           restarts=3)
     overlap_eval = overlapped_corpus(corpus, seed=args.corpus_seed)
 
     grid = [float(p) for p in args.p_grid.split(",")]
@@ -332,9 +329,7 @@ def cmd_sweep_mix(args) -> int:
                 "p": p,
                 "seed": run_seed,
                 "final_total": metrics[-1]["total"],
-                "mean_total_last_tenth": float(np.mean(
-                    [m["total"] for m in metrics[-max(1, len(metrics) // 10):]]
-                )),
+                "mean_total_last_tenth": mean_total_last_tenth(metrics),
                 "separability_clean": speaker_separability(ckpt, corpus, tap),
                 "separability_overlap": speaker_separability(ckpt, overlap_eval, tap),
             })

@@ -69,12 +69,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_band_centers(num_mel: int, sample_rate: int) -> np.ndarray:
-    """Center frequency (Hz) of each triangular mel filter."""
-    edges = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), num_mel + 2)
-    return mel_to_hz(edges[1:-1])
-
-
 @functools.lru_cache(maxsize=16)
 def mel_filterbank(num_mel: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """num_mel x (fft_size//2 + 1) triangular filters sampled at bin
@@ -143,23 +137,6 @@ def mfcc(waveform, cfg: MfccConfig | None = None, meta: str = "") -> FeatureSequ
         d2 = _deltas(d1)
         ceps = np.concatenate([ceps, d1, d2], axis=1)
     return FeatureSequence(ceps, waveform.sample_rate / cfg.hop, meta=meta)
-
-
-def frame_labels_align(features: FeatureSequence, labels, tolerance: int = 2):
-    """Truncate features and labels to their common length.
-
-    Off-by-one or two frame-count differences come from framing conventions;
-    anything larger means the pairing is wrong and is rejected.
-    """
-    tf, tl = features.num_frames, len(labels.labels)
-    if abs(tf - tl) > tolerance:
-        raise ValueError(
-            f"feature/label length mismatch beyond tolerance: {tf} frames vs {tl} labels"
-        )
-    t = min(tf, tl)
-    out_feats = FeatureSequence(features.frames[:t], features.frame_rate, features.meta)
-    out_labels = labels.truncated(t)
-    return out_feats, out_labels
 
 
 # ---------------------------------------------------------------------------

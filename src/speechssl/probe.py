@@ -1,10 +1,12 @@
 """Frozen-representation diagnostics.
 
-speaker_separability scores how well utterance-mean embeddings at a chosen
-layer cluster by speaker, via leave-one-out nearest-centroid accuracy: a
-parameter-free stand-in for a trained speaker classifier. fit_layer_weights
-learns a softmax-weighted combination of layer outputs plus a linear head,
-exposing which depths carry the probed information.
+encode_corpus is the one loop that runs a frozen checkpoint over a corpus;
+probing and re-clustering both read its outputs. speaker_separability
+scores how well utterance-mean embeddings at a chosen layer cluster by
+speaker, via leave-one-out nearest-centroid accuracy: a parameter-free
+stand-in for a trained speaker classifier. fit_layer_weights learns a
+softmax-weighted combination of layer outputs plus a linear head, exposing
+which depths carry the probed information.
 """
 
 from dataclasses import dataclass
@@ -34,30 +36,35 @@ class LayerWeights:
         return self.logits.size
 
 
-def weighted_sum(per_layer_outputs: np.ndarray, weights: LayerWeights) -> np.ndarray:
-    """Convex combination across layers: (N+1, T, d) -> (T, d)."""
-    outputs = np.asarray(per_layer_outputs, dtype=np.float64)
-    if outputs.shape[0] != len(weights):
-        raise ValueError(
-            f"{outputs.shape[0]} layer outputs but {len(weights)} weights"
-        )
-    return np.einsum("l,ltd->td", weights.weights, outputs)
+def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
+    """Run a frozen checkpoint over a corpus, one utterance (B=1) at a time.
 
-
-def embed_utterances(checkpoint, corpus, layer: int):
-    """Mean-pooled clean-audio embeddings at a layer: (n, d) plus speaker tags."""
+    For each utterance: MFCC of the clean audio with the checkpoint's MFCC
+    config, then one encoder forward. Yields (utterance, EncoderOutput,
+    MaskSet). The mask is empty unless `mask_seed` is set; then utterance b
+    gets the evaluation mask drawn from derive_seed(mask_seed, "eval-mask",
+    b). A generator, so only the current utterance's output (which holds
+    every block's caches) is kept alive.
+    """
     cfg = checkpoint.encoder_config
-    if not 0 <= layer <= cfg.num_layers:
-        raise ValueError(f"layer {layer} invalid for a {cfg.num_layers}-layer encoder")
-    embeddings = []
-    speakers = []
-    for utt in corpus:
+    for b, utt in enumerate(corpus):
         feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        out = forward(feats.frames[None], [MaskSet.empty(feats.num_frames)],
-                      checkpoint.params, cfg)
-        embeddings.append(out.layer_outputs[layer][0].mean(axis=0))
-        speakers.append(utt.speaker)
-    return np.stack(embeddings), speakers
+        if mask_seed is None:
+            mask = MaskSet.empty(feats.num_frames)
+        else:
+            mask = sample_mask(feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b),
+                               min_spans=1)
+        yield utt, forward(feats.frames[None], [mask], checkpoint.params, cfg), mask
+
+
+def _utterance_means(checkpoint, corpus):
+    """Clean-audio utterance-mean embeddings at every layer, stacked as
+    (num_layers + 1, n, d), plus the speaker tags in corpus order."""
+    means, tags = [], []
+    for utt, out, _ in encode_corpus(checkpoint, corpus):
+        means.append([layer[0].mean(axis=0) for layer in out.layer_outputs])
+        tags.append(utt.speaker)
+    return np.stack([np.stack(rows) for rows in means], axis=1), tags
 
 
 def loo_nearest_centroid_accuracy(embeddings: np.ndarray, classes) -> float:
@@ -94,11 +101,14 @@ def loo_nearest_centroid_accuracy(embeddings: np.ndarray, classes) -> float:
 def speaker_separability(checkpoint, corpus, layer: int) -> float:
     """Leave-one-out nearest-centroid speaker accuracy of utterance-mean
     embeddings at `layer` for a speaker-tagged corpus."""
+    cfg = checkpoint.encoder_config
+    if not 0 <= layer <= cfg.num_layers:
+        raise ValueError(f"layer {layer} invalid for a {cfg.num_layers}-layer encoder")
     speakers = {u.speaker for u in corpus}
     if None in speakers or len(speakers) < 2:
         raise ValueError("corpus must carry at least 2 distinct speaker tags")
-    embeddings, tags = embed_utterances(checkpoint, corpus, layer)
-    return loo_nearest_centroid_accuracy(embeddings, tags)
+    means, tags = _utterance_means(checkpoint, corpus)
+    return loo_nearest_centroid_accuracy(means[layer], tags)
 
 
 def fit_layer_weights(
@@ -165,18 +175,8 @@ def layer_profile(checkpoint, corpus, steps: int = 200, lr: float = 0.1, seed: i
 
     Returns (LayerWeights, accuracy, per-layer separability dict).
     """
-    cfg = checkpoint.encoder_config
-    speakers = sorted({u.speaker for u in corpus})
-    index = {s: i for i, s in enumerate(speakers)}
-    per_layer = []
-    tags = []
-    for utt in corpus:
-        feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        out = forward(feats.frames[None], [MaskSet.empty(feats.num_frames)],
-                      checkpoint.params, cfg)
-        per_layer.append([layer[0].mean(axis=0) for layer in out.layer_outputs])
-        tags.append(utt.speaker)
-    stacked = np.stack([np.stack(rows) for rows in per_layer], axis=1)
+    stacked, tags = _utterance_means(checkpoint, corpus)
+    index = {s: i for i, s in enumerate(sorted(set(tags)))}
     targets = np.array([index[t] for t in tags])
     weights, accuracy = fit_layer_weights(stacked, targets, steps=steps, lr=lr, seed=seed)
     separability = {
@@ -189,14 +189,9 @@ def layer_profile(checkpoint, corpus, steps: int = 200, lr: float = 0.1, seed: i
 def masked_prediction_accuracy(checkpoint, corpus, labels_by_id, seed: int = 0) -> float:
     """Fraction of masked frames whose argmax content logit matches the
     pseudo-label, with fresh evaluation masks. Chance level is 1/k."""
-    cfg = checkpoint.encoder_config
     correct = 0
     total = 0
-    for b, utt in enumerate(corpus):
-        feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        mask = sample_mask(feats.num_frames, cfg, derive_seed(seed, "eval-mask", b),
-                           min_spans=1)
-        out = forward(feats.frames[None], [mask], checkpoint.params, cfg)
+    for utt, out, mask in encode_corpus(checkpoint, corpus, mask_seed=seed):
         predicted = np.argmax(out.content_logits[0, mask.indices], axis=1)
         target = labels_by_id[utt.id].labels[mask.indices]
         correct += int(np.sum(predicted == target))

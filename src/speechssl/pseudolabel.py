@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import FeatureSequence, mfcc
+from .dsp import FeatureSequence
 from .numerics import rng_from
+from .probe import encode_corpus
 
 FIT_CHUNK = 512   # rows per (chunk, k, d) difference block in _pairwise_sq_dists
 
@@ -165,6 +166,20 @@ def assign(model: KmeansModel, features, source: str = "mfcc") -> PseudoLabelSeq
     return PseudoLabelSequence(np.argmin(d2, axis=1), model.k, source)
 
 
+def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
+               max_iters: int = 100, sample_cap: int = 100_000, source: str = "mfcc"):
+    """Pool every utterance's (T, D) frames, fit k-means on the pool and
+    label each utterance with its nearest centers.
+
+    Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
+    """
+    pooled = np.concatenate(list(frames_by_id.values()), axis=0)
+    model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts,
+                       sample_cap=sample_cap)
+    labels = {uid: assign(model, frames, source=source) for uid, frames in frames_by_id.items()}
+    return model, labels
+
+
 def recluster_from_embeddings(
     checkpoint,
     corpus,
@@ -180,27 +195,13 @@ def recluster_from_embeddings(
 
     Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
     """
-    from .encoder import MaskSet, forward
-
     cfg = checkpoint.encoder_config
     if not 0 <= tap_layer <= cfg.num_layers:
         raise ValueError(f"tap_layer {tap_layer} invalid for a {cfg.num_layers}-layer encoder")
-    source = f"embedding:layer{tap_layer}"
-    per_utt = []
-    for utt in corpus:
-        feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        if feats.dim != cfg.input_dim:
-            raise ValueError(
-                f"feature dim {feats.dim} does not match encoder input dim {cfg.input_dim}"
-            )
-        out = forward(feats.frames[None], [MaskSet.empty(feats.num_frames)],
-                      checkpoint.params, cfg)
-        per_utt.append((utt.id, out.layer_outputs[tap_layer][0]))
-    pooled = np.concatenate([frames for _, frames in per_utt], axis=0)
-    model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts,
-                       sample_cap=sample_cap)
-    labels = {uid: assign(model, frames, source=source) for uid, frames in per_utt}
-    return model, labels
+    frames = {utt.id: out.layer_outputs[tap_layer][0]
+              for utt, out, _ in encode_corpus(checkpoint, corpus)}
+    return fit_labels(frames, k, seed=seed, restarts=restarts, max_iters=max_iters,
+                      sample_cap=sample_cap, source=f"embedding:layer{tap_layer}")
 
 
 # ---------------------------------------------------------------------------

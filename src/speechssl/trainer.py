@@ -11,8 +11,10 @@ backward -> Adam update. Pseudo-labels always come from clean audio; they
 are computed before training and never recomputed from mixed waveforms.
 """
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -51,7 +53,7 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v1"
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v2"
 
 
 @dataclass
@@ -130,11 +132,25 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class TrainState:
+    """Everything a run carries from step to step, and what a checkpoint
+    saves: the config, parameters, Adam moments and the metrics row of
+    every step so far (1..step)."""
+
+    config: TrainConfig
     params: dict
     adam_m: dict
     adam_v: dict
     step: int = 0
+    metrics: list = field(default_factory=list)
     last_usage: np.ndarray | None = None  # batch-averaged codebook usage
+
+    @property
+    def encoder_config(self) -> EncoderConfig:
+        return self.config.encoder
+
+    @property
+    def mfcc_config(self) -> MfccConfig:
+        return self.config.mfcc
 
 
 def init_state(config: TrainConfig) -> TrainState:
@@ -142,7 +158,7 @@ def init_state(config: TrainConfig) -> TrainState:
     params.update(
         init_quantizer_params(config.quantizer, derive_seed(config.seeds.model, "quantizer"))
     )
-    return TrainState(params, zero_grads(params), zero_grads(params), 0)
+    return TrainState(config, params, zero_grads(params), zero_grads(params))
 
 
 def adam_update(state: TrainState, grads: dict, lr: float, cfg: TrainConfig) -> None:
@@ -297,20 +313,39 @@ def draw_batch(corpus, config: TrainConfig, step: int) -> Batch:
     return batch
 
 
+def mean_total_last_tenth(metrics) -> float:
+    """Mean total loss over the last tenth of the rows (at least one)."""
+    return float(np.mean([m["total"] for m in metrics[-max(1, len(metrics) // 10):]]))
+
+
+def _first_difference(a: dict, b: dict, prefix: str = "") -> str | None:
+    """Dotted name of the first key whose value differs between two config
+    dicts of the same shape, or None when they are equal."""
+    for key in a:
+        if isinstance(a[key], dict):
+            found = _first_difference(a[key], b[key], f"{prefix}{key}.")
+            if found:
+                return found
+        elif a[key] != b[key]:
+            return prefix + key
+    return None
+
+
 def train(
     config: TrainConfig,
     corpus,
     labels_by_id: dict[str, PseudoLabelSequence],
     out_dir=None,
-    resume: "Checkpoint | None" = None,
+    resume: TrainState | None = None,
     until_step: int | None = None,
 ):
-    """Run (or continue) pre-training. Returns (Checkpoint, metrics list).
+    """Run (or continue) pre-training. Returns (TrainState, metrics list).
 
     With out_dir set, metrics stream to metrics.jsonl and checkpoints are
     written on the checkpoint_every schedule plus at the end. A checkpoint
     carries the metrics rows of every step up to it, so a resumed run's
     metrics, metrics.jsonl and summary.json equal the uninterrupted run's.
+    A resumed state is continued in place and must carry the same config.
     """
     missing = [u.id for u in corpus if u.id not in labels_by_id]
     if missing:
@@ -321,11 +356,16 @@ def train(
                 f"checkpoint at step {resume.step} does not carry the metrics of "
                 f"steps 1..{resume.step}; it cannot be resumed"
             )
-        state = TrainState(resume.params, resume.adam_m, resume.adam_v, resume.step)
-        metrics = list(resume.metrics)
+        differs = _first_difference(resume.config.to_dict(), config.to_dict())
+        if differs:
+            raise ValueError(
+                f"config key {differs!r} differs from the checkpoint's; a run "
+                "resumes only with the config it was started with"
+            )
+        state = resume
     else:
         state = init_state(config)
-        metrics = []
+    metrics = state.metrics
     last_step = min(until_step or config.steps, config.steps)
 
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -350,25 +390,18 @@ def train(
                 metrics_fh.flush()
             if (out_dir is not None and config.checkpoint_every
                     and step % config.checkpoint_every == 0 and step < last_step):
-                save_checkpoint(out_dir / f"checkpoint_{step:06d}", state, config, metrics)
+                save_checkpoint(out_dir / f"checkpoint_{step:06d}", state)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
 
-    ckpt = Checkpoint(config, state.params, state.adam_m, state.adam_v,
-                      state.step, list(metrics))
     if out_dir is not None:
-        save_checkpoint(out_dir / "checkpoint_final", state, config, metrics)
-        summary = {
-            "steps": state.step,
-            "mean_total_last_tenth": float(
-                np.mean([m["total"] for m in metrics[-max(1, len(metrics) // 10):]])
-            ),
-        }
+        save_checkpoint(out_dir / "checkpoint_final", state)
+        summary = {"steps": state.step, "mean_total_last_tenth": mean_total_last_tenth(metrics)}
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         if state.last_usage is not None:
             write_usage_histogram(out_dir / "usage.json", state.last_usage)
-    return ckpt, metrics
+    return state, metrics
 
 
 def write_usage_histogram(path, p_bar: np.ndarray) -> None:
@@ -385,28 +418,19 @@ def write_usage_histogram(path, p_bar: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: {stem}.json metadata + {stem}.bin float64 little-endian blob
+# Checkpointing: {stem}.json metadata + {stem}.bin float64 little-endian blob.
+# Each file is written to a temporary name and renamed into place, the blob
+# first; the metadata records the blob's length and sha256, so a torn or
+# mismatched pair is refused on load.
 
 
-@dataclass
-class Checkpoint:
-    config: TrainConfig
-    params: dict
-    adam_m: dict
-    adam_v: dict
-    step: int
-    metrics: list = field(default_factory=list)   # one row per step, 1..step
-
-    @property
-    def encoder_config(self) -> EncoderConfig:
-        return self.config.encoder
-
-    @property
-    def mfcc_config(self) -> MfccConfig:
-        return self.config.mfcc
+def _write_atomic(path: Path, data: bytes) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
-def save_checkpoint(stem, state: TrainState, config: TrainConfig, metrics) -> None:
+def save_checkpoint(stem, state: TrainState) -> None:
     stem = Path(stem)
     manifest = []
     chunks = []
@@ -418,35 +442,42 @@ def save_checkpoint(stem, state: TrainState, config: TrainConfig, metrics) -> No
             manifest.append([f"{prefix}/{key}", offset, list(arr.shape)])
             chunks.append(arr.reshape(-1))
             offset += arr.size
+    blob = np.concatenate(chunks).astype("<f8").tobytes()
     meta = {
         "format": CHECKPOINT_FORMAT,
         "step": state.step,
-        "config": config.to_dict(),
+        "config": state.config.to_dict(),
         "manifest": manifest,
-        "metrics": metrics,
+        "blob_bytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "metrics": state.metrics,
     }
-    stem.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    stem.with_suffix(".bin").write_bytes(
-        np.concatenate(chunks).astype("<f8").tobytes()
-    )
+    _write_atomic(stem.with_suffix(".bin"), blob)
+    _write_atomic(stem.with_suffix(".json"), (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
 
 
-def load_checkpoint(stem) -> Checkpoint:
+def load_checkpoint(stem) -> TrainState:
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {stem}")
-    blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
+    raw = stem.with_suffix(".bin").read_bytes()
+    if (len(raw) != meta.get("blob_bytes")
+            or hashlib.sha256(raw).hexdigest() != meta.get("blob_sha256")):
+        raise ValueError(f"{stem}.bin does not match the length and digest in {stem}.json")
+    blob = np.frombuffer(raw, dtype="<f8")
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     for name, offset, shape in meta["manifest"]:
         prefix, key = name.split("/", 1)
         size = int(np.prod(shape)) if shape else 1
+        if offset + size > blob.size:
+            raise ValueError(f"checkpoint entry {name} runs past the end of {stem}.bin")
         groups[prefix][key] = (
             blob[offset : offset + size].astype(np.float64).reshape(shape)
         )
     config = TrainConfig.from_dict(meta["config"])
-    return Checkpoint(config, groups["param"], groups["adam_m"], groups["adam_v"],
-                      meta["step"], meta.get("metrics", []))
+    return TrainState(config, groups["param"], groups["adam_m"], groups["adam_v"],
+                      meta["step"], meta["metrics"])
 
 
 # ---------------------------------------------------------------------------

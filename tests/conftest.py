@@ -1,14 +1,13 @@
 """Shared builders for desk-scale training tests: a small synthetic corpus,
 its MFCC-cluster labels, and a fast TrainConfig."""
 
-import numpy as np
 import pytest
 
 from speechssl.corpus import synth_corpus
 from speechssl.dsp import mfcc
 from speechssl.encoder import EncoderConfig
 from speechssl.losses import LossWeights
-from speechssl.pseudolabel import assign, kmeans_fit
+from speechssl.pseudolabel import fit_labels
 from speechssl.quantizer import QuantizerConfig
 from speechssl.trainer import Seeds, TrainConfig
 
@@ -38,10 +37,8 @@ def fast_config(steps=8, seed=0, **overrides) -> TrainConfig:
 def labeled_corpus(config: TrainConfig, num_speakers=3, utts_per_speaker=4, seed=0):
     duration = config.utterance_length / 16000
     corpus = synth_corpus(num_speakers, utts_per_speaker, duration=duration, seed=seed)
-    feats = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id) for u in corpus}
-    pooled = np.concatenate([f.frames for f in feats.values()])
-    model = kmeans_fit(pooled, config.encoder.num_classes, seed=seed, restarts=2)
-    labels = {uid: assign(model, f) for uid, f in feats.items()}
+    frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
+    _, labels = fit_labels(frames, config.encoder.num_classes, seed=seed, restarts=2)
     return corpus, labels
 
 

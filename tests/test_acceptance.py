@@ -26,7 +26,7 @@ from speechssl.losses import (
     diversity_loss,
     sample_negatives,
 )
-from speechssl.pseudolabel import assign, kmeans_fit
+from speechssl.pseudolabel import fit_labels, kmeans_fit
 from speechssl.probe import (
     masked_prediction_accuracy,
     overlapped_corpus,
@@ -62,10 +62,8 @@ def desk():
     three seeds each."""
     config = TrainConfig()  # steps=300, B=8, d=64, N=4, k=16, p=0.2
     corpus = synth_corpus(8, 16, duration=0.5, seed=0)
-    feats = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id) for u in corpus}
-    pooled = np.concatenate([f.frames for f in feats.values()])
-    km = kmeans_fit(pooled, config.encoder.num_classes, seed=0, restarts=3)
-    labels = {uid: assign(km, f) for uid, f in feats.items()}
+    frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
+    _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=3)
     runs = {}
     for p, speaker_loss in ((0.2, True), (0.2, False), (0.0, True), (0.5, True)):
         for run_seed in DESK_SEEDS:
@@ -218,10 +216,8 @@ class TestCriterion5Determinism:
     def test_identical_runs_and_resume(self, tmp_path):
         config = TrainConfig(steps=40, checkpoint_every=20, seeds=seed_bundle(4))
         corpus = synth_corpus(8, 16, duration=0.5, seed=0)
-        feats = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id) for u in corpus}
-        pooled = np.concatenate([f.frames for f in feats.values()])
-        km = kmeans_fit(pooled, config.encoder.num_classes, seed=0, restarts=2)
-        labels = {uid: assign(km, f) for uid, f in feats.items()}
+        frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
+        _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=2)
 
         train(config, corpus, labels, out_dir=tmp_path / "a")
         train(config, corpus, labels, out_dir=tmp_path / "b")

@@ -209,6 +209,21 @@ def test_pipeline_resume_matches(pipeline, tmp_path):
         split / "checkpoint_final.bin").read_bytes()
 
 
+def test_pipeline_resume_refuses_bad_checkpoint(pipeline, tmp_path, capsys):
+    args_common = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                   "--labels", str(pipeline / "cluster/labels.jsonl"),
+                   "--steps", "4", *TINY_MODEL_SETS, "--out", str(tmp_path)]
+    stem = tmp_path / "checkpoint_final"
+    assert main([*args_common, "--until-step", "2"]) == 0
+    assert main([*args_common, "--set", "learning_rate=0.001",
+                 "--resume", str(stem)]) == 1
+    assert "'learning_rate'" in capsys.readouterr().err
+    blob = stem.with_suffix(".bin")
+    blob.write_bytes(blob.read_bytes()[:-8])
+    assert main([*args_common, "--resume", str(stem)]) == 1
+    assert "digest" in capsys.readouterr().err
+
+
 def test_sweep_mix_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep-mix", "--out", str(out), "--num-speakers", "2",

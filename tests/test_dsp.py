@@ -7,17 +7,14 @@ from speechssl.dsp import (
     MfccConfig,
     dct_matrix,
     frame_count,
-    frame_labels_align,
     hz_to_mel,
     load_features,
     log_mel_energies,
-    mel_band_centers,
     mel_filterbank,
     mel_to_hz,
     mfcc,
     save_features,
 )
-from speechssl.pseudolabel import PseudoLabelSequence
 
 
 def tone(freq, duration=1.0, sr=16000, amp=0.5):
@@ -64,7 +61,6 @@ class TestMfcc:
             centers_oracle = mel_to_hz(
                 np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), num_mel + 2)
             )[1:-1]
-            assert np.allclose(centers_oracle, mel_band_centers(num_mel, sr))
             logmel = log_mel_energies(tone(freq, sr=sr), cfg)
             argmax_band = int(np.argmax(logmel.mean(axis=0)))
             nearest_band = int(np.argmin(np.abs(centers_oracle - freq)))
@@ -124,26 +120,6 @@ class TestFeatureSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FeatureSequence(np.zeros((0, 3)), 100.0)
-
-
-class TestFrameLabelsAlign:
-    def make(self, t):
-        return FeatureSequence(np.random.default_rng(0).standard_normal((t, 4)), 100.0)
-
-    def labels(self, t):
-        return PseudoLabelSequence(np.zeros(t, dtype=np.int64), 4)
-
-    def test_equal_lengths_unchanged(self):
-        feats, labs = frame_labels_align(self.make(100), self.labels(100))
-        assert feats.num_frames == 100 and len(labs) == 100
-
-    def test_off_by_one_truncated(self):
-        feats, labs = frame_labels_align(self.make(100), self.labels(101))
-        assert feats.num_frames == 100 and len(labs) == 100
-
-    def test_beyond_tolerance(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            frame_labels_align(self.make(100), self.labels(110))
 
 
 class TestFeatureDump:

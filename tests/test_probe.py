@@ -1,45 +1,70 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from speechssl.dsp import mfcc
+from speechssl.encoder import MaskSet, forward, sample_mask
+from speechssl.numerics import derive_seed
 from speechssl.probe import (
     LayerWeights,
     ascii_bar_chart,
+    encode_corpus,
     fit_layer_weights,
     layer_profile,
     loo_nearest_centroid_accuracy,
     speaker_separability,
-    weighted_sum,
 )
 
 
 class TestWeightedSum:
-    def test_one_hot_selects_layer(self):
-        rng = np.random.default_rng(0)
-        outputs = rng.standard_normal((4, 6, 3))
-        weights = LayerWeights(np.array([0.0, 0.0, 50.0, 0.0]))
-        got = weighted_sum(outputs, weights)
-        assert np.max(np.abs(got - outputs[2])) < 1e-12
-
     def test_uniform_logits_uniform_weights(self):
         weights = LayerWeights(np.zeros(5))
         assert np.allclose(weights.weights, 0.2)
         assert abs(weights.weights.sum() - 1.0) < 1e-8
 
-    def test_matches_naive_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        outputs = rng.standard_normal((3, 4, 5))
-        weights = LayerWeights(rng.standard_normal(3))
-        w = weights.weights
-        oracle = np.zeros((4, 5))
-        for layer in range(3):
-            for t in range(4):
-                for d in range(5):
-                    oracle[t, d] += w[layer] * outputs[layer, t, d]
-        assert np.max(np.abs(weighted_sum(outputs, weights) - oracle)) < 1e-12
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="weights"):
-            weighted_sum(np.zeros((3, 2, 2)), LayerWeights(np.zeros(4)))
+class TestEncodeCorpus:
+    def direct(self, state, utt, mask=None):
+        feats = mfcc(utt.waveform, state.mfcc_config, meta=utt.id)
+        mask = mask or MaskSet.empty(feats.num_frames)
+        return forward(feats.frames[None], [mask], state.params, state.encoder_config)
+
+    def assert_same_output(self, got, want):
+        assert np.array_equal(got.content_logits, want.content_logits)
+        assert np.array_equal(got.final, want.final)
+        assert len(got.layer_outputs) == len(want.layer_outputs)
+        for a, b in zip(got.layer_outputs, want.layer_outputs):
+            assert np.array_equal(a, b)
+
+    def test_is_a_generator(self, small_setup):
+        from speechssl.trainer import init_state
+
+        config, corpus, _ = small_setup
+        assert inspect.isgenerator(encode_corpus(init_state(config), corpus))
+
+    def test_matches_direct_mfcc_and_forward(self, small_setup):
+        from speechssl.trainer import init_state
+
+        config, corpus, _ = small_setup
+        state = init_state(config)
+        yielded = list(encode_corpus(state, corpus))
+        assert [utt for utt, _, _ in yielded] == list(corpus)
+        for utt, out, mask in yielded:
+            assert len(mask) == 0
+            self.assert_same_output(out, self.direct(state, utt))
+
+    def test_eval_masks(self, small_setup):
+        from speechssl.trainer import init_state
+
+        config, corpus, _ = small_setup
+        state = init_state(config)
+        for b, (utt, out, mask) in enumerate(encode_corpus(state, corpus, mask_seed=7)):
+            want = sample_mask(out.num_frames, config.encoder, derive_seed(7, "eval-mask", b),
+                               min_spans=1)
+            assert len(mask) > 0
+            assert np.array_equal(mask.indices, want.indices)
+            self.assert_same_output(out, self.direct(state, utt, want))
 
 
 class TestLooNearestCentroid:

@@ -13,6 +13,7 @@ from speechssl.pseudolabel import (
     PseudoLabelSequence,
     _pairwise_sq_dists,
     assign,
+    fit_labels,
     kmeans_fit,
     load_kmeans,
     load_labels,
@@ -168,6 +169,23 @@ class TestPseudoLabelSequence:
         assert cut.source == "mfcc"
 
 
+class TestFitLabels:
+    def test_equals_hand_pooled_fit_and_assign(self):
+        rng = np.random.default_rng(11)
+        frames = {f"u{i}": rng.standard_normal((int(rng.integers(5, 15)), 4)) for i in range(6)}
+        model, labels = fit_labels(frames, 5, seed=3, restarts=2, max_iters=50,
+                                   source="embedding:layer1")
+        oracle = kmeans_fit(np.concatenate(list(frames.values())), 5, max_iters=50, seed=3,
+                            restarts=2)
+        assert np.array_equal(model.centers, oracle.centers)
+        assert model.inertia == oracle.inertia
+        assert list(labels) == list(frames)
+        for uid, seq in labels.items():
+            want = assign(oracle, frames[uid], source="embedding:layer1")
+            assert np.array_equal(seq.labels, want.labels)
+            assert (seq.k, seq.source) == (want.k, want.source)
+
+
 class TestDumps:
     def test_labels_round_trip(self, tmp_path):
         labeled = {
@@ -191,7 +209,7 @@ class TestDumps:
 @pytest.fixture(scope="module")
 def checkpoint():
     from speechssl.encoder import EncoderConfig
-    from speechssl.trainer import Checkpoint, init_state, tiny_config
+    from speechssl.trainer import init_state, tiny_config
 
     config = tiny_config(seed=5)
     # real MFCC dims for this test, tiny model otherwise
@@ -199,8 +217,7 @@ def checkpoint():
         input_dim=39, model_dim=16, num_layers=2, num_heads=2, ffn_dim=24,
         num_classes=4, tap_layer=1,
     )
-    state = init_state(config)
-    return Checkpoint(config, state.params, state.adam_m, state.adam_v, 0)
+    return init_state(config)
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,8 @@ from speechssl.encoder import MaskSet, forward
 from speechssl.numerics import derive_seed
 from speechssl.pseudolabel import PseudoLabelSequence
 from speechssl.trainer import (
-    Checkpoint,
     TrainConfig,
+    TrainState,
     grad_check,
     init_state,
     learning_rate_at,
@@ -157,9 +157,18 @@ class TestTrain:
     def test_resume_without_metrics_history_rejected(self, small_setup):
         config, corpus, labels = small_setup
         state = init_state(config)
-        ckpt = Checkpoint(config, state.params, state.adam_m, state.adam_v, 3, [])
+        ckpt = TrainState(config, state.params, state.adam_m, state.adam_v, 3, [])
         with pytest.raises(ValueError, match="metrics"):
             train(config, corpus, labels, resume=ckpt)
+
+    def test_resume_with_different_config_rejected(self, small_setup):
+        config, corpus, labels = small_setup
+        config = dataclasses.replace(config, steps=4)
+        half, _ = train(config, corpus, labels, until_step=2)
+        changed = dataclasses.replace(config, learning_rate=config.learning_rate * 2)
+        with pytest.raises(ValueError, match="'learning_rate'"):
+            train(changed, corpus, labels, resume=half)
+        assert half.step == 2
 
     def test_loss_descends_on_longer_run(self, small_setup):
         config, corpus, labels = small_setup
@@ -175,22 +184,56 @@ class TestCheckpoint:
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
         ckpt, _ = train(config, corpus, labels)
-        state = init_state(config)
-        state.params = ckpt.params
-        state.adam_m = ckpt.adam_m
-        state.adam_v = ckpt.adam_v
-        state.step = ckpt.step
-        save_checkpoint(tmp_path / "ck", state, config, [])
+        save_checkpoint(tmp_path / "ck", ckpt)
         back = load_checkpoint(tmp_path / "ck")
         assert back.step == 2
+        assert back.config == config
+        assert back.metrics == ckpt.metrics
         for key in ckpt.params:
             assert np.array_equal(back.params[key], ckpt.params[key]), key
+            assert np.array_equal(back.adam_v[key], ckpt.adam_v[key]), key
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "ck.json"]
         feats = mfcc(corpus[0].waveform, config.mfcc)
         mask = MaskSet.empty(feats.num_frames)
         a = forward(feats.frames[None], [mask], ckpt.params, config.encoder)
         b = forward(feats.frames[None], [mask], back.params, back.config.encoder)
         assert np.array_equal(a.content_logits, b.content_logits)
         assert np.array_equal(a.final, b.final)
+
+    @pytest.fixture
+    def two_checkpoints(self, small_setup, tmp_path):
+        """Two checkpoints of one config at different steps: same blob size,
+        different bytes."""
+        config, corpus, labels = small_setup
+        config = dataclasses.replace(config, steps=2)
+        ckpt, _ = train(config, corpus, labels, until_step=1)
+        save_checkpoint(tmp_path / "one", ckpt)
+        train(config, corpus, labels, resume=ckpt)
+        save_checkpoint(tmp_path / "two", ckpt)
+        return tmp_path / "one", tmp_path / "two"
+
+    def test_truncated_blob_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
+        blob = stem.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="digest"):
+            load_checkpoint(stem)
+
+    def test_swapped_blob_rejected(self, two_checkpoints):
+        one, two = two_checkpoints
+        other = two.with_suffix(".bin").read_bytes()
+        assert len(other) == len(one.with_suffix(".bin").read_bytes())
+        one.with_suffix(".bin").write_bytes(other)
+        with pytest.raises(ValueError, match="digest"):
+            load_checkpoint(one)
+
+    def test_manifest_entry_past_blob_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        meta["manifest"][-1][1] += 1
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="past the end"):
+            load_checkpoint(stem)
 
     def test_config_round_trip(self):
         config = fast_config(steps=5)
