@@ -104,8 +104,8 @@ def mix_batch(
     if half < 1:
         raise ValueError("batch length too short to mix (need L >= 2)")
 
-    clean = np.stack([u.waveform.samples for u in batch.utterances])
-    mixed = clean.copy()
+    clean = [u.waveform.samples for u in batch.utterances]
+    mixed = np.stack(clean)
     selected = np.nonzero(rng.random(b) < p)[0]
     specs: list[MixSpec] = []
     for target in selected:
@@ -116,8 +116,8 @@ def mix_batch(
         l = int(rng.integers(1, half + 1))
         s = int(rng.integers(1, length - l + 1))
         s_b = int(rng.integers(1, length - l + 1))
-        chunk = clean[source, s_b - 1 : s_b - 1 + l]
-        gain = _chunk_gain(gain_policy, clean[target, s - 1 : s - 1 + l], chunk, rng)
+        chunk = clean[source][s_b - 1 : s_b - 1 + l]
+        gain = _chunk_gain(gain_policy, clean[target][s - 1 : s - 1 + l], chunk, rng)
         mixed[target, s - 1 : s - 1 + l] += gain * chunk
         specs.append(MixSpec(int(target), source, l, s, s_b, gain))
 

@@ -3,6 +3,10 @@
 Pipeline: preemphasis -> Hann window -> squared-magnitude FFT -> HTK-scale
 mel filterbank -> floored log -> orthonormal DCT-II, optionally followed by
 first/second order deltas. All math is float64 and fully deterministic.
+`mfcc_batch` runs the pipeline over B equal-length waveforms in one call:
+the spectrum one utterance at a time through one set of buffers, the
+filterbank product, log, DCT and deltas on the whole (B, T, .) batch;
+`mfcc` is its B=1 case.
 """
 
 import functools
@@ -86,57 +90,106 @@ def mel_filterbank(num_mel: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=16)
 def dct_matrix(num_out: int, num_in: int) -> np.ndarray:
-    """Orthonormal DCT-II rows (row 0 scaled by 1/sqrt(2))."""
+    """Orthonormal DCT-II rows (row 0 scaled by 1/sqrt(2)). Built once per
+    shape and shared, so read-only."""
     i = np.arange(num_out)[:, None]
     j = np.arange(num_in)[None, :]
     mat = np.sqrt(2.0 / num_in) * np.cos(np.pi * i * (2 * j + 1) / (2.0 * num_in))
     mat[0] /= np.sqrt(2.0)
+    mat.flags.writeable = False
     return mat
+
+
+@functools.lru_cache(maxsize=16)
+def hann_window(length: int) -> np.ndarray:
+    """np.hanning(length), built once per length and shared, so read-only."""
+    window = np.hanning(length)
+    window.flags.writeable = False
+    return window
 
 
 def frame_count(num_samples: int, window: int, hop: int) -> int:
     return 1 + (num_samples - window) // hop
 
 
+def _log_mel(waveforms, cfg: MfccConfig, alloc=np.empty) -> np.ndarray:
+    """(B, T, num_mel) floored log mel energies of B equal-length waveforms
+    sharing one sample rate. The spectrum is taken one utterance at a time,
+    so its working arrays (from `alloc`) are the size of one utterance's
+    frames whatever B is."""
+    rates = {w.sample_rate for w in waveforms}
+    if len(rates) != 1:
+        raise ValueError(f"waveforms must share one sample rate, got {sorted(rates)}")
+    lengths = {w.samples.size for w in waveforms}
+    if len(lengths) != 1:
+        raise ValueError(f"waveforms must share one length, got {sorted(lengths)}")
+    b, length = len(waveforms), lengths.pop()
+    if length < cfg.window:
+        raise ValueError(
+            f"waveform has {length} samples, shorter than one window ({cfg.window})"
+        )
+    t = frame_count(length, cfg.window, cfg.hop)
+    window = hann_window(cfg.window)
+    fb = mel_filterbank(cfg.num_mel, cfg.fft_size, rates.pop())
+    pre, frames = alloc((length,)), alloc((t, cfg.window))
+    power = alloc((t, cfg.fft_size // 2 + 1))
+    # frame j of the pre-emphasized signal is pre[hop*j : hop*j + window]
+    framed = np.lib.stride_tricks.sliding_window_view(pre, cfg.window)[::cfg.hop]
+    mel = np.empty((b, t, cfg.num_mel))
+    for waveform, out in zip(waveforms, mel):
+        x = waveform.samples
+        pre[0] = x[0]
+        np.multiply(x[:-1], cfg.preemphasis, out=pre[1:])
+        np.subtract(x[1:], pre[1:], out=pre[1:])
+        np.multiply(framed, window, out=frames)
+        np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=-1), out=power)
+        power *= power
+        np.matmul(power, fb.T, out=out)
+    np.maximum(mel, cfg.floor, out=mel)
+    return np.log(mel, out=mel)
+
+
 def log_mel_energies(waveform, cfg: MfccConfig) -> np.ndarray:
     """T x num_mel floored log mel energies (the pre-DCT representation)."""
-    x = waveform.samples
-    if x.size < cfg.window:
-        raise ValueError(
-            f"waveform has {x.size} samples, shorter than one window ({cfg.window})"
-        )
-    pre = np.empty_like(x)
-    pre[0] = x[0]
-    pre[1:] = x[1:] - cfg.preemphasis * x[:-1]
-    t = frame_count(x.size, cfg.window, cfg.hop)
-    idx = np.arange(cfg.window)[None, :] + cfg.hop * np.arange(t)[:, None]
-    frames = pre[idx] * np.hanning(cfg.window)[None, :]
-    power = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1)) ** 2
-    fb = mel_filterbank(cfg.num_mel, cfg.fft_size, waveform.sample_rate)
-    return np.log(np.maximum(power @ fb.T, cfg.floor))
+    return _log_mel([waveform], cfg)[0]
 
 
 def _deltas(ceps: np.ndarray, width: int = 2) -> np.ndarray:
-    """Regression deltas over +-width frames, edge frames replicated."""
-    t = ceps.shape[0]
-    padded = np.concatenate([ceps[:1].repeat(width, axis=0), ceps, ceps[-1:].repeat(width, axis=0)])
+    """Regression deltas along the frame axis (-2) over +-width frames, edge
+    frames replicated."""
+    t = ceps.shape[-2]
+    padded = np.concatenate([ceps[..., :1, :].repeat(width, axis=-2), ceps,
+                             ceps[..., -1:, :].repeat(width, axis=-2)], axis=-2)
     num = np.zeros_like(ceps)
     for w in range(1, width + 1):
-        num += w * (padded[width + w : width + w + t] - padded[width - w : width - w + t])
+        num += w * (padded[..., width + w : width + w + t, :]
+                    - padded[..., width - w : width - w + t, :])
     return num / (2.0 * sum(w * w for w in range(1, width + 1)))
+
+
+def mfcc_batch(waveforms, cfg: MfccConfig | None = None, alloc=np.empty) -> np.ndarray:
+    """(B, T, D) MFCC features of B equal-length waveforms at one sample
+    rate, computed in one pass; D = num_ceps (x3 with deltas). Utterances
+    never interact, so row b equals mfcc(waveforms[b]) exactly. The
+    spectrum's working arrays come from `alloc(shape)` (np.empty by
+    default; a numerics.BufferPool's `empty` reuses them)."""
+    cfg = cfg or MfccConfig()
+    logmel = _log_mel(waveforms, cfg, alloc)
+    ceps = logmel @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
+    if cfg.deltas:
+        d1 = _deltas(ceps)
+        d2 = _deltas(d1)
+        ceps = np.concatenate([ceps, d1, d2], axis=-1)
+    return ceps
 
 
 def mfcc(waveform, cfg: MfccConfig | None = None, meta: str = "") -> FeatureSequence:
     """Extract MFCC features; D = num_ceps (x3 with deltas)."""
     cfg = cfg or MfccConfig()
-    logmel = log_mel_energies(waveform, cfg)
-    ceps = logmel @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
-    if cfg.deltas:
-        d1 = _deltas(ceps)
-        d2 = _deltas(d1)
-        ceps = np.concatenate([ceps, d1, d2], axis=1)
-    return FeatureSequence(ceps, waveform.sample_rate / cfg.hop, meta=meta)
+    return FeatureSequence(mfcc_batch([waveform], cfg)[0], waveform.sample_rate / cfg.hop,
+                           meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,7 @@ def contrastive_loss(taps, quantized, masks, weights: LossWeights,
     anchors = np.concatenate(anchor_list, axis=0)
     q_all = np.concatenate(q_list, axis=0)
     neg_idx = np.concatenate([picks[b] for b in range(len(masks))], axis=0)
+    del picks
     num_pos, k_neg = neg_idx.shape
 
     norm_a = np.maximum(np.linalg.norm(anchors, axis=1), NORM_FLOOR)
@@ -249,13 +250,17 @@ def contrastive_loss(taps, quantized, masks, weights: LossWeights,
     # d(-log sigmoid(-s/kappa))/ds = sigmoid(s/kappa)/kappa for a negative
     coeff_pos = pos_weight * (-sigmoid(-sim_pos / kappa) / kappa)
     coeff_neg = neg_weight * (sigmoid(sim_neg / kappa) / kappa)
+    del sim_neg
     # coeff[p, j] = dvalue/dsim[p, j]; bincount sums a negative drawn twice
     # (replacement fallback), which fancy-index += would count once
     flat = np.concatenate([rows * (num_pos + 1), (rows[:, None] * num_pos + neg_idx).ravel()])
     coeff = np.bincount(flat, weights=np.concatenate([coeff_pos, coeff_neg.ravel()]),
                         minlength=num_pos * num_pos).reshape(num_pos, num_pos)
-    # cosine: ds/da = q/(|a||q|) - s*a/|a|^2, symmetrically for q
-    coeff_sim = coeff * sim
+    del flat, coeff_neg
+    # cosine: ds/da = q/(|a||q|) - s*a/|a|^2, symmetrically for q. sim is
+    # spent, so coeff * sim goes into its buffer; with the dels above this
+    # takes a third off the loss's peak memory
+    coeff_sim = np.multiply(coeff, sim, out=sim)
     danchors = (coeff @ unit_q - coeff_sim.sum(axis=1)[:, None] * unit_a) / norm_a[:, None]
     dq_all = (coeff.T @ unit_a - coeff_sim.sum(axis=0)[:, None] * unit_q) / norm_q[:, None]
 

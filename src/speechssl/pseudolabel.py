@@ -37,9 +37,6 @@ class PseudoLabelSequence:
     def __len__(self) -> int:
         return self.labels.size
 
-    def truncated(self, length: int) -> "PseudoLabelSequence":
-        return PseudoLabelSequence(self.labels[:length].copy(), self.k, self.source)
-
 
 @dataclass
 class KmeansModel:

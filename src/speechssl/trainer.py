@@ -11,6 +11,7 @@ backward -> Adam update. Pseudo-labels always come from clean audio; they
 are computed before training and never recomputed from mixed waveforms.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -22,9 +23,10 @@ import numpy as np
 
 from .augment import FixedGain, GainPolicy, UniformSnrGain, mix_batch
 from .corpus import Batch, make_batch
-from .dsp import MfccConfig, mfcc
+from .dsp import MfccConfig, mfcc_batch
 from .encoder import (
     EncoderConfig,
+    NonFiniteActivations,
     backward,
     forward,
     init_encoder_params,
@@ -40,7 +42,7 @@ from .losses import (
     contrastive_loss,
     diversity_loss,
 )
-from .numerics import derive_seed
+from .numerics import BufferPool, FlatArrays, derive_seed
 from .pseudolabel import PseudoLabelSequence
 from .quantizer import (
     QuantizerConfig,
@@ -54,6 +56,7 @@ from .quantizer import (
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
 CHECKPOINT_FORMAT = "speechssl-checkpoint-v2"
+ADAM_BLOCK = 8192   # elements per block of the flat Adam update (64 KiB per scratch vector)
 
 
 @dataclass
@@ -100,6 +103,15 @@ class TrainConfig:
         if self.quantizer.out_dim != self.encoder.model_dim:
             raise ValueError("quantizer out_dim must equal encoder model_dim")
 
+    @functools.cached_property
+    def scratch_pool(self) -> BufferPool:
+        """The train step's scratch buffers, shared by every state that
+        init_state or load_checkpoint makes from this config object. Not a
+        field: it is not saved, compared or carried over by replace(). A
+        pooled buffer is only handed out while nothing else refers to it,
+        so states that share the pool never see each other's data."""
+        return BufferPool()
+
     @property
     def gain_policy(self) -> GainPolicy:
         if self.gain_fixed is not None:
@@ -134,15 +146,21 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 class TrainState:
     """Everything a run carries from step to step, and what a checkpoint
     saves: the config, parameters, Adam moments and the metrics row of
-    every step so far (1..step)."""
+    every step so far (1..step). Parameters and moments are FlatArrays.
+
+    `pool` is not saved or compared: it holds the train step's scratch
+    buffers for reuse by the next step (config.scratch_pool for a state from
+    init_state or load_checkpoint), and changes no value. With None, every
+    step allocates afresh."""
 
     config: TrainConfig
-    params: dict
-    adam_m: dict
-    adam_v: dict
+    params: FlatArrays
+    adam_m: FlatArrays
+    adam_v: FlatArrays
     step: int = 0
     metrics: list = field(default_factory=list)
     last_usage: np.ndarray | None = None  # batch-averaged codebook usage
+    pool: BufferPool | None = field(default=None, repr=False, compare=False)
 
     @property
     def encoder_config(self) -> EncoderConfig:
@@ -158,24 +176,46 @@ def init_state(config: TrainConfig) -> TrainState:
     params.update(
         init_quantizer_params(config.quantizer, derive_seed(config.seeds.model, "quantizer"))
     )
-    return TrainState(config, params, zero_grads(params), zero_grads(params))
+    # a new run starts from an empty pool, so the memory the last run's
+    # buffers held is free for this state's arrays
+    config.scratch_pool.clear()
+    params = FlatArrays.copy_of(params)
+    shapes = {k: v.shape for k, v in params.items()}
+    return TrainState(config, params, FlatArrays(shapes), FlatArrays(shapes),
+                      pool=config.scratch_pool)
 
 
-def adam_update(state: TrainState, grads: dict, lr: float, cfg: TrainConfig) -> None:
-    """In-place Adam step in sorted parameter order."""
+def _allocator(state: TrainState):
+    return np.empty if state.pool is None else state.pool.empty
+
+
+def adam_update(state: TrainState, grads: FlatArrays, lr: float, cfg: TrainConfig) -> None:
+    """In-place Adam step on the flat parameter, moment and gradient
+    vectors, a block of ADAM_BLOCK elements at a time so the two scratch
+    vectors stay small. Each element sees the operations of the textbook
+    per-array update, in the same order."""
     t = state.step
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    for name in sorted(state.params):
-        g = grads[name]
-        m = state.adam_m[name]
-        v = state.adam_v[name]
+    alloc = _allocator(state)
+    s1, s2 = alloc((ADAM_BLOCK,)), alloc((ADAM_BLOCK,))
+    vectors = (state.params.flat, state.adam_m.flat, state.adam_v.flat, grads.flat)
+    for lo in range(0, grads.flat.size, ADAM_BLOCK):
+        p, m, v, g = (x[lo:lo + ADAM_BLOCK] for x in vectors)
+        a, b = s1[:g.size], s2[:g.size]
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(g, 1 - b1, out=a)
+        m += a                                          # b1 m + (1 - b1) g
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        state.params[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a                                          # b2 v + (1 - b2) g g
+        np.divide(v, 1 - b2**t, out=a)                  # vhat
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, 1 - b1**t, out=b)                  # mhat
+        b *= lr
+        b /= a                                          # lr mhat / (sqrt(vhat) + eps)
+        p -= b
 
 
 def _check_label_provenance(labels) -> None:
@@ -203,14 +243,16 @@ class ObjectiveResult:
 
 
 def objective(params: dict, features: np.ndarray, labels, masks, seeds: ObjectiveSeeds,
-              tau: float, config: TrainConfig, grads: bool) -> ObjectiveResult:
+              tau: float, config: TrainConfig, grads: bool, alloc=np.empty) -> ObjectiveResult:
     """The combined loss of a (B, T, D) feature batch with one mask per
     utterance: encoder forward -> quantize each utterance's tap rows at its
     masked steps -> contrastive, diversity and content terms, and with
-    grads=True the manual backward into every parameter. Training and the
-    finite-difference check both evaluate this one function."""
+    grads=True the manual backward into every parameter (FlatArrays).
+    Training and the finite-difference check both evaluate this one
+    function. `alloc` supplies the encoder's batch-shaped buffers and the
+    gradient vector (see numerics.BufferPool)."""
     enc_cfg = config.encoder
-    out = forward(features, masks, params, enc_cfg)
+    out = forward(features, masks, params, enc_cfg, alloc)
     if config.speaker_loss:
         qstate = QuantizerState(config.quantizer, params, tau)
         qouts = [
@@ -232,10 +274,10 @@ def objective(params: dict, features: np.ndarray, labels, masks, seeds: Objectiv
     if not grads:
         return ObjectiveResult(breakdown, None, usage)
 
-    param_grads = zero_grads(params)
+    param_grads = zero_grads(params, alloc)
     dtap = None
     if config.speaker_loss:
-        dtap = np.stack(contr.dtaps)
+        dtap = np.stack(contr.dtaps, out=alloc(out.tap.shape))
         dprobs_row = config.weights.alpha * dp_bar / sum(q.num_frames for q in qouts)
         for b, (qout, mask) in enumerate(zip(qouts, masks)):
             dprobs = np.broadcast_to(dprobs_row, qout.probs.shape)
@@ -244,13 +286,15 @@ def objective(params: dict, features: np.ndarray, labels, masks, seeds: Objectiv
                 param_grads[key] += grad
             dtap[b, mask.indices] += dlatent
     backward(out, params, enc_cfg, dlogits=config.weights.beta * dlogits,
-             dtap=dtap, grads=param_grads)
+             dtap=dtap, grads=param_grads, alloc=alloc)
     return ObjectiveResult(breakdown, param_grads, usage)
 
 
 def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     """One optimization step. `labels` are per-batch-member pseudo-labels
-    computed from the clean audio. Returns (state, LossBreakdown)."""
+    computed from the clean audio. Returns (state, LossBreakdown). A
+    non-finite activation or loss raises FloatingPointError naming the step
+    and the utterance ids."""
     _check_label_provenance(labels)
     step = state.step + 1
     seeds = config.seeds
@@ -259,30 +303,42 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
         batch, config.mix_probability, config.gain_policy,
         seed=derive_seed(seeds.mixing, "mix", step),
     )
-    features = [mfcc(u.waveform, config.mfcc, meta=u.id) for u in mixed.batch.utterances]
-    for feats, seq in zip(features, labels):
-        if feats.num_frames != len(seq):
+    alloc = _allocator(state)
+    features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc, alloc)
+    ids = [u.id for u in mixed.batch.utterances]
+    del mixed                           # the mixed audio is not needed past its features
+    num_frames = features.shape[1]
+    for uid, seq in zip(ids, labels):
+        if num_frames != len(seq):
             raise ValueError(
-                f"utterance {feats.meta!r}: {feats.num_frames} frames vs "
+                f"utterance {uid!r}: {num_frames} frames vs "
                 f"{len(seq)} labels; labels must come from the clean audio "
                 "at the training utterance length"
             )
 
     masks = [
-        sample_mask(f.num_frames, config.encoder,
+        sample_mask(num_frames, config.encoder,
                     derive_seed(seeds.masking, "mask", step, b), min_spans=1)
-        for b, f in enumerate(features)
+        for b in range(len(ids))
     ]
     step_seeds = ObjectiveSeeds(
-        [derive_seed(seeds.noise, "noise", step, b) for b in range(len(features))],
+        [derive_seed(seeds.noise, "noise", step, b) for b in range(len(ids))],
         derive_seed(seeds.negatives, "neg", step),
     )
     tau = tau_at(step, config.steps, config.quantizer.tau_start, config.quantizer.tau_end)
-    result = objective(state.params, np.stack([f.frames for f in features]), labels,
-                       masks, step_seeds, tau, config, grads=True)
+    try:
+        result = objective(state.params, features, labels, masks, step_seeds, tau, config,
+                           grads=True, alloc=alloc)
+    except NonFiniteActivations as exc:
+        bad = [ids[row] for row in exc.rows]
+        raise FloatingPointError(f"step {step}, utterance(s) {bad}: {exc}") from exc
     breakdown = result.breakdown
     if not np.isfinite(breakdown.total):
-        raise FloatingPointError(f"non-finite loss at step {step}: {breakdown}")
+        terms = [k for k, v in breakdown.as_dict().items() if not np.isfinite(v)]
+        raise FloatingPointError(
+            f"non-finite loss at step {step} in term(s) {terms} of the batch of "
+            f"utterances {ids}: {breakdown}"
+        )
     if result.usage is not None:
         state.last_usage = result.usage
 
@@ -472,12 +528,11 @@ def load_checkpoint(stem) -> TrainState:
         size = int(np.prod(shape)) if shape else 1
         if offset + size > blob.size:
             raise ValueError(f"checkpoint entry {name} runs past the end of {stem}.bin")
-        groups[prefix][key] = (
-            blob[offset : offset + size].astype(np.float64).reshape(shape)
-        )
+        groups[prefix][key] = blob[offset : offset + size].reshape(shape)
     config = TrainConfig.from_dict(meta["config"])
-    return TrainState(config, groups["param"], groups["adam_m"], groups["adam_v"],
-                      meta["step"], meta["metrics"])
+    params, adam_m, adam_v = (FlatArrays.copy_of(groups[g]) for g in ("param", "adam_m", "adam_v"))
+    return TrainState(config, params, adam_m, adam_v, meta["step"], meta["metrics"],
+                      pool=config.scratch_pool)
 
 
 # ---------------------------------------------------------------------------

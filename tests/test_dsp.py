@@ -7,14 +7,17 @@ from speechssl.dsp import (
     MfccConfig,
     dct_matrix,
     frame_count,
+    hann_window,
     hz_to_mel,
     load_features,
     log_mel_energies,
     mel_filterbank,
     mel_to_hz,
     mfcc,
+    mfcc_batch,
     save_features,
 )
+from speechssl.numerics import BufferPool
 
 
 def tone(freq, duration=1.0, sr=16000, amp=0.5):
@@ -79,6 +82,13 @@ class TestMfcc:
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
 
+    def test_window_and_dct_built_once_and_read_only(self):
+        for build, args in ((hann_window, (400,)), (dct_matrix, (13, 26))):
+            mat = build(*args)
+            assert build(*args) is mat
+            with pytest.raises(ValueError):
+                mat[0] = 1.0
+
     def test_dct_orthonormal_inverse(self):
         # square case: DCT then its transpose recovers the input
         rng = np.random.default_rng(7)
@@ -132,3 +142,57 @@ class TestFeatureDump:
         assert back.frame_rate == feats.frame_rate
         # dump format is float32, so round-trip is exact at float32 precision
         assert np.array_equal(back.frames, feats.frames.astype("<f4").astype(np.float64))
+
+
+def reference_mfcc(samples, sample_rate, cfg):
+    """The per-utterance pipeline written out directly: the oracle for the
+    batched one."""
+    pre = np.empty_like(samples)
+    pre[0] = samples[0]
+    pre[1:] = samples[1:] - cfg.preemphasis * samples[:-1]
+    t = frame_count(samples.size, cfg.window, cfg.hop)
+    idx = np.arange(cfg.window)[None, :] + cfg.hop * np.arange(t)[:, None]
+    frames = pre[idx] * np.hanning(cfg.window)[None, :]
+    power = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1)) ** 2
+    fb = mel_filterbank(cfg.num_mel, cfg.fft_size, sample_rate)
+    ceps = np.log(np.maximum(power @ fb.T, cfg.floor)) @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
+
+    def deltas(c, width=2):
+        padded = np.concatenate([c[:1].repeat(width, axis=0), c, c[-1:].repeat(width, axis=0)])
+        num = np.zeros_like(c)
+        for w in range(1, width + 1):
+            num += w * (padded[width + w : width + w + t] - padded[width - w : width - w + t])
+        return num / (2.0 * sum(w * w for w in range(1, width + 1)))
+
+    d1 = deltas(ceps)
+    return np.concatenate([ceps, d1, deltas(d1)], axis=1)
+
+
+class TestMfccBatch:
+    def batch(self, b=8, length=8000, seed=3):
+        rng = np.random.default_rng(seed)
+        return [Waveform(rng.uniform(-0.5, 0.5, length), 16000) for _ in range(b)]
+
+    def test_equals_per_utterance_reference_exactly(self):
+        cfg = MfccConfig()
+        waves = self.batch()
+        feats = mfcc_batch(waves, cfg)
+        assert feats.shape == (8, frame_count(8000, cfg.window, cfg.hop), cfg.dim)
+        for wav, row in zip(waves, feats):
+            assert np.array_equal(row, reference_mfcc(wav.samples, 16000, cfg))
+            assert np.array_equal(row, mfcc(wav, cfg).frames)
+
+    def test_pool_reuse_changes_nothing(self):
+        cfg = MfccConfig(deltas=False)
+        pool = BufferPool()
+        first, second = self.batch(seed=1), self.batch(seed=2)
+        mfcc_batch(first, cfg, pool.empty)
+        held = pool.nbytes
+        assert np.array_equal(mfcc_batch(second, cfg, pool.empty), mfcc_batch(second, cfg))
+        assert pool.nbytes == held
+
+    def test_rejects_mixed_lengths_and_rates(self):
+        with pytest.raises(ValueError, match="length"):
+            mfcc_batch([tone(300.0, 0.1), tone(300.0, 0.2)])
+        with pytest.raises(ValueError, match="sample rate"):
+            mfcc_batch([tone(300.0, 0.1), tone(300.0, 0.2, sr=8000)])

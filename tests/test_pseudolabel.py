@@ -162,12 +162,6 @@ class TestPseudoLabelSequence:
         with pytest.raises(ValueError):
             PseudoLabelSequence(np.array([0, 5]), 4)
 
-    def test_truncated(self):
-        seq = PseudoLabelSequence(np.array([0, 1, 2]), 4, "mfcc")
-        cut = seq.truncated(2)
-        assert cut.labels.tolist() == [0, 1]
-        assert cut.source == "mfcc"
-
 
 class TestFitLabels:
     def test_equals_hand_pooled_fit_and_assign(self):

@@ -4,14 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from speechssl.corpus import make_batch
+from speechssl import trainer
+from speechssl.corpus import make_batch, synth_corpus
 from speechssl.dsp import mfcc
 from speechssl.encoder import MaskSet, forward
 from speechssl.numerics import derive_seed
-from speechssl.pseudolabel import PseudoLabelSequence
+from speechssl.pseudolabel import PseudoLabelSequence, fit_labels
 from speechssl.trainer import (
     TrainConfig,
     TrainState,
+    adam_update,
+    draw_batch,
     grad_check,
     init_state,
     learning_rate_at,
@@ -67,7 +70,7 @@ class TestTrainStep:
     def test_label_length_mismatch_rejected(self, small_setup):
         config, corpus, labels = small_setup
         batch, batch_labels = first_batch(config, corpus, labels)
-        bad = [seq.truncated(3) for seq in batch_labels]
+        bad = [PseudoLabelSequence(seq.labels[:3], seq.k, seq.source) for seq in batch_labels]
         state = init_state(config)
         with pytest.raises(ValueError, match="labels"):
             train_step(state, batch, bad, config)
@@ -82,6 +85,153 @@ class TestTrainStep:
         state = init_state(config)
         with pytest.raises(ValueError, match="clean"):
             train_step(state, batch, tainted, config)
+
+
+def run_steps(state, config, corpus, labels, steps):
+    """metrics rows of `steps` train_steps from `state`, serialized."""
+    rows = []
+    for _ in range(steps):
+        batch = draw_batch(corpus, config, state.step + 1)
+        state, breakdown = train_step(state, batch, [labels[u.id] for u in batch.utterances],
+                                      config)
+        rows.append(json.dumps(breakdown.as_dict()))
+    return rows
+
+
+def flat_bytes(state):
+    return [group.flat.tobytes() for group in (state.params, state.adam_m, state.adam_v)]
+
+
+class TestScratchPool:
+    @pytest.fixture(scope="class")
+    def default_setup(self):
+        """The default TrainConfig (B=8, L=8000) on a corpus of 8 speakers."""
+        config = TrainConfig()
+        corpus = synth_corpus(8, 2, duration=0.5, seed=0)
+        frames = {u.id: mfcc(u.waveform, config.mfcc).frames for u in corpus}
+        _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=1)
+        return config, corpus, labels
+
+    @pytest.mark.parametrize("speaker_loss", [True, False])
+    def test_pool_stops_growing_after_first_step(self, default_setup, speaker_loss):
+        config, corpus, labels = default_setup
+        config = dataclasses.replace(config, speaker_loss=speaker_loss)
+        state = init_state(config)
+        sizes = {}
+        for step in range(1, 11):
+            run_steps(state, config, corpus, labels, 1)
+            sizes[step] = (len(state.pool), state.pool.nbytes)
+        assert sizes[1] == sizes[2] == sizes[10]
+        assert sizes[1][0] > 0
+
+    def test_pooled_steps_byte_identical_to_unpooled(self, small_setup):
+        config, corpus, labels = small_setup
+        config = dataclasses.replace(config, steps=20)
+        pooled = init_state(config)
+        plain = init_state(config)
+        plain.pool = None
+        assert pooled.pool is not None
+        assert run_steps(pooled, config, corpus, labels, 20) == \
+            run_steps(plain, config, corpus, labels, 20)
+        assert flat_bytes(pooled) == flat_bytes(plain)
+
+    def test_states_of_one_config_share_its_pool(self, small_setup, tmp_path):
+        config, corpus, labels = small_setup
+        first, second = init_state(config), init_state(config)
+        assert first.pool is second.pool is config.scratch_pool
+        save_checkpoint(tmp_path / "ck", first)
+        loaded = load_checkpoint(tmp_path / "ck")
+        assert loaded.pool is loaded.config.scratch_pool
+        assert dataclasses.replace(config).scratch_pool is not config.scratch_pool
+        run_steps(first, config, corpus, labels, 1)
+        assert len(config.scratch_pool) > 0
+        init_state(config)
+        assert len(config.scratch_pool) == 0       # a new run starts from an empty pool
+        # interleaved steps of two states on one pool match separate runs
+        config = dataclasses.replace(config, steps=4)
+        a, b, alone = init_state(config), init_state(config), init_state(config)
+        alone.pool = None
+        rows_a, rows_b = [], []
+        for _ in range(4):
+            rows_a += run_steps(a, config, corpus, labels, 1)
+            rows_b += run_steps(b, config, corpus, labels, 1)
+        assert rows_a == rows_b == run_steps(alone, config, corpus, labels, 4)
+
+
+def loop_adam(params, adam_m, adam_v, grads, step, lr, cfg):
+    """The per-array Adam update in sorted key order: the oracle for the
+    flat one."""
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    for name in sorted(params):
+        g, m, v = grads[name], adam_m[name], adam_v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1**step)
+        vhat = v / (1 - b2**step)
+        params[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+class TestAdam:
+    def test_flat_update_bit_identical_to_per_array_loop(self):
+        config = TrainConfig()
+        state = init_state(config)
+        rng = np.random.default_rng(0)
+        for group in (state.params, state.adam_m, state.adam_v):
+            group.flat[...] = rng.standard_normal(group.flat.size)
+        state.adam_v.flat[...] = np.abs(state.adam_v.flat)
+        # more elements than one block, and a tail shorter than a block
+        assert state.params.flat.size > 2 * trainer.ADAM_BLOCK
+        assert state.params.flat.size % trainer.ADAM_BLOCK
+        oracle = {name: {k: v.copy() for k, v in group.items()}
+                  for name, group in (("p", state.params), ("m", state.adam_m),
+                                      ("v", state.adam_v))}
+        for step in (1, 2, 7):
+            grads = trainer.zero_grads(state.params)
+            grads.flat[...] = rng.standard_normal(grads.flat.size)
+            expected_grads = {k: v.copy() for k, v in grads.items()}
+            state.step = step
+            adam_update(state, grads, 3e-3, config)
+            loop_adam(oracle["p"], oracle["m"], oracle["v"], expected_grads, step, 3e-3, config)
+            for name, group in (("p", state.params), ("m", state.adam_m), ("v", state.adam_v)):
+                for key in group:
+                    assert np.array_equal(group[key], oracle[name][key]), (name, key)
+            for key in grads:
+                assert np.array_equal(grads[key], expected_grads[key]), key
+
+    def test_params_and_moments_are_views_into_flat_vectors(self, small_setup, tmp_path):
+        config, _, _ = small_setup
+        state = init_state(config)
+        save_checkpoint(tmp_path / "ck", state)
+        for st in (state, load_checkpoint(tmp_path / "ck")):
+            for group in (st.params, st.adam_m, st.adam_v):
+                assert list(group) == sorted(group)
+                for value in group.values():
+                    assert value.base is group.flat
+
+
+class TestNonFinite:
+    def test_nan_in_one_utterance_names_step_and_utterance(self, small_setup, monkeypatch):
+        config, corpus, labels = small_setup
+        batch, batch_labels = first_batch(config, corpus, labels)
+        real = trainer.mfcc_batch
+
+        def poisoned(waveforms, cfg, alloc):
+            feats = real(waveforms, cfg, alloc)
+            feats[1, 2, 0] = np.nan
+            return feats
+
+        monkeypatch.setattr(trainer, "mfcc_batch", poisoned)
+        state = init_state(config)
+        with pytest.raises(FloatingPointError) as err:
+            train_step(state, batch, batch_labels, config)
+        message = str(err.value)
+        assert "step 1" in message
+        assert repr(batch.utterances[1].id) in message
+        assert batch.utterances[0].id not in message
+        assert "block 0" in message
+        assert state.step == 0
 
 
 class TestTrain:
