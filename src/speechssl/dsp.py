@@ -151,11 +151,6 @@ def _log_mel(waveforms, cfg: MfccConfig, alloc=np.empty) -> np.ndarray:
     return np.log(mel, out=mel)
 
 
-def log_mel_energies(waveform, cfg: MfccConfig) -> np.ndarray:
-    """T x num_mel floored log mel energies (the pre-DCT representation)."""
-    return _log_mel([waveform], cfg)[0]
-
-
 def _deltas(ceps: np.ndarray, width: int = 2) -> np.ndarray:
     """Regression deltas along the frame axis (-2) over +-width frames, edge
     frames replicated."""

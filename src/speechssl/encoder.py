@@ -6,7 +6,7 @@ content-prediction head over pseudo-label classes.
 Forward and backward passes are written out by hand in float64; backward is
 verified against central finite differences in the test suite. Both are
 batched: they take B equal-length utterances stacked as (B, T, D) with one
-MaskSet each. Projection, layer norm, the FFN, the head and the mask
+BatchMask over their B*T frames. Projection, layer norm, the FFN, the head and the mask
 embedding act row-wise on the B*T frames, and only attention reshapes to
 (B, H, T, dh), so utterances never interact and a single utterance is the
 B=1 case. Every (B*T)-row activation and gradient, and the few
@@ -68,75 +68,75 @@ class EncoderConfig:
 
 
 @dataclass
-class MaskSet:
-    """Masked frame indices (0-based) and their merged spans."""
+class BatchMask:
+    """The masked frames of a batch of B utterances of `num_frames` frames
+    each, as one set. `rows` are the masked rows, in increasing order, of
+    the flattened B*num_frames frames (utterance b's frame i is row
+    b*num_frames + i); `counts[b]` is how many of them utterance b has."""
 
-    indices: np.ndarray
-    spans: list
+    rows: np.ndarray
+    counts: np.ndarray
     num_frames: int
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.num_frames:
-                raise ValueError("mask indices out of range")
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("mask indices must be strictly increasing")
-        covered = np.concatenate(
-            [np.arange(s, s + l) for s, l in self.spans]
-        ) if self.spans else np.array([], dtype=np.int64)
-        if not np.array_equal(np.sort(covered), self.indices):
-            raise ValueError("spans must cover exactly the masked indices")
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.counts.ndim != 1 or np.any(self.counts < 0) or self.num_frames < 1:
+            raise ValueError("mask counts must be non-negative, one per utterance")
+        owner = np.repeat(np.arange(self.counts.size), self.counts)
+        if owner.size != self.rows.size or np.any(self.rows // self.num_frames != owner):
+            raise ValueError("mask indices out of range of their utterance's frames")
+        if np.any(np.diff(self.rows) <= 0):
+            raise ValueError("mask indices must be strictly increasing")
 
     def __len__(self) -> int:
-        return self.indices.size
+        return self.rows.size
+
+    @property
+    def batch_size(self) -> int:
+        return self.counts.size
 
     @classmethod
-    def empty(cls, num_frames: int) -> "MaskSet":
-        return cls(np.array([], dtype=np.int64), [], num_frames)
-
-    @classmethod
-    def from_indices(cls, indices, num_frames: int) -> "MaskSet":
-        indices = np.unique(np.asarray(indices, dtype=np.int64))
-        spans = []
-        for idx in indices:
-            if spans and idx == spans[-1][0] + spans[-1][1]:
-                spans[-1][1] += 1
-            else:
-                spans.append([int(idx), 1])
-        return cls(indices, [tuple(s) for s in spans], num_frames)
+    def from_indices(cls, indices, num_frames: int) -> "BatchMask":
+        """`indices[b]` holds utterance b's masked frames, increasing."""
+        indices = [np.asarray(idx, dtype=np.int64) for idx in indices]
+        rows = [b * num_frames + idx for b, idx in enumerate(indices)]
+        return cls(np.concatenate(rows) if rows else np.array([], dtype=np.int64),
+                   [idx.size for idx in indices], num_frames)
 
 
 def sample_mask(num_frames: int, cfg: EncoderConfig, seed: int,
-                min_spans: int = 0) -> MaskSet:
+                min_spans: int = 0) -> np.ndarray:
     """Each frame starts a span of `mask_span` frames (clipped at the end)
     with probability `mask_start_prob`; overlapping spans merge. With
-    min_spans >= 1 a fallback span is placed when nothing was sampled."""
+    min_spans >= 1 a fallback span is placed when nothing was sampled.
+    Returns the masked frame indices, increasing."""
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     rng = np.random.default_rng(seed)
     starts = np.nonzero(rng.random(num_frames) < cfg.mask_start_prob)[0]
     if starts.size == 0 and min_spans >= 1:
         starts = np.array([rng.integers(num_frames)])
-    if starts.size == 0:
-        return MaskSet.empty(num_frames)
-    covered = np.concatenate(
-        [np.arange(s, min(s + cfg.mask_span, num_frames)) for s in starts]
-    )
-    return MaskSet.from_indices(covered, num_frames)
+    # +1 where a span starts and -1 where it ends: the running sum counts
+    # the spans covering each frame
+    ends = np.minimum(starts + cfg.mask_span, num_frames)
+    edges = np.bincount(starts, minlength=num_frames + 1)
+    edges -= np.bincount(ends, minlength=num_frames + 1)
+    return np.flatnonzero(np.cumsum(edges[:num_frames]))
 
 
-def corrupt(frames: np.ndarray, mask: MaskSet, mask_embedding: np.ndarray,
+def corrupt(frames: np.ndarray, rows, mask_embedding: np.ndarray,
             alloc=np.empty) -> np.ndarray:
-    """Replace masked frames with the learned mask embedding."""
+    """Replace the frames at `rows` with the learned mask embedding."""
     frames = np.asarray(frames, dtype=np.float64)
-    if mask.indices.size and mask.indices.max() >= frames.shape[0]:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and rows.max() >= frames.shape[0]:
         raise ValueError("mask index out of range for this sequence")
     if mask_embedding.shape != (frames.shape[1],):
         raise ValueError("mask embedding dim does not match frames")
     out = alloc(frames.shape)
     out[...] = frames
-    out[mask.indices] = mask_embedding
+    out[rows] = mask_embedding
     return out
 
 
@@ -150,29 +150,15 @@ def sinusoidal_positions(num_frames: int, dim: int) -> np.ndarray:
     return enc
 
 
-def _stack_masks(masks, num_frames: int) -> MaskSet:
-    """One MaskSet over the B*num_frames rows of a stacked batch: utterance
-    b's frame i is row b*num_frames + i."""
-    for mask in masks:
-        if mask.num_frames != num_frames:
-            raise ValueError(
-                f"mask covers {mask.num_frames} frames but encoder sees {num_frames}"
-            )
-    indices = [b * num_frames + m.indices for b, m in enumerate(masks)]
-    spans = [(b * num_frames + s, l) for b, m in enumerate(masks) for s, l in m.spans]
-    return MaskSet(np.concatenate(indices) if indices else [], spans,
-                   len(masks) * num_frames)
-
-
 @dataclass
 class EncoderOutput:
     """tap, final and layer_outputs are (B, T, d), content_logits (B, T, C);
-    mask is the batch's masked rows over the flattened B*T frames."""
+    mask is the batch's BatchMask."""
 
     tap: np.ndarray
     final: np.ndarray
     content_logits: np.ndarray
-    mask: MaskSet
+    mask: BatchMask
     layer_outputs: list = field(repr=False, default_factory=list)
     cache: dict = field(repr=False, compare=False, default_factory=dict)
 
@@ -339,23 +325,24 @@ def _block_backward(cache, dy, params, i, cfg, grads, alloc):
     return d
 
 
-def forward(frames: np.ndarray, masks, params: dict, cfg: EncoderConfig,
+def forward(frames: np.ndarray, mask: BatchMask, params: dict, cfg: EncoderConfig,
             alloc=np.empty) -> EncoderOutput:
-    """Project a (B, T, D) batch, corrupt each utterance's masked frames
-    (`masks` holds one MaskSet per utterance), run the transformer stack,
-    and emit per-layer outputs plus content logits. layer_outputs[0] is the
-    projected corrupted input; layer_outputs[j] is the output of block j.
-    Non-finite activations out of a block raise NonFiniteActivations naming
-    the block and the batch rows."""
+    """Project a (B, T, D) batch, corrupt the frames that `mask` marks, run
+    the transformer stack, and emit per-layer outputs plus content logits.
+    layer_outputs[0] is the projected corrupted input; layer_outputs[j] is
+    the output of block j. Non-finite activations out of a block raise
+    NonFiniteActivations naming the block and the batch rows."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3:
         raise ValueError(f"frames must be a (B, T, D) array, got shape {frames.shape}")
     batch, t, dim = frames.shape
     if dim != cfg.input_dim:
         raise ValueError(f"feature dim {dim} != configured input_dim {cfg.input_dim}")
-    if len(masks) != batch:
-        raise ValueError(f"{len(masks)} masks for a batch of {batch} utterances")
-    mask = _stack_masks(masks, t)
+    if (mask.batch_size, mask.num_frames) != (batch, t):
+        raise ValueError(
+            f"masks cover {mask.batch_size} utterances of {mask.num_frames} frames, "
+            f"but the batch holds {batch} utterances of {t} frames"
+        )
 
     def per_utterance(rows):
         return rows.reshape(batch, t, -1)
@@ -364,7 +351,7 @@ def forward(frames: np.ndarray, masks, params: dict, cfg: EncoderConfig,
     feats = frames.reshape(n, dim)
     projected = np.matmul(feats, params["proj/W"], out=alloc((n, d)))
     projected += params["proj/b"]
-    h0 = corrupt(projected, mask, params["mask_emb"], alloc)
+    h0 = corrupt(projected, mask.rows, params["mask_emb"], alloc)
     del projected
     layer_outputs = [per_utterance(h0)]
     block_caches = []
@@ -429,7 +416,7 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
     if dtap is not None and cfg.tap_layer == 0:
         dh += dtap
 
-    rows = output.mask.indices
+    rows = output.mask.rows
     grads["mask_emb"] += dh[rows].sum(axis=0)
     dh[rows] = 0.0                      # masked rows never saw the projection
     grads["proj/W"] += cache["features"].T @ dh

@@ -97,41 +97,29 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def content_loss(content_logits: np.ndarray, labels, mask):
-    """Mean negative log-probability of the pseudo-label over the masked
-    frames of one utterance: content_loss_batch at B=1.
-
-    Returns (loss, dlogits) with dlogits zero on unmasked frames.
-    """
-    loss, dlogits = content_loss_batch(np.asarray(content_logits)[None], [labels], [mask])
-    return loss, dlogits[0]
-
-
-def content_loss_batch(logits, labels_list, masks):
+def content_loss_batch(logits, labels_list, mask):
     """Batch content loss over stacked (B, T, C) logits: the mean negative
     log-probability of the pseudo-label over all masked frames of all
-    utterances. Returns (loss, dlogits) with dlogits (B, T, C), zero on
-    unmasked frames."""
+    utterances (`mask` is the batch's BatchMask). Returns (loss, dlogits)
+    with dlogits (B, T, C), zero on unmasked frames."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3:
         raise ValueError(f"logits must be a (B, T, C) array, got shape {logits.shape}")
     b, t, k = logits.shape
-    if len(labels_list) != b or len(masks) != b:
+    if len(labels_list) != b or (mask.batch_size, mask.num_frames) != (b, t):
         raise ValueError(
-            f"{b} utterances of logits, {len(labels_list)} label sequences, {len(masks)} masks"
+            f"{b} utterances of {t} frames of logits, {len(labels_list)} label "
+            f"sequences, masks of {mask.batch_size} utterances of {mask.num_frames} frames"
         )
-    for labels, mask in zip(labels_list, masks):
-        if len(labels) != t or mask.num_frames != t:
-            raise ValueError(
-                f"labels length {len(labels)} / mask frames {mask.num_frames} "
-                f"!= logits frames {t}"
-            )
+    for labels in labels_list:
+        if len(labels) != t:
+            raise ValueError(f"labels length {len(labels)} != logits frames {t}")
         if labels.labels.size and labels.labels.max() >= k:
             raise ValueError("label id exceeds number of classes")
-    rows = np.concatenate([i * t + m.indices for i, m in enumerate(masks)])
+    rows = mask.rows
     if rows.size == 0:
         raise ValueError("content loss needs a non-empty mask")
-    targets = np.concatenate([lab.labels[m.indices] for lab, m in zip(labels_list, masks)])
+    targets = np.concatenate([lab.labels for lab in labels_list])[rows]
     flat = logits.reshape(b * t, k)
     logp = _log_softmax(flat[rows])
     picked = np.arange(rows.size)
@@ -149,26 +137,33 @@ def content_loss_batch(logits, labels_list, masks):
 
 @dataclass
 class ContrastiveResult:
+    """danchors and dq are the gradients at the P masked tap rows and at the
+    P quantized vectors, both in the order of the mask's rows."""
+
     value: float
-    dtaps: list
-    dqs: list
+    danchors: np.ndarray
+    dq: np.ndarray
     num_positives: int
     num_negatives: int
     with_replacement: bool
 
 
-def sample_negatives(masks, num_negatives: int, seed: int):
+def sample_negatives(mask, num_negatives: int, seed: int):
     """For every masked step (b, i), draw `num_negatives` candidates uniformly
     from the masked steps of the other utterances. Returns
-    {b: array of (F_b, K) indices into the flattened candidate pool} plus the
-    pool as (utterance, row) pairs. Shared by the loss and its test oracle."""
-    pool = [(b, i) for b, mask in enumerate(masks) for i in range(len(mask))]
+    {b: array of (F_b, K) indices into the flattened candidate pool}, the
+    pool as a (P, 2) array of (utterance, row within the utterance) pairs,
+    and whether any draw fell back to replacement. The pool is the mask's
+    rows in order. Shared by the loss and its test oracle."""
+    counts = mask.counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts              # pool index of each utterance's first row
+    pool = np.stack([owner, np.arange(owner.size) - first[owner]], axis=1)
     rng = np.random.default_rng(seed)
     picks: dict[int, np.ndarray] = {}
     with_replacement = False
-    for b, mask in enumerate(masks):
-        others = np.array([j for j, (ob, _) in enumerate(pool) if ob != b], dtype=np.int64)
-        f = len(mask)
+    for b, f in enumerate(counts):
+        others = np.flatnonzero(owner != b)
         if num_negatives == 0 or f == 0:
             picks[b] = np.zeros((f, 0), dtype=np.int64)
             continue
@@ -190,18 +185,17 @@ def sample_negatives(masks, num_negatives: int, seed: int):
     return picks, pool, with_replacement
 
 
-def contrastive_loss(taps, quantized, masks, weights: LossWeights,
+def contrastive_loss(taps, q, mask, weights: LossWeights,
                      seed: int = 0) -> ContrastiveResult:
-    """Utterance-wise contrastive loss over masked steps.
+    """Utterance-wise contrastive loss over the masked steps of a batch.
 
-    taps: per-utterance T x d latents at the tap layer.
-    quantized: per-utterance QuantizeOutput whose rows follow the sorted
-      masked indices of that utterance.
+    taps: (B, T, d) latents at the tap layer (or B arrays of T x d).
+    q: (P, d) quantized vectors, one per masked row of `mask`, in its order.
     Positive term -log(sigmoid(sim/kappa)); negative term -log(sigmoid(-sim/kappa)).
     Positive and negative terms are averaged separately and the two class
     means averaged, so the positive pairs keep half the weight at any K (a
     pooled mean lets K >> 1 negatives drown the positives out entirely).
-    Gradients are returned with respect to the full tap matrices and the
+    Gradients are returned with respect to the masked tap rows and the
     quantized vectors. Rescaling any latent by a positive constant leaves
     the value unchanged (cosine similarity).
 
@@ -211,24 +205,20 @@ def contrastive_loss(taps, quantized, masks, weights: LossWeights,
     (P, K, d) negative gather holds O(P*K*d): break-even at P = K*d, 6400
     masked frames at K=100, d=64.
     """
-    for mask in masks:
-        if len(mask) == 0:
-            raise ValueError("contrastive loss needs a non-empty mask per utterance")
+    if np.any(mask.counts == 0):
+        raise ValueError("contrastive loss needs a non-empty mask per utterance")
     kappa = weights.kappa
-    anchor_list = [np.asarray(t, dtype=np.float64)[m.indices] for t, m in zip(taps, masks)]
-    q_list = [np.asarray(q.q, dtype=np.float64) for q in quantized]
-    for b, (a, q) in enumerate(zip(anchor_list, q_list)):
-        if a.shape != q.shape:
-            raise ValueError(
-                f"utterance {b}: tap rows {a.shape} and quantized rows {q.shape} differ"
-            )
-    picks, pool, with_replacement = sample_negatives(masks, weights.num_negatives, seed)
-
-    # Flatten: pool row j corresponds to (utterance, local row) = pool[j], and
-    # anchors/positives share that ordering.
-    anchors = np.concatenate(anchor_list, axis=0)
-    q_all = np.concatenate(q_list, axis=0)
-    neg_idx = np.concatenate([picks[b] for b in range(len(masks))], axis=0)
+    taps = np.asarray(taps, dtype=np.float64)
+    anchors = taps.reshape(-1, taps.shape[-1])[mask.rows]
+    q_all = np.asarray(q, dtype=np.float64)
+    if anchors.shape != q_all.shape:
+        raise ValueError(
+            f"masked tap rows {anchors.shape} and quantized rows {q_all.shape} differ"
+        )
+    picks, _, with_replacement = sample_negatives(mask, weights.num_negatives, seed)
+    # anchors and positives follow the mask's rows, as does the pool the
+    # negatives index
+    neg_idx = np.concatenate([picks[b] for b in range(mask.batch_size)], axis=0)
     del picks
     num_pos, k_neg = neg_idx.shape
 
@@ -264,17 +254,7 @@ def contrastive_loss(taps, quantized, masks, weights: LossWeights,
     danchors = (coeff @ unit_q - coeff_sim.sum(axis=1)[:, None] * unit_a) / norm_a[:, None]
     dq_all = (coeff.T @ unit_a - coeff_sim.sum(axis=0)[:, None] * unit_q) / norm_q[:, None]
 
-    dtaps = []
-    dqs = []
-    offset = 0
-    for b, (tap, mask) in enumerate(zip(taps, masks)):
-        f = len(mask)
-        dtap = np.zeros_like(np.asarray(tap, dtype=np.float64))
-        dtap[mask.indices] = danchors[offset : offset + f]
-        dtaps.append(dtap)
-        dqs.append(dq_all[offset : offset + f])
-        offset += f
-    return ContrastiveResult(float(value), dtaps, dqs, num_pos, num_neg,
+    return ContrastiveResult(float(value), danchors, dq_all, num_pos, num_neg,
                              with_replacement)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Utterance, Waveform
 from .dsp import mfcc
-from .encoder import MaskSet, forward, sample_mask
+from .encoder import BatchMask, forward, sample_mask
 from .numerics import derive_seed, rng_from, softmax, softmax_backward
 
 
@@ -41,20 +41,18 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
 
     For each utterance: MFCC of the clean audio with the checkpoint's MFCC
     config, then one encoder forward. Yields (utterance, EncoderOutput,
-    MaskSet). The mask is empty unless `mask_seed` is set; then utterance b
-    gets the evaluation mask drawn from derive_seed(mask_seed, "eval-mask",
-    b). A generator, so only the current utterance's output (which holds
-    every block's caches) is kept alive.
+    BatchMask of that one utterance). The mask is empty unless `mask_seed`
+    is set; then utterance b gets the evaluation mask drawn from
+    derive_seed(mask_seed, "eval-mask", b). A generator, so only the current
+    utterance's output (which holds every block's caches) is kept alive.
     """
     cfg = checkpoint.encoder_config
     for b, utt in enumerate(corpus):
         feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
-        if mask_seed is None:
-            mask = MaskSet.empty(feats.num_frames)
-        else:
-            mask = sample_mask(feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b),
-                               min_spans=1)
-        yield utt, forward(feats.frames[None], [mask], checkpoint.params, cfg), mask
+        indices = [] if mask_seed is None else sample_mask(
+            feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b), min_spans=1)
+        mask = BatchMask.from_indices([indices], feats.num_frames)
+        yield utt, forward(feats.frames[None], mask, checkpoint.params, cfg), mask
 
 
 def _utterance_means(checkpoint, corpus):
@@ -192,8 +190,9 @@ def masked_prediction_accuracy(checkpoint, corpus, labels_by_id, seed: int = 0) 
     correct = 0
     total = 0
     for utt, out, mask in encode_corpus(checkpoint, corpus, mask_seed=seed):
-        predicted = np.argmax(out.content_logits[0, mask.indices], axis=1)
-        target = labels_by_id[utt.id].labels[mask.indices]
+        # one utterance: its mask rows are its frame indices
+        predicted = np.argmax(out.content_logits[0, mask.rows], axis=1)
+        target = labels_by_id[utt.id].labels[mask.rows]
         correct += int(np.sum(predicted == target))
         total += len(mask)
     return correct / total

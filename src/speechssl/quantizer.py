@@ -91,8 +91,13 @@ def tau_at(step: int, total_steps: int, start: float = 2.0, end: float = 0.1) ->
     return float(start * (end / start) ** frac)
 
 
-def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    u = rng.random(shape)
+def gumbel_noise(seeds, counts, cfg: QuantizerConfig) -> np.ndarray:
+    """Gumbel noise for the concatenated rows of several utterances, as a
+    (sum(counts), G, V) array: utterance b's counts[b] rows are drawn from
+    a generator seeded with seeds[b]."""
+    shape = (cfg.num_codebooks, cfg.num_entries)
+    u = np.concatenate([np.random.default_rng(seed).random((n, *shape))
+                        for seed, n in zip(seeds, counts)])
     return -np.log(-np.log(np.maximum(u, np.finfo(np.float64).tiny)))
 
 
@@ -125,8 +130,11 @@ class QuantizeOutput:
         return self.q.shape[0]
 
 
-def quantize(latent: np.ndarray, state: QuantizerState, seed: int = 0,
+def quantize(latent: np.ndarray, state: QuantizerState, noise: np.ndarray,
              hard: bool = True) -> QuantizeOutput:
+    """Quantize F latent rows with the given (F, G, V) Gumbel noise. Rows
+    never interact, so the masked rows of a whole batch go through in one
+    call, each with its own utterance's draw."""
     latent = np.asarray(latent, dtype=np.float64)
     cfg = state.config
     if latent.ndim != 2 or latent.shape[1] != cfg.latent_dim:
@@ -138,7 +146,6 @@ def quantize(latent: np.ndarray, state: QuantizerState, seed: int = 0,
     logits = (latent @ p["quant/proj_in/W"] + p["quant/proj_in/b"]).reshape(
         f, cfg.num_codebooks, cfg.num_entries
     )
-    noise = gumbel_noise(np.random.default_rng(seed), logits.shape)
     probs = gumbel_probs(logits, state.tau, noise)
     hard_indices = np.argmax(logits + noise, axis=-1)
     sel = one_hot(hard_indices, cfg.num_entries) if hard else probs
@@ -181,15 +188,12 @@ def quantize_backward(output: QuantizeOutput, state: QuantizerState,
     return dlatent, grads
 
 
-def usage_stats(outputs) -> np.ndarray:
-    """Batch-averaged selection probabilities (the diversity loss input)."""
-    if isinstance(outputs, QuantizeOutput):
-        outputs = [outputs]
-    stacks = [o.probs for o in outputs if o.num_frames > 0]
-    if not stacks:
+def usage_stats(output: QuantizeOutput) -> np.ndarray:
+    """Selection probabilities averaged over the quantized rows (the
+    diversity loss input)."""
+    if output.num_frames == 0:
         raise ValueError("usage_stats requires at least one quantized frame")
-    probs = np.concatenate(stacks, axis=0)
-    sums = probs.sum(axis=-1)
+    sums = output.probs.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
         raise ValueError("probability rows must sum to 1")
-    return probs.mean(axis=0)
+    return output.probs.mean(axis=0)

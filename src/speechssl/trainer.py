@@ -25,6 +25,7 @@ from .augment import FixedGain, GainPolicy, UniformSnrGain, mix_batch
 from .corpus import Batch, make_batch
 from .dsp import MfccConfig, mfcc_batch
 from .encoder import (
+    BatchMask,
     EncoderConfig,
     NonFiniteActivations,
     backward,
@@ -47,6 +48,7 @@ from .pseudolabel import PseudoLabelSequence
 from .quantizer import (
     QuantizerConfig,
     QuantizerState,
+    gumbel_noise,
     init_quantizer_params,
     quantize,
     quantize_backward,
@@ -171,11 +173,16 @@ class TrainState:
         return self.config.mfcc
 
 
-def init_state(config: TrainConfig) -> TrainState:
+def _initial_params(config: TrainConfig) -> dict:
     params = init_encoder_params(config.encoder, derive_seed(config.seeds.model, "encoder"))
     params.update(
         init_quantizer_params(config.quantizer, derive_seed(config.seeds.model, "quantizer"))
     )
+    return params
+
+
+def init_state(config: TrainConfig) -> TrainState:
+    params = _initial_params(config)
     # a new run starts from an empty pool, so the memory the last run's
     # buffers held is free for this state's arrays
     config.scratch_pool.clear()
@@ -242,33 +249,33 @@ class ObjectiveResult:
     usage: np.ndarray | None            # batch-averaged codebook usage (speaker loss)
 
 
-def objective(params: dict, features: np.ndarray, labels, masks, seeds: ObjectiveSeeds,
-              tau: float, config: TrainConfig, grads: bool, alloc=np.empty) -> ObjectiveResult:
-    """The combined loss of a (B, T, D) feature batch with one mask per
-    utterance: encoder forward -> quantize each utterance's tap rows at its
-    masked steps -> contrastive, diversity and content terms, and with
-    grads=True the manual backward into every parameter (FlatArrays).
-    Training and the finite-difference check both evaluate this one
-    function. `alloc` supplies the encoder's batch-shaped buffers and the
-    gradient vector (see numerics.BufferPool)."""
+def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
+              seeds: ObjectiveSeeds, tau: float, config: TrainConfig, grads: bool,
+              alloc=np.empty) -> ObjectiveResult:
+    """The combined loss of a (B, T, D) feature batch and its mask: encoder
+    forward -> quantize the tap rows at the batch's masked steps in one call
+    -> contrastive, diversity and content terms, and with grads=True the
+    manual backward into every parameter (FlatArrays). Training and the
+    finite-difference check both evaluate this one function. `alloc`
+    supplies the encoder's batch-shaped buffers and the gradient vector (see
+    numerics.BufferPool)."""
     enc_cfg = config.encoder
-    out = forward(features, masks, params, enc_cfg, alloc)
+    out = forward(features, mask, params, enc_cfg, alloc)
     if config.speaker_loss:
         qstate = QuantizerState(config.quantizer, params, tau)
-        qouts = [
-            quantize(tap[mask.indices], qstate, seed=noise, hard=config.quantizer_hard)
-            for tap, mask, noise in zip(out.tap, masks, seeds.noise)
-        ]
-        usage = usage_stats(qouts)
+        latent = out.tap.reshape(-1, enc_cfg.model_dim)[mask.rows]
+        noise = gumbel_noise(seeds.noise, mask.counts, config.quantizer)
+        qout = quantize(latent, qstate, noise, hard=config.quantizer_hard)
+        usage = usage_stats(qout)
         div_value, dp_bar = diversity_loss(usage)
-        contr = contrastive_loss(out.tap, qouts, masks, config.weights, seed=seeds.negatives)
+        contr = contrastive_loss(out.tap, qout.q, mask, config.weights, seed=seeds.negatives)
         contrastive_value = contr.value
         num_pos, num_neg = contr.num_positives, contr.num_negatives
     else:
         usage = None
         contrastive_value, div_value = 0.0, 0.0
         num_pos = num_neg = 0
-    cont_value, dlogits = content_loss_batch(out.content_logits, labels, masks)
+    cont_value, dlogits = content_loss_batch(out.content_logits, labels, mask)
     counts = LossCounts(num_pos, num_neg, len(out.mask))
     breakdown = combine(contrastive_value, div_value, cont_value, config.weights, counts)
     if not grads:
@@ -277,14 +284,14 @@ def objective(params: dict, features: np.ndarray, labels, masks, seeds: Objectiv
     param_grads = zero_grads(params, alloc)
     dtap = None
     if config.speaker_loss:
-        dtap = np.stack(contr.dtaps, out=alloc(out.tap.shape))
-        dprobs_row = config.weights.alpha * dp_bar / sum(q.num_frames for q in qouts)
-        for b, (qout, mask) in enumerate(zip(qouts, masks)):
-            dprobs = np.broadcast_to(dprobs_row, qout.probs.shape)
-            dlatent, qgrads = quantize_backward(qout, qstate, contr.dqs[b], dprobs)
-            for key, grad in qgrads.items():
-                param_grads[key] += grad
-            dtap[b, mask.indices] += dlatent
+        dprobs = np.broadcast_to(config.weights.alpha * dp_bar / len(mask), qout.probs.shape)
+        dlatent, qgrads = quantize_backward(qout, qstate, contr.dq, dprobs)
+        for key, grad in qgrads.items():
+            param_grads[key] += grad
+        dtap = alloc(out.tap.shape)
+        dtap.fill(0.0)
+        dlatent += contr.danchors
+        dtap.reshape(-1, enc_cfg.model_dim)[mask.rows] = dlatent
     backward(out, params, enc_cfg, dlogits=config.weights.beta * dlogits,
              dtap=dtap, grads=param_grads, alloc=alloc)
     return ObjectiveResult(breakdown, param_grads, usage)
@@ -316,18 +323,18 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
                 "at the training utterance length"
             )
 
-    masks = [
+    mask = BatchMask.from_indices([
         sample_mask(num_frames, config.encoder,
                     derive_seed(seeds.masking, "mask", step, b), min_spans=1)
         for b in range(len(ids))
-    ]
+    ], num_frames)
     step_seeds = ObjectiveSeeds(
         [derive_seed(seeds.noise, "noise", step, b) for b in range(len(ids))],
         derive_seed(seeds.negatives, "neg", step),
     )
     tau = tau_at(step, config.steps, config.quantizer.tau_start, config.quantizer.tau_end)
     try:
-        result = objective(state.params, features, labels, masks, step_seeds, tau, config,
+        result = objective(state.params, features, labels, mask, step_seeds, tau, config,
                            grads=True, alloc=alloc)
     except NonFiniteActivations as exc:
         bad = [ids[row] for row in exc.rows]
@@ -513,8 +520,13 @@ def save_checkpoint(stem, state: TrainState) -> None:
 
 
 def load_checkpoint(stem) -> TrainState:
+    """Load a checkpoint, refusing a blob that does not match the manifest's
+    length and digest, and a manifest whose entries are not exactly the
+    parameter layout (names and shapes) that the checkpoint's config builds."""
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{stem}.json is not a JSON object")
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {stem}")
     raw = stem.with_suffix(".bin").read_bytes()
@@ -522,14 +534,33 @@ def load_checkpoint(stem) -> TrainState:
             or hashlib.sha256(raw).hexdigest() != meta.get("blob_sha256")):
         raise ValueError(f"{stem}.bin does not match the length and digest in {stem}.json")
     blob = np.frombuffer(raw, dtype="<f8")
+    for entry in ("config", "manifest", "step", "metrics"):
+        if entry not in meta:
+            raise ValueError(f"{stem}.json has no {entry!r} entry")
+    try:
+        config = TrainConfig.from_dict(meta["config"])
+    except TypeError as exc:
+        raise ValueError(f"the config in {stem}.json is not a TrainConfig: {exc}") from exc
+    layout = {key: value.shape for key, value in _initial_params(config).items()}
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for name, offset, shape in meta["manifest"]:
-        prefix, key = name.split("/", 1)
+    for entry in meta["manifest"]:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[1], int) and entry[1] >= 0 and isinstance(entry[2], list)):
+            raise ValueError(f"checkpoint entry {entry!r} in {stem}.json is not "
+                             "[name, offset, shape]")
+        name, offset, shape = entry
+        prefix, _, key = name.partition("/")
+        if prefix not in groups or key in groups[prefix] or layout.get(key) != tuple(shape):
+            raise ValueError(f"checkpoint entry {name} with shape {shape} is not in the "
+                             f"parameter layout of the config in {stem}.json")
         size = int(np.prod(shape)) if shape else 1
         if offset + size > blob.size:
             raise ValueError(f"checkpoint entry {name} runs past the end of {stem}.bin")
         groups[prefix][key] = blob[offset : offset + size].reshape(shape)
-    config = TrainConfig.from_dict(meta["config"])
+    for prefix, group in groups.items():
+        missing = sorted(layout.keys() - group.keys())
+        if missing:
+            raise ValueError(f"checkpoint entry {prefix}/{missing[0]} is missing from {stem}.json")
     params, adam_m, adam_v = (FlatArrays.copy_of(groups[g]) for g in ("param", "adam_m", "adam_v"))
     return TrainState(config, params, adam_m, adam_v, meta["step"], meta["metrics"],
                       pool=config.scratch_pool)
@@ -592,10 +623,10 @@ def grad_check(
         PseudoLabelSequence(rng.integers(0, enc.num_classes, num_frames), enc.num_classes)
         for _ in range(config.batch_size)
     ]
-    masks = [
+    mask = BatchMask.from_indices([
         sample_mask(num_frames, enc, derive_seed(seed, "mask", b), min_spans=1)
         for b in range(config.batch_size)
-    ]
+    ], num_frames)
     seeds = ObjectiveSeeds([derive_seed(seed, "noise", b) for b in range(config.batch_size)],
                            derive_seed(seed, "neg"))
     tau = 1.0
@@ -604,10 +635,10 @@ def grad_check(
     params.update(init_quantizer_params(config.quantizer, derive_seed(seed, "q-params")))
 
     def loss() -> float:
-        return objective(params, features, labels, masks, seeds, tau, config,
+        return objective(params, features, labels, mask, seeds, tau, config,
                          grads=False).breakdown.total
 
-    analytic = objective(params, features, labels, masks, seeds, tau, config,
+    analytic = objective(params, features, labels, mask, seeds, tau, config,
                          grads=True).grads
 
     keys = sorted(params) if groups is None else [

@@ -18,10 +18,10 @@ from scipy import stats
 from speechssl.augment import mix_batch
 from speechssl.corpus import Batch, Utterance, Waveform, synth_corpus
 from speechssl.dsp import mfcc
-from speechssl.encoder import MaskSet
+from speechssl.encoder import BatchMask
 from speechssl.losses import (
     LossWeights,
-    content_loss,
+    content_loss_batch,
     contrastive_loss,
     diversity_loss,
     sample_negatives,
@@ -35,12 +35,12 @@ from speechssl.probe import (
 from speechssl.quantizer import (
     QuantizerConfig,
     QuantizerState,
+    gumbel_noise,
     gumbel_probs,
     init_quantizer_params,
     quantize,
 )
 from speechssl.pseudolabel import PseudoLabelSequence
-from speechssl.quantizer import QuantizeOutput
 from speechssl.trainer import Seeds, TrainConfig, grad_check, load_checkpoint, train
 
 DESK_SEEDS = (0, 1, 2)
@@ -78,7 +78,8 @@ class TestCriterion1LossValueOracles:
         k = 16
         logits = np.zeros((4, k))
         labels = PseudoLabelSequence(np.array([3, 7, 1, 0]), k)
-        content, _ = content_loss(logits, labels, MaskSet.from_indices([0, 1, 2, 3], 4))
+        content, _ = content_loss_batch(logits[None], [labels],
+                                        BatchMask.from_indices([[0, 1, 2, 3]], 4))
         content_err = abs(content - math.log(k))
 
         v = 32
@@ -89,10 +90,8 @@ class TestCriterion1LossValueOracles:
         onehot_div, _ = diversity_loss(onehot)
 
         taps = [np.array([[1.0, 0.0]])]
-        qouts = [QuantizeOutput(np.array([[0.0, 1.0]]), np.full((1, 1, 2), 0.5),
-                                np.zeros((1, 1), dtype=np.int64), True)]
-        masks = [MaskSet.from_indices([0], 1)]
-        contr = contrastive_loss(taps, qouts, masks,
+        q = np.array([[0.0, 1.0]])
+        contr = contrastive_loss(taps, q, BatchMask.from_indices([[0]], 1),
                                  LossWeights(kappa=1.0, num_negatives=0), seed=0)
         contr_err = abs(contr.value - math.log(2.0))
 
@@ -107,37 +106,31 @@ class TestCriterion2BruteForce:
         b, t, d = 3, 6, 8
         taps = [rng.standard_normal((t, d)) for _ in range(b)]
         masks = [
-            MaskSet.from_indices(
-                sorted(rng.choice(t, size=int(rng.integers(2, t + 1)), replace=False)), t
-            )
+            sorted(rng.choice(t, size=int(rng.integers(2, t + 1)), replace=False))
             for _ in range(b)
         ]
-        qouts = [
-            QuantizeOutput(rng.standard_normal((len(m), d)),
-                           np.full((len(m), 1, 2), 0.5),
-                           np.zeros((len(m), 1), dtype=np.int64), True)
-            for m in masks
-        ]
+        qs = [rng.standard_normal((len(m), d)) for m in masks]
+        mask = BatchMask.from_indices(masks, t)
         weights = LossWeights(kappa=0.1, num_negatives=5)
-        got = contrastive_loss(taps, qouts, masks, weights, seed=9)
+        got = contrastive_loss(taps, np.concatenate(qs), mask, weights, seed=9)
 
-        picks, pool, _ = sample_negatives(masks, weights.num_negatives, 9)
+        picks, pool, _ = sample_negatives(mask, weights.num_negatives, 9)
         pos_sum = neg_sum = 0.0
         n_pos = n_neg = 0
         for bi in range(b):
-            anchors = taps[bi][masks[bi].indices]
+            anchors = taps[bi][masks[bi]]
             for i in range(anchors.shape[0]):
                 def cos(x, y):
                     return float(x @ y) / (np.linalg.norm(x) * np.linalg.norm(y))
 
                 pos_sum += -math.log(
-                    1.0 / (1.0 + math.exp(-cos(anchors[i], qouts[bi].q[i]) / weights.kappa))
+                    1.0 / (1.0 + math.exp(-cos(anchors[i], qs[bi][i]) / weights.kappa))
                 )
                 n_pos += 1
                 for j in picks[bi][i]:
                     ob, oi = pool[j]
                     neg_sum += -math.log(
-                        1.0 / (1.0 + math.exp(cos(anchors[i], qouts[ob].q[oi]) / weights.kappa))
+                        1.0 / (1.0 + math.exp(cos(anchors[i], qs[ob][oi]) / weights.kappa))
                     )
                     n_neg += 1
         oracle = 0.5 * (pos_sum / n_pos) + 0.5 * (neg_sum / n_neg)
@@ -302,7 +295,8 @@ class TestCriterion8QuantizerBehavior:
         params = init_quantizer_params(cfg, seed=1)
         rng = np.random.default_rng(3)
         latent = rng.standard_normal((6, 8))
-        out = quantize(latent, QuantizerState(cfg, params, 0.7), seed=5, hard=True)
+        out = quantize(latent, QuantizerState(cfg, params, 0.7),
+                       gumbel_noise([5], [len(latent)], cfg), hard=True)
         row_err = float(np.max(np.abs(out.probs.sum(axis=-1) - 1.0)))
 
         logits = rng.standard_normal((4, 2, 8))

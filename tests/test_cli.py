@@ -224,6 +224,31 @@ def test_pipeline_resume_refuses_bad_checkpoint(pipeline, tmp_path, capsys):
     assert "digest" in capsys.readouterr().err
 
 
+def test_probe_refuses_checkpoint_with_bad_manifest(pipeline, tmp_path, capsys):
+    # the digest covers the blob only, so these edits leave it valid
+    source = pipeline / "run/checkpoint_final"
+    probe = ["probe", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+             "--out", str(tmp_path / "probe")]
+    def proj_w(manifest):
+        return next(entry for entry in manifest if entry[0] == "param/proj/W")
+
+    edits = {
+        "entry bogus/proj/W": lambda m: proj_w(m).__setitem__(0, "bogus/proj/W"),
+        "entry param/proj/W is missing": lambda m: m.remove(proj_w(m)),
+    }
+    for expected, edit in edits.items():
+        stem = tmp_path / "checkpoint"
+        stem.with_suffix(".bin").write_bytes(source.with_suffix(".bin").read_bytes())
+        meta = json.loads(source.with_suffix(".json").read_text())
+        edit(meta["manifest"])
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        assert main([*probe, "--checkpoint", str(stem)]) == 1
+        assert expected in capsys.readouterr().err
+    stem.with_suffix(".json").write_text("[]")
+    assert main([*probe, "--checkpoint", str(stem)]) == 1
+    assert "not a JSON object" in capsys.readouterr().err
+
+
 def test_sweep_mix_rows(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep-mix", "--out", str(out), "--num-speakers", "2",

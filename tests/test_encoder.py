@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from speechssl.dsp import FeatureSequence
 from speechssl.encoder import (
+    BatchMask,
     EncoderConfig,
-    MaskSet,
     NonFiniteActivations,
     backward,
     corrupt,
@@ -111,13 +111,13 @@ class TestSampleMask:
     def test_zero_prob_empty(self):
         cfg = EncoderConfig(mask_start_prob=0.0)
         mask = sample_mask(50, cfg, seed=1)
-        assert len(mask) == 0 and mask.spans == []
+        assert len(mask) == 0
 
     def test_prob_one_full_span(self):
         cfg = EncoderConfig(mask_start_prob=1.0, mask_span=40)
         mask = sample_mask(40, cfg, seed=1)
         assert len(mask) == 40
-        assert mask.spans == [(0, 40)]
+        assert np.array_equal(mask, np.arange(40))
 
     def test_monte_carlo_masked_fraction(self):
         # fraction ~= 1 - (1 - p)^span = 0.5656 for p=0.08, span=10
@@ -129,8 +129,7 @@ class TestSampleMask:
         cfg = EncoderConfig(mask_start_prob=0.2, mask_span=3)
         a = sample_mask(64, cfg, seed=5)
         b = sample_mask(64, cfg, seed=5)
-        assert np.array_equal(a.indices, b.indices)
-        assert a.spans == b.spans
+        assert np.array_equal(a, b)
 
     def test_min_spans_fallback(self):
         cfg = EncoderConfig(mask_start_prob=0.0, mask_span=4)
@@ -138,38 +137,50 @@ class TestSampleMask:
         assert 1 <= len(mask) <= 4
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
-           t=st.integers(min_value=1, max_value=200))
-    @settings(max_examples=60, deadline=None)
-    def test_spans_cover_indices(self, seed, t):
-        cfg = EncoderConfig(mask_start_prob=0.15, mask_span=5)
-        mask = sample_mask(t, cfg, seed=seed)
-        covered = sorted(i for s, l in mask.spans for i in range(s, s + l))
-        assert covered == mask.indices.tolist()
-        assert all(0 <= i < t for i in mask.indices)
+           t=st.integers(min_value=1, max_value=400),
+           span=st.integers(min_value=1, max_value=12),
+           prob=st.sampled_from([0.0, 0.02, 0.08, 0.15, 0.5, 1.0]),
+           min_spans=st.sampled_from([0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_concatenate_and_merge_oracle(self, seed, t, span, prob, min_spans):
+        # oracle: the same seeded draw, then one arange per span start,
+        # concatenated and merged into sorted unique indices
+        cfg = EncoderConfig(mask_start_prob=prob, mask_span=span)
+        rng = np.random.default_rng(seed)
+        starts = np.nonzero(rng.random(t) < prob)[0]
+        if starts.size == 0 and min_spans >= 1:
+            starts = np.array([rng.integers(t)])
+        want = np.unique(np.concatenate(
+            [np.arange(s, min(s + span, t)) for s in starts]
+        ).astype(np.int64)) if starts.size else np.array([], dtype=np.int64)
+        got = sample_mask(t, cfg, seed=seed, min_spans=min_spans)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert all(0 <= i < t for i in got)
 
 
 class TestCorrupt:
     def test_empty_mask_identity(self):
         frames = np.arange(12.0).reshape(4, 3)
-        out = corrupt(frames, MaskSet.empty(4), np.ones(3))
+        out = corrupt(frames, [], np.ones(3))
         assert np.array_equal(out, frames)
 
     def test_single_index(self):
         frames = np.zeros((5, 3))
         emb = np.array([1.0, 2.0, 3.0])
-        out = corrupt(frames, MaskSet.from_indices([3], 5), emb)
+        out = corrupt(frames, [3], emb)
         assert np.array_equal(out[3], emb)
         assert np.all(out[[0, 1, 2, 4]] == 0.0)
 
     def test_full_mask(self):
         frames = np.random.default_rng(0).standard_normal((4, 3))
         emb = np.array([1.0, 2.0, 3.0])
-        out = corrupt(frames, MaskSet.from_indices(range(4), 4), emb)
+        out = corrupt(frames, np.arange(4), emb)
         assert np.all(out == emb)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            MaskSet.from_indices([7], 4)
+            BatchMask.from_indices([[7]], 4)
 
 
 class TestForward:
@@ -178,8 +189,8 @@ class TestForward:
                             ffn_dim=12, num_classes=5, tap_layer=0)
         params = init_encoder_params(cfg, seed=0)
         feats = tiny_features()
-        mask = MaskSet.from_indices([1], feats.num_frames)
-        out = forward(feats.frames[None], [mask], params, cfg)
+        mask = BatchMask.from_indices([[1]], feats.num_frames)
+        out = forward(feats.frames[None], mask, params, cfg)
         expected = feats.frames @ params["proj/W"] + params["proj/b"]
         expected[1] = params["mask_emb"]
         assert np.array_equal(out.tap[0], expected)
@@ -189,10 +200,10 @@ class TestForward:
                             ffn_dim=12, num_classes=5, tap_layer=0)
         params = init_encoder_params(cfg, seed=0)
         feats = tiny_features()
-        mask = MaskSet.from_indices([2], feats.num_frames)
-        out1 = forward(feats.frames[None], [mask], params, cfg)
+        mask = BatchMask.from_indices([[2]], feats.num_frames)
+        out1 = forward(feats.frames[None], mask, params, cfg)
         params["mask_emb"] = params["mask_emb"] + 5.0
-        out2 = forward(feats.frames[None], [mask], params, cfg)
+        out2 = forward(feats.frames[None], mask, params, cfg)
         keep = [0, 1, 3, 4]
         assert np.array_equal(out1.final[0, keep], out2.final[0, keep])
         assert not np.array_equal(out1.final[0, 2], out2.final[0, 2])
@@ -200,7 +211,7 @@ class TestForward:
     def test_shapes(self):
         params = init_encoder_params(TINY, seed=1)
         feats = tiny_features(t=7)
-        out = forward(feats.frames[None], [MaskSet.empty(7)], params, TINY)
+        out = forward(feats.frames[None], BatchMask.from_indices([[]], 7), params, TINY)
         assert out.tap.shape == (1, 7, 8)
         assert out.final.shape == (1, 7, 8)
         assert out.content_logits.shape == (1, 7, 5)
@@ -210,27 +221,27 @@ class TestForward:
     def test_deterministic(self):
         params = init_encoder_params(TINY, seed=1)
         feats = tiny_features(t=6, seed=3)
-        mask = sample_mask(6, TINY, seed=2, min_spans=1)
-        a = forward(feats.frames[None], [mask], params, TINY)
-        b = forward(feats.frames[None], [mask], params, TINY)
+        mask = BatchMask.from_indices([sample_mask(6, TINY, seed=2, min_spans=1)], 6)
+        a = forward(feats.frames[None], mask, params, TINY)
+        b = forward(feats.frames[None], mask, params, TINY)
         assert np.array_equal(a.content_logits, b.content_logits)
         assert np.array_equal(a.tap, b.tap)
 
     def test_batch_order_irrelevant(self):
         params = init_encoder_params(TINY, seed=1)
         batch = [tiny_features(t=5, seed=s) for s in range(3)]
-        mask = MaskSet.empty(5)
-        solo = [forward(f.frames[None], [mask], params, TINY).content_logits for f in batch]
+        mask = BatchMask.from_indices([[]], 5)
+        solo = [forward(f.frames[None], mask, params, TINY).content_logits for f in batch]
         for order in ([2, 0, 1], [1, 2, 0]):
             for pos, idx in enumerate(order):
-                again = forward(batch[idx].frames[None], [mask], params, TINY).content_logits
+                again = forward(batch[idx].frames[None], mask, params, TINY).content_logits
                 assert np.array_equal(again, solo[idx])
 
     def test_matches_reference_implementation(self):
         params = init_encoder_params(TINY, seed=4)
         feats = tiny_features(t=5, seed=9)
-        mask = MaskSet.from_indices([1, 2], 5)
-        out = forward(feats.frames[None], [mask], params, TINY)
+        mask = BatchMask.from_indices([[1, 2]], 5)
+        out = forward(feats.frames[None], mask, params, TINY)
         taps, final, logits = reference_forward(feats.frames, [1, 2], params, TINY)
         assert np.max(np.abs(out.content_logits[0] - logits)) < 1e-10
         assert np.max(np.abs(out.final[0] - final)) < 1e-10
@@ -240,12 +251,13 @@ class TestForward:
     def test_dim_mismatch(self):
         params = init_encoder_params(TINY, seed=0)
         with pytest.raises(ValueError, match="input_dim"):
-            forward(tiny_features(dim=4).frames[None], [MaskSet.empty(5)], params, TINY)
+            forward(tiny_features(dim=4).frames[None], BatchMask.from_indices([[]], 5),
+                    params, TINY)
 
     def test_mask_frame_count_mismatch(self):
         params = init_encoder_params(TINY, seed=0)
         with pytest.raises(ValueError, match="frames"):
-            forward(tiny_features(t=5).frames[None], [MaskSet.empty(9)], params, TINY)
+            forward(tiny_features(t=5).frames[None], BatchMask.from_indices([[]], 9), params, TINY)
 
 
 class TestConfig:
@@ -272,7 +284,7 @@ class TestBackward:
         h = 1e-5
         for feats, mask_indices in (single, batched):
             frames = np.stack([f.frames for f in feats])
-            masks = [MaskSet.from_indices(idx, 5) for idx in mask_indices]
+            masks = BatchMask.from_indices(mask_indices, 5)
             out = forward(frames, masks, params, cfg)
             dlogits = np.cos(out.content_logits)
             dtap = 2.0 * out.tap
@@ -297,14 +309,14 @@ class TestBackward:
                             ffn_dim=12, num_classes=5, tap_layer=2)
         params = init_encoder_params(cfg, seed=3)
         feats = tiny_features(t=4, seed=5)
-        mask = MaskSet.from_indices([1], 4)
-        out = forward(feats.frames[None], [mask], params, cfg)
+        mask = BatchMask.from_indices([[1]], 4)
+        out = forward(feats.frames[None], mask, params, cfg)
         grads = backward(out, params, cfg, dtap=np.ones_like(out.tap))
         assert any(np.any(g != 0) for g in grads.values())
 
     def test_grads_zero_without_upstream(self):
         params = init_encoder_params(TINY, seed=3)
-        out = forward(tiny_features().frames[None], [MaskSet.empty(5)], params, TINY)
+        out = forward(tiny_features().frames[None], BatchMask.from_indices([[]], 5), params, TINY)
         grads = backward(out, params, TINY)
         assert all(np.all(g == 0) for k, g in grads.items() if k.startswith("head"))
 
@@ -318,7 +330,7 @@ class TestBatch:
     def batch(self, seed=0):
         rng = np.random.default_rng(seed)
         frames = rng.standard_normal((len(self.MASKS), self.T, TINY.input_dim))
-        return frames, [MaskSet.from_indices(idx, self.T) for idx in self.MASKS]
+        return frames, BatchMask.from_indices(self.MASKS, self.T)
 
     @staticmethod
     def rel(a, b):
@@ -328,15 +340,15 @@ class TestBatch:
         params = init_encoder_params(TINY, seed=11)
         frames, masks = self.batch()
         out = forward(frames, masks, params, TINY)
-        assert out.num_frames == len(masks) * self.T
-        assert len(out.mask) == sum(len(m) for m in masks)
+        assert out.num_frames == len(self.MASKS) * self.T
+        assert len(out.mask) == sum(len(m) for m in self.MASKS)
         rng = np.random.default_rng(1)
         dlogits = rng.standard_normal(out.content_logits.shape)
         dtap = rng.standard_normal(out.tap.shape)
         grads = backward(out, params, TINY, dlogits=dlogits, dtap=dtap)
         summed = None
-        for b, mask in enumerate(masks):
-            solo = forward(frames[b:b + 1], [mask], params, TINY)
+        for b, idx in enumerate(self.MASKS):
+            solo = forward(frames[b:b + 1], BatchMask.from_indices([idx], self.T), params, TINY)
             assert self.rel(out.content_logits[b], solo.content_logits[0]) < 1e-12
             assert self.rel(out.tap[b], solo.tap[0]) < 1e-12
             for mine, ref in zip(out.layer_outputs, solo.layer_outputs):
@@ -391,9 +403,18 @@ class TestBatch:
 
     def test_one_mask_per_utterance(self):
         params = init_encoder_params(TINY, seed=0)
-        frames, masks = self.batch()
+        frames, _ = self.batch()
         with pytest.raises(ValueError, match="masks"):
-            forward(frames, masks[:-1], params, TINY)
+            forward(frames, BatchMask.from_indices(self.MASKS[:-1], self.T), params, TINY)
+
+    # fewer utterances or more frames than the batch are covered by
+    # test_one_mask_per_utterance and TestForward.test_mask_frame_count_mismatch
+    @pytest.mark.parametrize("batch_size, num_frames", [(5, 6), (4, 5)])
+    def test_mask_shape_must_match_frames(self, batch_size, num_frames):
+        params = init_encoder_params(TINY, seed=0)
+        frames, _ = self.batch()
+        with pytest.raises(ValueError, match="but the batch holds 4 utterances of 6 frames"):
+            forward(frames, BatchMask.from_indices([[]] * batch_size, num_frames), params, TINY)
 
 
 class TestPositions:

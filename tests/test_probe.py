@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from speechssl.dsp import mfcc
-from speechssl.encoder import MaskSet, forward, sample_mask
+from speechssl.encoder import BatchMask, forward, sample_mask
 from speechssl.numerics import derive_seed
 from speechssl.probe import (
     LayerWeights,
@@ -27,8 +27,8 @@ class TestWeightedSum:
 class TestEncodeCorpus:
     def direct(self, state, utt, mask=None):
         feats = mfcc(utt.waveform, state.mfcc_config, meta=utt.id)
-        mask = mask or MaskSet.empty(feats.num_frames)
-        return forward(feats.frames[None], [mask], state.params, state.encoder_config)
+        mask = mask or BatchMask.from_indices([[]], feats.num_frames)
+        return forward(feats.frames[None], mask, state.params, state.encoder_config)
 
     def assert_same_output(self, got, want):
         assert np.array_equal(got.content_logits, want.content_logits)
@@ -63,8 +63,9 @@ class TestEncodeCorpus:
             want = sample_mask(out.num_frames, config.encoder, derive_seed(7, "eval-mask", b),
                                min_spans=1)
             assert len(mask) > 0
-            assert np.array_equal(mask.indices, want.indices)
-            self.assert_same_output(out, self.direct(state, utt, want))
+            assert np.array_equal(mask.rows, want)
+            self.assert_same_output(
+                out, self.direct(state, utt, BatchMask.from_indices([want], out.num_frames)))
 
 
 class TestLooNearestCentroid:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from speechssl.quantizer import (
     QuantizerConfig,
+    QuantizeOutput,
     QuantizerState,
+    gumbel_noise,
     gumbel_probs,
     init_quantizer_params,
     quantize,
@@ -21,6 +23,11 @@ def make_state(tau=1.0, seed=0, **kwargs):
         "latent_dim": 6, "out_dim": 6, **kwargs,
     })
     return QuantizerState(cfg, init_quantizer_params(cfg, seed), tau)
+
+
+def noise(seed, latent, cfg):
+    """One utterance's Gumbel noise for its latent rows."""
+    return gumbel_noise([seed], [len(latent)], cfg)
 
 
 def longdouble_softmax_oracle(logits, noise, tau):
@@ -70,8 +77,8 @@ class TestQuantize:
     def test_single_entry_forced(self):
         state = make_state(num_entries=1)
         rng = np.random.default_rng(0)
-        a = quantize(rng.standard_normal((4, 6)), state, seed=1)
-        b = quantize(rng.standard_normal((4, 6)), state, seed=2)
+        a = quantize(rng.standard_normal((4, 6)), state, gumbel_noise([1], [4], state.config))
+        b = quantize(rng.standard_normal((4, 6)), state, gumbel_noise([2], [4], state.config))
         assert np.array_equal(a.q[0], b.q[0])  # independent of logits
         assert np.all(a.hard_indices == 0)
 
@@ -82,7 +89,7 @@ class TestQuantize:
         latent = np.random.default_rng(5).standard_normal((3, 4))
         max_probs = []
         for tau in (1.0, 0.1, 0.01):
-            out = quantize(latent, QuantizerState(cfg, params, tau), seed=11)
+            out = quantize(latent, QuantizerState(cfg, params, tau), noise(11, latent, cfg))
             max_probs.append(out.probs.max(axis=-1).min())
         assert max_probs[0] < max_probs[1] < max_probs[2]
         assert max_probs[2] > 0.999
@@ -90,8 +97,8 @@ class TestQuantize:
     def test_run_twice_identical(self):
         state = make_state()
         latent = np.random.default_rng(2).standard_normal((5, 6))
-        a = quantize(latent, state, seed=9)
-        b = quantize(latent, state, seed=9)
+        a = quantize(latent, state, noise(9, latent, state.config))
+        b = quantize(latent, state, noise(9, latent, state.config))
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.hard_indices, b.hard_indices)
@@ -99,7 +106,7 @@ class TestQuantize:
     def test_hard_forward_uses_argmax_entries(self):
         state = make_state()
         latent = np.random.default_rng(4).standard_normal((3, 6))
-        out = quantize(latent, state, seed=7, hard=True)
+        out = quantize(latent, state, noise(7, latent, state.config), hard=True)
         codebook = state.params["quant/codebook"]
         for f in range(3):
             picked = np.concatenate([
@@ -123,7 +130,8 @@ class TestQuantize:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            quantize(np.zeros((2, 5)), make_state(), seed=0)
+            state = make_state()
+            quantize(np.zeros((2, 5)), state, gumbel_noise([0], [2], state.config))
 
     def test_soft_mode_gradients_match_finite_differences(self):
         state = make_state(tau=0.7, seed=6)
@@ -133,12 +141,12 @@ class TestQuantize:
 
         def loss(params):
             out = quantize(latent, QuantizerState(state.config, params, 0.7),
-                           seed=13, hard=False)
+                           noise(13, latent, state.config), hard=False)
             return 0.5 * float(np.sum((out.q - target) ** 2)) + float(
                 np.sum(out.probs**2)
             )
 
-        out = quantize(latent, state, seed=13, hard=False)
+        out = quantize(latent, state, noise(13, latent, state.config), hard=False)
         dq = out.q - target
         dprobs = 2.0 * out.probs
         _, grads = quantize_backward(out, state, dq, dprobs)
@@ -162,10 +170,10 @@ class TestQuantize:
         latent = rng.standard_normal((3, 6))
 
         def loss(lat):
-            out = quantize(lat, state, seed=4, hard=False)
+            out = quantize(lat, state, noise(4, lat, state.config), hard=False)
             return float(np.sum(out.q**2))
 
-        out = quantize(latent, state, seed=4, hard=False)
+        out = quantize(latent, state, noise(4, latent, state.config), hard=False)
         dlatent, _ = quantize_backward(out, state, 2.0 * out.q)
         h = 1e-6
         for c in range(latent.size):
@@ -181,45 +189,90 @@ class TestQuantize:
             assert abs(an - fd) / max(abs(an) + abs(fd), 1e-8) < 1e-5
 
 
+class TestBatchedQuantize:
+    """The masked rows of a whole batch go through quantize once, with each
+    utterance's noise drawn from its own seed."""
+
+    SEEDS = (11, 4, 29, 8)
+
+    @staticmethod
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    @pytest.mark.parametrize("hard", [True, False], ids=["hard", "soft"])
+    @pytest.mark.parametrize("counts", [(3, 7, 2, 5), (3, 7, 1, 5)], ids=["rows", "one-row"])
+    def test_equals_per_utterance_calls(self, hard, counts):
+        state = make_state(tau=0.8, seed=5)
+        rng = np.random.default_rng(31)
+        latents = [rng.standard_normal((n, 6)) for n in counts]
+        dqs = [rng.standard_normal((n, 6)) for n in counts]
+        dprobs = [rng.standard_normal((n, 2, 4)) for n in counts]
+        batched = quantize(np.concatenate(latents), state,
+                           gumbel_noise(self.SEEDS, counts, state.config), hard=hard)
+        solo = [quantize(lat, state, noise(seed, lat, state.config), hard=hard)
+                for lat, seed in zip(latents, self.SEEDS)]
+        for field in ("q", "probs", "hard_indices"):
+            got = getattr(batched, field)
+            want = np.concatenate([getattr(out, field) for out in solo])
+            if 1 in counts and field != "hard_indices":
+                # numpy runs a one-row product as a matrix-vector BLAS call,
+                # whose sums may round differently from the matrix product's
+                assert self.rel(got, want) < 1e-14, field
+            else:
+                assert np.array_equal(got, want), field
+
+        dlatent, grads = quantize_backward(batched, state, np.concatenate(dqs),
+                                           np.concatenate(dprobs))
+        summed = {key: np.zeros_like(value) for key, value in grads.items()}
+        solo_dlatent = []
+        for out, dq, dp in zip(solo, dqs, dprobs):
+            dlat, solo_grads = quantize_backward(out, state, dq, dp)
+            solo_dlatent.append(dlat)
+            for key, grad in solo_grads.items():
+                summed[key] += grad
+        assert self.rel(dlatent, np.concatenate(solo_dlatent)) < 1e-12
+        for key in grads:
+            assert self.rel(grads[key], summed[key]) < 1e-12, key
+
+
 class TestUsageStats:
     def test_single_frame_identity(self):
         state = make_state()
-        out = quantize(np.random.default_rng(0).standard_normal((1, 6)), state, seed=3)
-        assert np.array_equal(usage_stats([out]), out.probs[0])
+        latent = np.random.default_rng(0).standard_normal((1, 6))
+        out = quantize(latent, state, noise(3, latent, state.config))
+        assert np.array_equal(usage_stats(out), out.probs[0])
 
     def test_mean_of_one_hots(self):
-        from speechssl.quantizer import QuantizeOutput
-
         probs = np.zeros((2, 1, 2))
         probs[0, 0, 0] = 1.0
         probs[1, 0, 1] = 1.0
         out = QuantizeOutput(np.zeros((2, 4)), probs, np.argmax(probs, -1), True)
-        assert np.allclose(usage_stats([out]), [[0.5, 0.5]])
+        assert np.allclose(usage_stats(out), [[0.5, 0.5]])
 
     def test_matches_naive_sum_oracle(self):
         state = make_state()
         rng = np.random.default_rng(19)
-        outs = [quantize(rng.standard_normal((n, 6)), state, seed=n) for n in (3, 5, 2)]
+        counts = (3, 5, 2)
+        latent = np.concatenate([rng.standard_normal((n, 6)) for n in counts])
+        out = quantize(latent, state, gumbel_noise(counts, counts, state.config))
         # straight-line oracle: accumulate frame by frame
         total = np.zeros((2, 4))
         count = 0
-        for out in outs:
-            for f in range(out.num_frames):
-                total += out.probs[f]
-                count += 1
-        assert np.max(np.abs(usage_stats(outs) - total / count)) < 1e-12
+        for f in range(out.num_frames):
+            total += out.probs[f]
+            count += 1
+        assert np.max(np.abs(usage_stats(out) - total / count)) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            usage_stats([])
+            usage_stats(QuantizeOutput(np.zeros((0, 4)), np.zeros((0, 2, 4)),
+                                       np.zeros((0, 2), dtype=int), True))
 
     def test_row_sums_validated(self):
-        from speechssl.quantizer import QuantizeOutput
-
         bad = QuantizeOutput(np.zeros((1, 4)), np.full((1, 2, 4), 0.3),
                              np.zeros((1, 2), dtype=int), True)
         with pytest.raises(ValueError, match="sum"):
-            usage_stats([bad])
+            usage_stats(bad)
 
 
 class TestTauSchedule:

@@ -7,7 +7,7 @@ import pytest
 from speechssl import trainer
 from speechssl.corpus import make_batch, synth_corpus
 from speechssl.dsp import mfcc
-from speechssl.encoder import MaskSet, forward
+from speechssl.encoder import BatchMask, forward
 from speechssl.numerics import derive_seed
 from speechssl.pseudolabel import PseudoLabelSequence, fit_labels
 from speechssl.trainer import (
@@ -344,9 +344,9 @@ class TestCheckpoint:
             assert np.array_equal(back.adam_v[key], ckpt.adam_v[key]), key
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "ck.json"]
         feats = mfcc(corpus[0].waveform, config.mfcc)
-        mask = MaskSet.empty(feats.num_frames)
-        a = forward(feats.frames[None], [mask], ckpt.params, config.encoder)
-        b = forward(feats.frames[None], [mask], back.params, back.config.encoder)
+        mask = BatchMask.from_indices([[]], feats.num_frames)
+        a = forward(feats.frames[None], mask, ckpt.params, config.encoder)
+        b = forward(feats.frames[None], mask, back.params, back.config.encoder)
         assert np.array_equal(a.content_logits, b.content_logits)
         assert np.array_equal(a.final, b.final)
 
@@ -383,6 +383,72 @@ class TestCheckpoint:
         meta["manifest"][-1][1] += 1
         stem.with_suffix(".json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="past the end"):
+            load_checkpoint(stem)
+
+    @staticmethod
+    def edit_proj_w(stem, edit):
+        """Apply `edit` to the manifest and its param/proj/W entry; the blob
+        and its digest stay valid."""
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        manifest = meta["manifest"]
+        edit(manifest, next(entry for entry in manifest if entry[0] == "param/proj/W"))
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+
+    def test_unknown_group_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
+        self.edit_proj_w(stem, lambda manifest, entry: entry.__setitem__(0, "bogus/proj/W"))
+        with pytest.raises(ValueError, match="entry bogus/proj/W"):
+            load_checkpoint(stem)
+
+    def test_missing_entry_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
+        self.edit_proj_w(stem, lambda manifest, entry: manifest.remove(entry))
+        with pytest.raises(ValueError, match="entry param/proj/W is missing"):
+            load_checkpoint(stem)
+
+    def test_wrong_shape_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
+        self.edit_proj_w(stem, lambda manifest, entry: entry.__setitem__(2, entry[2][::-1]))
+        with pytest.raises(ValueError, match="entry param/proj/W with shape"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("edit", [
+        lambda manifest, entry: entry.__setitem__(2, 3),
+        lambda manifest, entry: entry.__setitem__(0, 7),
+        lambda manifest, entry: entry.__setitem__(1, -1),
+        lambda manifest, entry: entry.pop(),
+    ], ids=["shape-not-list", "name-not-string", "negative-offset", "two-fields"])
+    def test_malformed_entry_rejected(self, two_checkpoints, edit):
+        stem, _ = two_checkpoints
+        self.edit_proj_w(stem, edit)
+        with pytest.raises(ValueError, match=r"is not \[name, offset, shape\]"):
+            load_checkpoint(stem)
+
+    def test_duplicate_entry_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
+        self.edit_proj_w(stem, lambda manifest, entry: manifest.append(list(entry)))
+        with pytest.raises(ValueError, match="entry param/proj/W with shape"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("document", ["[]", "3", "\"checkpoint\""])
+    def test_non_object_json_rejected(self, two_checkpoints, document):
+        stem, _ = two_checkpoints
+        stem.with_suffix(".json").write_text(document)
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda meta: meta.pop("manifest"), "no 'manifest' entry"),
+        (lambda meta: meta.pop("config"), "no 'config' entry"),
+        (lambda meta: meta["config"].update(bogus_key=1), "bogus_key"),
+        (lambda meta: meta["config"]["encoder"].update(bogus_key=1), "bogus_key"),
+    ], ids=["no-manifest", "no-config", "unknown-key", "unknown-nested-key"])
+    def test_bad_metadata_rejected(self, two_checkpoints, edit, expected):
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        edit(meta)
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=expected):
             load_checkpoint(stem)
 
     def test_config_round_trip(self):
