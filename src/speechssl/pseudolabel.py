@@ -16,7 +16,7 @@ from .dsp import FeatureSequence
 from .numerics import rng_from
 from .probe import encode_corpus
 
-FIT_CHUNK = 512   # rows per (chunk, k, d) difference block in _pairwise_sq_dists
+FIT_CHUNK = 512   # rows per block of _nearest; bounds its temporaries
 
 
 @dataclass
@@ -62,18 +62,64 @@ class KmeansModel:
         return self.centers.shape[1]
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Exact (n, k) squared distances via explicit differences.
+def _nearest(points: np.ndarray, centers: np.ndarray):
+    """Exact nearest center of every point, ties broken by lowest index.
 
-    The expanded |x|^2 - 2xc + |c|^2 form rounds asymmetrically, which would
-    break lowest-index tie-breaking on exactly equidistant points.
+    Returns (labels, d2): d2[n] is the squared distance from point n to its
+    center as the explicit-difference contraction einsum(x - c, x - c)
+    gives it.
+
+    Each block of FIT_CHUNK rows is screened with one BLAS product,
+    s = |x|^2 - 2 x.c + |c|^2. The screen s and the explicit-difference
+    value e each lie within a = 2(d+3) eps (|x|^2 + |c|^2) of the true
+    squared distance, and the margin m = 8(d+4) eps (|x|^2 + |c|^2) is more
+    than twice their sum. For the exact argmin j* and any j,
+    s_j* - m_j* <= e_j* <= e_j <= s_j + m_j, so center j* is always among
+    the kept centers, those with s_j - m_j <= min_j (s_j + m_j). Only
+    the kept pairs get the explicit-difference value; the others stay at
+    inf, and argmin picks the label. Labels and d2 are therefore bit for bit
+    those of the full (n, k) explicit-difference matrix, whatever the BLAS
+    threading does to s. A screen that is not a number (overflowing input)
+    keeps its whole row.
+
+    Temporaries stay within one block: at most FIT_CHUNK*k*d floats for the
+    differences (kept pairs are differenced half a block at a time) plus a
+    few (k, FIT_CHUNK) arrays.
     """
-    out = np.empty((points.shape[0], centers.shape[0]))
-    for start in range(0, points.shape[0], FIT_CHUNK):
-        chunk = points[start : start + FIT_CHUNK]
-        diff = chunk[:, None, :] - centers[None, :, :]
-        out[start : start + chunk.shape[0]] = np.einsum("nkd,nkd->nk", diff, diff)
-    return out
+    n, d = points.shape
+    k = centers.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n)
+    sq_points = np.einsum("nd,nd->n", points, points)
+    sq_centers = np.einsum("kd,kd->k", centers, centers)
+    tol = 8 * (d + 4) * np.finfo(np.float64).eps
+    for start in range(0, n, FIT_CHUNK):
+        block = points[start : start + FIT_CHUNK]
+        rows = np.arange(block.shape[0])
+        sq_block = sq_points[start : start + FIT_CHUNK]
+        # (k, rows) layout: the per-point minimum is then a reduction
+        # across k contiguous rows
+        screen = centers @ block.T
+        screen *= -2.0
+        screen += sq_centers[:, None]
+        screen += sq_block
+        margin = np.add.outer(sq_centers, sq_block)
+        margin *= tol
+        bound = np.min(screen + margin, axis=0)
+        screen -= margin
+        # negated so that a NaN screen keeps the pair
+        kept_cols, kept_rows = np.divmod(np.flatnonzero(~(screen > bound)), rows.size)
+        exact = np.full((rows.size, k), np.inf)
+        piece = max(1, exact.size // 2)
+        for lo in range(0, kept_rows.size, piece):
+            r, c = kept_rows[lo : lo + piece], kept_cols[lo : lo + piece]
+            diff = block[r]
+            diff -= centers[c]
+            exact[r, c] = np.einsum("md,md->m", diff, diff)
+        best = np.argmin(exact, axis=1)
+        labels[start : start + rows.size] = best
+        d2[start : start + rows.size] = exact[rows, best]
+    return labels, d2
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,20 +139,23 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
+    """Run Lloyd iterations until the assignment repeats or `max_iters`
+    updates; returns (centers, inertia history, iterations).
+
+    Every history entry is the inertia of the centers at that pass, and the
+    last is that of the returned centers: a run cut off by `max_iters`
+    assigns once more after its last update.
+    """
     history = []
     prev_assign = None
-    iterations = 0
-    for _ in range(max_iters):
-        d2 = _pairwise_sq_dists(points, centers)
-        assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(points.shape[0]), assign].sum()))
-        iterations += 1
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+    for it in range(max_iters + 1):
+        assign, point_d2 = _nearest(points, centers)
+        history.append(float(point_d2.sum()))
+        if it == max_iters or (prev_assign is not None and np.array_equal(assign, prev_assign)):
             break
         prev_assign = assign
         # Reseed empty clusters at the point farthest from its own center;
         # the moved center served no point, so inertia cannot increase.
-        point_d2 = d2[np.arange(points.shape[0]), assign]
         taken: set[int] = set()
         for j in range(centers.shape[0]):
             members = assign == j
@@ -117,7 +166,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
                 far = next(int(i) for i in order if int(i) not in taken)
                 taken.add(far)
                 centers[j] = points[far]
-    return centers, history, iterations
+    return centers, history, min(len(history), max_iters)
 
 
 def kmeans_fit(
@@ -156,11 +205,14 @@ def kmeans_fit(
 def assign(model: KmeansModel, features, source: str = "mfcc") -> PseudoLabelSequence:
     """Label each frame with its nearest center (squared Euclidean,
     ties broken by lowest center index)."""
-    frames = features.frames if isinstance(features, FeatureSequence) else np.asarray(features)
+    frames = features.frames if isinstance(features, FeatureSequence) else features
+    frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[1] != model.dim:
         raise ValueError(f"feature dim {frames.shape[1]} != center dim {model.dim}")
-    d2 = _pairwise_sq_dists(np.asarray(frames, dtype=np.float64), model.centers)
-    return PseudoLabelSequence(np.argmin(d2, axis=1), model.k, source)
+    bad = ~np.isfinite(frames)
+    if bad.any():
+        raise ValueError(f"frame {int(np.argmax(bad.any(axis=1)))} has non-finite values")
+    return PseudoLabelSequence(_nearest(frames, model.centers)[0], model.k, source)
 
 
 def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
@@ -233,11 +285,3 @@ def save_kmeans(stem, model: KmeansModel) -> None:
     header = {"k": model.k, "D": model.dim, "seed": model.seed, "inertia": model.inertia}
     stem.with_suffix(".json").write_text(json.dumps(header) + "\n", encoding="utf-8")
     stem.with_suffix(".f32").write_bytes(model.centers.astype("<f4").tobytes(order="C"))
-
-
-def load_kmeans(stem) -> KmeansModel:
-    stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
-    centers = np.frombuffer(stem.with_suffix(".f32").read_bytes(), dtype="<f4")
-    centers = centers.astype(np.float64).reshape(header["k"], header["D"])
-    return KmeansModel(centers, header["inertia"], 0, header["seed"])
