@@ -114,11 +114,11 @@ def frame_count(num_samples: int, window: int, hop: int) -> int:
     return 1 + (num_samples - window) // hop
 
 
-def _log_mel(waveforms, cfg: MfccConfig, alloc=np.empty) -> np.ndarray:
+def _log_mel(waveforms, cfg: MfccConfig) -> np.ndarray:
     """(B, T, num_mel) floored log mel energies of B equal-length waveforms
     sharing one sample rate. The spectrum is taken one utterance at a time,
-    so its working arrays (from `alloc`) are the size of one utterance's
-    frames whatever B is."""
+    so its working arrays are the size of one utterance's frames whatever
+    B is."""
     rates = {w.sample_rate for w in waveforms}
     if len(rates) != 1:
         raise ValueError(f"waveforms must share one sample rate, got {sorted(rates)}")
@@ -133,8 +133,8 @@ def _log_mel(waveforms, cfg: MfccConfig, alloc=np.empty) -> np.ndarray:
     t = frame_count(length, cfg.window, cfg.hop)
     window = hann_window(cfg.window)
     fb = mel_filterbank(cfg.num_mel, cfg.fft_size, rates.pop())
-    pre, frames = alloc((length,)), alloc((t, cfg.window))
-    power = alloc((t, cfg.fft_size // 2 + 1))
+    pre, frames = np.empty(length), np.empty((t, cfg.window))
+    power = np.empty((t, cfg.fft_size // 2 + 1))
     # frame j of the pre-emphasized signal is pre[hop*j : hop*j + window]
     framed = np.lib.stride_tricks.sliding_window_view(pre, cfg.window)[::cfg.hop]
     mel = np.empty((b, t, cfg.num_mel))
@@ -164,14 +164,12 @@ def _deltas(ceps: np.ndarray, width: int = 2) -> np.ndarray:
     return num / (2.0 * sum(w * w for w in range(1, width + 1)))
 
 
-def mfcc_batch(waveforms, cfg: MfccConfig | None = None, alloc=np.empty) -> np.ndarray:
+def mfcc_batch(waveforms, cfg: MfccConfig | None = None) -> np.ndarray:
     """(B, T, D) MFCC features of B equal-length waveforms at one sample
     rate, computed in one pass; D = num_ceps (x3 with deltas). Utterances
-    never interact, so row b equals mfcc(waveforms[b]) exactly. The
-    spectrum's working arrays come from `alloc(shape)` (np.empty by
-    default; a numerics.BufferPool's `empty` reuses them)."""
+    never interact, so row b equals mfcc(waveforms[b]) exactly."""
     cfg = cfg or MfccConfig()
-    logmel = _log_mel(waveforms, cfg, alloc)
+    logmel = _log_mel(waveforms, cfg)
     ceps = logmel @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
     if cfg.deltas:
         d1 = _deltas(ceps)

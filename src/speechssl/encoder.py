@@ -9,10 +9,7 @@ batched: they take B equal-length utterances stacked as (B, T, D) with one
 BatchMask over their B*T frames. Projection, layer norm, the FFN, the head and the mask
 embedding act row-wise on the B*T frames, and only attention reshapes to
 (B, H, T, dh), so utterances never interact and a single utterance is the
-B=1 case. Every (B*T)-row activation and gradient, and the few
-parameter-shaped temporaries, come from `alloc` (np.empty by default); a
-caller that steps repeatedly passes a numerics.BufferPool's `empty` so that
-a warm step allocates none of them anew.
+B=1 case.
 """
 
 from dataclasses import dataclass, field
@@ -125,8 +122,7 @@ def sample_mask(num_frames: int, cfg: EncoderConfig, seed: int,
     return np.flatnonzero(np.cumsum(edges[:num_frames]))
 
 
-def corrupt(frames: np.ndarray, rows, mask_embedding: np.ndarray,
-            alloc=np.empty) -> np.ndarray:
+def corrupt(frames: np.ndarray, rows, mask_embedding: np.ndarray) -> np.ndarray:
     """Replace the frames at `rows` with the learned mask embedding."""
     frames = np.asarray(frames, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -134,8 +130,7 @@ def corrupt(frames: np.ndarray, rows, mask_embedding: np.ndarray,
         raise ValueError("mask index out of range for this sequence")
     if mask_embedding.shape != (frames.shape[1],):
         raise ValueError("mask embedding dim does not match frames")
-    out = alloc(frames.shape)
-    out[...] = frames
+    out = frames.copy()
     out[rows] = mask_embedding
     return out
 
@@ -204,12 +199,9 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict:
     return params
 
 
-def zero_grads(params: dict, alloc=np.empty) -> FlatArrays:
+def zero_grads(params: dict) -> FlatArrays:
     """Zeros shaped like `params`, as views into one flat vector."""
-    shapes = {k: v.shape for k, v in params.items()}
-    flat = alloc((sum(v.size for v in params.values()),))
-    flat.fill(0.0)
-    return FlatArrays(shapes, flat)
+    return FlatArrays({k: v.shape for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -217,116 +209,112 @@ def zero_grads(params: dict, alloc=np.empty) -> FlatArrays:
 # the batch axis.
 
 
-def _qkv_weights(params, prefix, alloc):
+def _qkv_weights(params, prefix):
     """Wq, Wk and Wv side by side: one (d, 3d) projection whose output rows
     split into the q, k and v heads."""
     parts = [params[f"{prefix}/W{c}"] for c in "qkv"]
     d = parts[0].shape[0]
-    return np.concatenate(parts, axis=1, out=alloc((d, 3 * d)))
+    return np.concatenate(parts, axis=1)
 
 
-def _attention_context(attn, vh, alloc):
+def _attention_context(attn, vh):
     """attn @ v per head, laid out as (B*T, d) rows with the heads side by side."""
     batch, num_heads, t, dh = vh.shape
-    ctx = alloc((batch * t, num_heads * dh))
+    ctx = np.empty((batch * t, num_heads * dh))
     np.matmul(attn, vh, out=ctx.reshape(batch, t, num_heads, dh).transpose(0, 2, 1, 3))
     return ctx
 
 
-def _attention_forward(x, params, prefix, num_heads, batch, alloc):
+def _attention_forward(x, params, prefix, num_heads, batch):
     # the context rows are not cached: backward recomputes them from attn and v
     n, d = x.shape
     t = n // batch
     dh = d // num_heads
-    qkv = np.matmul(x, _qkv_weights(params, prefix, alloc), out=alloc((n, 3 * d)))
+    qkv = x @ _qkv_weights(params, prefix)
     qh, kh, vh = qkv.reshape(batch, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=alloc((batch, num_heads, t, t)))
+    scores = qh @ kh.transpose(0, 1, 3, 2)
     scores /= np.sqrt(dh)
-    attn = softmax(scores, axis=-1, alloc=alloc)
+    attn = softmax(scores, axis=-1)
     del scores
-    out = np.matmul(_attention_context(attn, vh, alloc), params[f"{prefix}/Wo"],
-                    out=alloc((n, d)))
+    out = _attention_context(attn, vh) @ params[f"{prefix}/Wo"]
     return out, (qh, kh, vh, attn)
 
 
-def _attention_backward(cache, x, dout, params, prefix, num_heads, grads, alloc):
+def _attention_backward(cache, x, dout, params, prefix, num_heads, grads):
     """`x` is the attention input, recomputed by the caller rather than cached."""
     qh, kh, vh, attn = cache
     n, d = x.shape
     batch, _, t, dh = qh.shape
-    grads[f"{prefix}/Wo"] += _attention_context(attn, vh, alloc).T @ dout
-    dctx_h = np.matmul(dout, params[f"{prefix}/Wo"].T, out=alloc((n, d)))
+    grads[f"{prefix}/Wo"] += _attention_context(attn, vh).T @ dout
+    dctx_h = dout @ params[f"{prefix}/Wo"].T
     dctx_h = dctx_h.reshape(batch, t, num_heads, dh).transpose(0, 2, 1, 3)
-    # the score gradient is formed before dqkv is allocated, and dies before
+    # the score gradient is formed before dqkv is created, and dies before
     # the last product, which keeps the step's peak memory down
-    dattn = np.matmul(dctx_h, vh.transpose(0, 1, 3, 2), out=alloc(attn.shape))
-    dscores = softmax_backward(attn, dattn, alloc=alloc)
+    dattn = dctx_h @ vh.transpose(0, 1, 3, 2)
+    dscores = softmax_backward(attn, dattn)
     del dattn
     dscores /= np.sqrt(dh)
-    dqkv = alloc((n, 3 * d))                            # rows laid out as qkv
+    dqkv = np.empty((n, 3 * d))                         # rows laid out as qkv
     dqh, dkh, dvh = dqkv.reshape(batch, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
     np.matmul(attn.transpose(0, 1, 3, 2), dctx_h, out=dvh)
     np.matmul(dscores, kh, out=dqh)
     np.matmul(dscores.transpose(0, 1, 3, 2), qh, out=dkh)
     del dscores, dctx_h
-    dw = np.matmul(x.T, dqkv, out=alloc((d, 3 * d)))
+    dw = x.T @ dqkv
     for j, name in enumerate(("Wq", "Wk", "Wv")):
         grads[f"{prefix}/{name}"] += dw[:, j * d:(j + 1) * d]
-    return np.matmul(dqkv, _qkv_weights(params, prefix, alloc).T, out=alloc((n, d)))
+    return dqkv @ _qkv_weights(params, prefix).T
 
 
-def _block_forward(x, params, i, cfg, batch, alloc):
+def _block_forward(x, params, i, cfg, batch):
     # The cache keeps the layer-norm, GELU and attention caches only: backward
     # recomputes the two layer-norm outputs, the GELU output and the attention
     # context from them with the same operations, which keeps the activations
     # held from forward to backward small.
-    n1, c_ln1 = layer_norm_forward(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"],
-                                   alloc=alloc)
-    a, c_attn = _attention_forward(n1, params, f"block{i}/attn", cfg.num_heads, batch, alloc)
+    n1, c_ln1 = layer_norm_forward(x, params[f"block{i}/ln1/g"], params[f"block{i}/ln1/b"])
+    a, c_attn = _attention_forward(n1, params, f"block{i}/attn", cfg.num_heads, batch)
     del n1
     a += x
-    n2, c_ln2 = layer_norm_forward(a, params[f"block{i}/ln2/g"], params[f"block{i}/ln2/b"],
-                                   alloc=alloc)
-    pre = np.matmul(n2, params[f"block{i}/ffn/W1"], out=alloc((x.shape[0], cfg.ffn_dim)))
+    n2, c_ln2 = layer_norm_forward(a, params[f"block{i}/ln2/g"], params[f"block{i}/ln2/b"])
+    pre = n2 @ params[f"block{i}/ffn/W1"]
     del n2
     pre += params[f"block{i}/ffn/b1"]
-    act, c_gelu = gelu_forward(pre, alloc)
-    y = np.matmul(act, params[f"block{i}/ffn/W2"], out=alloc(x.shape))
+    act, c_gelu = gelu_forward(pre)
+    y = act @ params[f"block{i}/ffn/W2"]
     del act
     y += params[f"block{i}/ffn/b2"]
     y += a
     return y, (c_ln1, c_attn, c_ln2, c_gelu)
 
 
-def _block_backward(cache, dy, params, i, cfg, grads, alloc):
+def _block_backward(cache, dy, params, i, cfg, grads):
     # `d` carries the gradient down the block; rebinding it frees each
     # intermediate as soon as the next one exists. dy is consumed: it ends
     # up holding the residual gradient.
     c_ln1, c_attn, c_ln2, c_gelu = cache
-    d, dw2, db2 = linear_backward(gelu_output(c_gelu, alloc), params[f"block{i}/ffn/W2"],
-                                  dy, alloc)
+    d, dw2, db2 = linear_backward(gelu_output(c_gelu), params[f"block{i}/ffn/W2"], dy)
     grads[f"block{i}/ffn/W2"] += dw2
     grads[f"block{i}/ffn/b2"] += db2
-    d = gelu_backward(c_gelu, d, alloc)
-    d, dw1, db1 = linear_backward(layer_norm_output(c_ln2, params[f"block{i}/ln2/b"], alloc),
-                                  params[f"block{i}/ffn/W1"], d, alloc)
+    d = gelu_backward(c_gelu, d)
+    d, dw1, db1 = linear_backward(layer_norm_output(c_ln2, params[f"block{i}/ln2/b"]),
+                                  params[f"block{i}/ffn/W1"], d)
     grads[f"block{i}/ffn/W1"] += dw1
     grads[f"block{i}/ffn/b1"] += db1
-    d, dg2, dbias2 = layer_norm_backward(c_ln2, d, alloc)
+    d, dg2, dbias2 = layer_norm_backward(c_ln2, d)
     grads[f"block{i}/ln2/g"] += dg2
     grads[f"block{i}/ln2/b"] += dbias2
     dy += d                             # the gradient at the attention residual
-    d = _attention_backward(c_attn, layer_norm_output(c_ln1, params[f"block{i}/ln1/b"], alloc),
-                            dy, params, f"block{i}/attn", cfg.num_heads, grads, alloc)
-    d, dg1, dbias1 = layer_norm_backward(c_ln1, d, alloc)
+    d = _attention_backward(c_attn, layer_norm_output(c_ln1, params[f"block{i}/ln1/b"]),
+                            dy, params, f"block{i}/attn", cfg.num_heads, grads)
+    d, dg1, dbias1 = layer_norm_backward(c_ln1, d)
     grads[f"block{i}/ln1/g"] += dg1
     grads[f"block{i}/ln1/b"] += dbias1
     d += dy
     return d
 
 
-def forward(frames: np.ndarray, mask: BatchMask, params: dict, cfg: EncoderConfig,
-            alloc=np.empty) -> EncoderOutput:
+def forward(frames: np.ndarray, mask: BatchMask, params: dict,
+            cfg: EncoderConfig) -> EncoderOutput:
     """Project a (B, T, D) batch, corrupt the frames that `mask` marks, run
     the transformer stack, and emit per-layer outputs plus content logits.
     layer_outputs[0] is the projected corrupted input; layer_outputs[j] is
@@ -349,26 +337,24 @@ def forward(frames: np.ndarray, mask: BatchMask, params: dict, cfg: EncoderConfi
 
     n, d = batch * t, cfg.model_dim
     feats = frames.reshape(n, dim)
-    projected = np.matmul(feats, params["proj/W"], out=alloc((n, d)))
+    projected = feats @ params["proj/W"]
     projected += params["proj/b"]
-    h0 = corrupt(projected, mask.rows, params["mask_emb"], alloc)
+    h0 = corrupt(projected, mask.rows, params["mask_emb"])
     del projected
     layer_outputs = [per_utterance(h0)]
     block_caches = []
     h = h0
     if cfg.num_layers >= 1:
-        h = alloc((n, d))
-        np.add(layer_outputs[0], sinusoidal_positions(t, d), out=per_utterance(h))
+        h = (layer_outputs[0] + sinusoidal_positions(t, d)).reshape(n, d)
         for i in range(cfg.num_layers):
-            h, cache = _block_forward(h, params, i, cfg, batch, alloc)
+            h, cache = _block_forward(h, params, i, cfg, batch)
             finite = np.isfinite(h).reshape(batch, -1).all(axis=1)
             if not finite.all():
                 raise NonFiniteActivations(i, np.flatnonzero(~finite).tolist())
             block_caches.append(cache)
             layer_outputs.append(per_utterance(h))
-    final, c_final = layer_norm_forward(h, params["final_ln/g"], params["final_ln/b"],
-                                        alloc=alloc)
-    logits = np.matmul(final, params["head/W"], out=alloc((n, cfg.num_classes)))
+    final, c_final = layer_norm_forward(h, params["final_ln/g"], params["final_ln/b"])
+    logits = final @ params["head/W"]
     logits += params["head/b"]
     cache = {
         "features": feats,
@@ -383,8 +369,7 @@ def forward(frames: np.ndarray, mask: BatchMask, params: dict, cfg: EncoderConfi
 def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
              dlogits: np.ndarray | None = None,
              dtap: np.ndarray | None = None,
-             grads: dict | None = None,
-             alloc=np.empty) -> dict:
+             grads: dict | None = None) -> dict:
     """Accumulate parameter gradients for upstream gradients arriving at the
     content logits (B, T, C) and/or at the tap layer (B, T, d). Returns the
     grads dict."""
@@ -398,13 +383,12 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
 
     if dlogits is not None:
         dh, dwh, dbh = linear_backward(cache["final"], params["head/W"],
-                                       np.reshape(dlogits, (n, -1)), alloc)
+                                       np.reshape(dlogits, (n, -1)))
         grads["head/W"] += dwh
         grads["head/b"] += dbh
     else:
-        dh = alloc((n, d))
-        dh.fill(0.0)
-    dh, dg, db = layer_norm_backward(cache["final_ln"], dh, alloc)
+        dh = np.zeros((n, d))
+    dh, dg, db = layer_norm_backward(cache["final_ln"], dh)
     grads["final_ln/g"] += dg
     grads["final_ln/b"] += db
 
@@ -412,7 +396,7 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
     for i in reversed(range(cfg.num_layers)):
         if dtap is not None and cfg.tap_layer == i + 1:
             dh += dtap
-        dh = _block_backward(cache["blocks"][i], dh, params, i, cfg, grads, alloc)
+        dh = _block_backward(cache["blocks"][i], dh, params, i, cfg, grads)
     if dtap is not None and cfg.tap_layer == 0:
         dh += dtap
 

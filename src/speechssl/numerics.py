@@ -1,21 +1,22 @@
 """Shared numerical kernels: stable softmax/sigmoid, seeded RNG derivation,
 the linear backward, and forward/backward pairs for layer norm and GELU;
-plus the two containers the train step keeps its arrays in, BufferPool and
-FlatArrays.
+plus FlatArrays, the container the train step keeps its parameters,
+moments and gradients in, and retain_freed_memory, the process's one
+setting of the C heap.
 
 Everything runs in float64. Backward functions return gradients in the same
 shapes as their forward inputs; parameter gradients are returned, never
 accumulated in place, so callers control reduction order. The elementwise
-kernels work in place where they can and take every array they return or
-use as scratch from `alloc(shape)`, np.empty by default. Each such buffer
-is written whole, so a BufferPool's `empty` in its place changes no value:
-on batched activations every temporary is a large allocation, and fresh
-large allocations cost page faults.
+kernels work in place on the arrays they create where they can. On batched
+activations every such array is large; retain_freed_memory keeps the
+memory they free in the C heap, so a warm train step reuses it instead of
+taking page faults on fresh pages.
 """
 
+import ctypes
 import hashlib
 import math
-import sys
+import os
 
 import numpy as np
 from scipy.special import erf, expit
@@ -44,65 +45,17 @@ def rng_from(*parts) -> np.random.Generator:
 # Containers
 
 
-def _idle_refcount() -> int:
-    """What sys.getrefcount reports for a buffer in BufferPool.empty's scan
-    when nothing but the pool's list refers to it (the same loop shape)."""
-    for buf in [np.empty(0)]:
-        return sys.getrefcount(buf)
-
-
-_IDLE_REFCOUNT = _idle_refcount()
-
-
-class BufferPool:
-    """Float64 buffers kept for reuse across calls, by shape.
-
-    `empty(shape)` hands out a held buffer of that shape that nothing but
-    the pool refers to: no live array or view of it exists (a view keeps
-    its base alive). Otherwise it allocates a new one and keeps it. A buffer
-    that outlives a call, such as a returned view, is therefore never handed
-    out twice, and no reset between calls is needed. The pool belongs to
-    its caller, who passes `pool.empty` wherever an `alloc` is taken; once
-    a call's shapes have all been seen, a repeat allocates nothing.
-    """
-
-    def __init__(self):
-        self._held: dict[tuple, list] = {}
-
-    def empty(self, shape) -> np.ndarray:
-        shape = tuple(shape)
-        held = self._held.setdefault(shape, [])
-        for buf in held:
-            if sys.getrefcount(buf) <= _IDLE_REFCOUNT:
-                return buf
-        buf = np.empty(shape)
-        held.append(buf)
-        return buf
-
-    def clear(self) -> None:
-        """Let go of every buffer (those in use stay with their users)."""
-        self._held.clear()
-
-    def __len__(self) -> int:
-        """Number of buffers held."""
-        return sum(len(held) for held in self._held.values())
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for held in self._held.values() for buf in held)
-
-
 class FlatArrays(dict):
-    """Named float64 arrays that are views into one flat vector, `flat`,
-    laid out in sorted key order (the checkpoint's blob order), so an update
+    """Named float64 arrays, zero at first, that are views into one flat
+    vector, `flat`, laid out in sorted key order (the checkpoint's blob order), so an update
     of the whole group is a few vector operations. Write into the entries in
     place: assigning a new array to a key would detach it from `flat`."""
 
-    def __init__(self, shapes: dict, flat: np.ndarray | None = None):
+    def __init__(self, shapes: dict):
         super().__init__()
         keys = sorted(shapes)
         sizes = [math.prod(shapes[k]) for k in keys]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self.flat = np.zeros(sum(sizes))
         offset = 0
         for key, size in zip(keys, sizes):
             super().__setitem__(key, self.flat[offset:offset + size].reshape(shapes[key]))
@@ -117,21 +70,50 @@ class FlatArrays(dict):
 
 
 # ---------------------------------------------------------------------------
+# The C heap
+
+# glibc mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def retain_freed_memory() -> bool:
+    """Keep the memory the process frees for its next arrays (glibc).
+
+    Sets glibc's mmap threshold to 32 MiB, so the train step's arrays come
+    from the heap rather than from fresh mappings, and its trim threshold
+    to 1 GiB, so freed heap memory is not handed back to the kernel. A warm
+    step then reuses the pages the last one freed and takes no page faults.
+    Both are needed: setting the trim threshold alone turns off glibc's
+    dynamic mmap threshold. Applies to the whole process and changes no
+    value. Returns whether both settings took; off glibc it does nothing
+    and returns False."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1)
+
+
+# ---------------------------------------------------------------------------
 # Softmax and friends
 
 
-def softmax(x: np.ndarray, axis: int = -1, alloc=np.empty) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Row-stable softmax (max subtraction)."""
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=alloc(x.shape))
+    e = x - np.max(x, axis=axis, keepdims=True)
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
 
 
-def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1,
-                     alloc=np.empty) -> np.ndarray:
+def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Gradient through softmax given its output `probs`."""
-    out = np.multiply(dprobs, probs, out=alloc(probs.shape))
+    out = dprobs * probs
     inner = np.sum(out, axis=axis, keepdims=True)
     np.subtract(dprobs, inner, out=out)
     out *= probs
@@ -157,10 +139,10 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
 # Linear
 
 
-def linear_backward(x, w, dy, alloc=np.empty):
+def linear_backward(x, w, dy):
     """Returns (dx, dw, db) for y = x @ w + b."""
-    dx = np.matmul(dy, w.T, out=alloc((dy.shape[0], w.shape[0])))
-    dw = np.matmul(x.T, dy, out=alloc(w.shape))
+    dx = dy @ w.T
+    dw = x.T @ dy
     db = dy.sum(axis=0)
     return dx, dw, db
 
@@ -169,34 +151,34 @@ def linear_backward(x, w, dy, alloc=np.empty):
 # Layer norm (normalizes the last axis)
 
 
-def layer_norm_forward(x, gain, bias, eps: float = LN_EPS, alloc=np.empty):
+def layer_norm_forward(x, gain, bias, eps: float = LN_EPS):
     """Returns (y, cache) where cache feeds layer_norm_backward."""
     mu = x.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=alloc(x.shape))
-    var = np.mean(np.multiply(xhat, xhat, out=alloc(x.shape)), axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     cache = (xhat, inv, gain)
-    return layer_norm_output(cache, bias, alloc), cache
+    return layer_norm_output(cache, bias), cache
 
 
-def layer_norm_output(cache, bias, alloc=np.empty):
+def layer_norm_output(cache, bias):
     """gain * xhat + bias from a layer_norm_forward cache: the forward output,
     bit-identical, for callers that recompute it instead of keeping it."""
     xhat, _, gain = cache
-    y = np.multiply(gain, xhat, out=alloc(xhat.shape))
+    y = gain * xhat
     y += bias
     return y
 
 
-def layer_norm_backward(cache, dy, alloc=np.empty):
+def layer_norm_backward(cache, dy):
     """Returns (dx, dgain, dbias)."""
     xhat, inv, gain = cache
     rows = tuple(range(dy.ndim - 1))
-    scratch = np.multiply(dy, xhat, out=alloc(dy.shape))
+    scratch = dy * xhat
     dgain = np.sum(scratch, axis=rows)
     dbias = np.sum(dy, axis=rows)
-    dx = np.multiply(dy, gain, out=alloc(dy.shape))   # dxhat, turned into dx in place
+    dx = dy * gain                      # dxhat, turned into dx in place
     m1 = dx.mean(axis=-1, keepdims=True)
     np.multiply(dx, xhat, out=scratch)
     m2 = np.mean(scratch, axis=-1, keepdims=True)
@@ -211,27 +193,27 @@ def layer_norm_backward(cache, dy, alloc=np.empty):
 # GELU (exact erf form; the erf form keeps finite-difference checks tight)
 
 
-def gelu_forward(x, alloc=np.empty):
+def gelu_forward(x):
     """Returns (y, cache); the cache keeps x and its normal CDF, so that
     gelu_backward needs no second erf."""
-    cdf = np.divide(x, SQRT_2, out=alloc(x.shape))
+    cdf = x / SQRT_2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5                          # 0.5 * (1 + erf(x / sqrt 2))
     cache = (x, cdf)
-    return gelu_output(cache, alloc), cache
+    return gelu_output(cache), cache
 
 
-def gelu_output(cache, alloc=np.empty):
+def gelu_output(cache):
     """x * cdf from a gelu_forward cache: the forward output, bit-identical,
     for callers that recompute it instead of keeping it."""
     x, cdf = cache
-    return np.multiply(x, cdf, out=alloc(x.shape))
+    return x * cdf
 
 
-def gelu_backward(cache, dy, alloc=np.empty):
+def gelu_backward(cache, dy):
     x, cdf = cache
-    dx = np.multiply(x, -0.5, out=alloc(x.shape))     # -0.5 * x
+    dx = x * -0.5
     dx *= x
     np.exp(dx, out=dx)
     dx /= SQRT_2PI                      # the normal pdf at x

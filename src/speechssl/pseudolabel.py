@@ -2,8 +2,10 @@
 
 First-pass labels cluster MFCC frames; later passes re-cluster the frame
 outputs of an intermediate encoder layer from a trained checkpoint. Fitting
-is Lloyd's algorithm with k-means++ seeding, deterministic under the seed,
-with the recorded inertia history guaranteed non-increasing.
+is Lloyd's algorithm with k-means++ seeding, deterministic under the seed.
+No pass raises the recorded inertia in exact arithmetic; in floating point
+a center mean can round away from the optimum, so the history may rise,
+by no more than the rounding error of those means.
 """
 
 import json
@@ -154,18 +156,27 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         if it == max_iters or (prev_assign is not None and np.array_equal(assign, prev_assign)):
             break
         prev_assign = assign
-        # Reseed empty clusters at the point farthest from its own center;
-        # the moved center served no point, so inertia cannot increase.
+        # A cluster whose points all sit on its center keeps it: that is
+        # their mean, which recomputing would only round away. Empty
+        # clusters are reseeded at the point farthest from its own center;
+        # the moved center served no point, so inertia cannot increase. A
+        # point at distance 0 gains nothing from a center of its own, so
+        # when no point is left at a positive distance the empty center
+        # stays where it is.
+        spread = np.bincount(assign, weights=point_d2, minlength=centers.shape[0])
         taken: set[int] = set()
         for j in range(centers.shape[0]):
             members = assign == j
             if members.any():
-                centers[j] = points[members].mean(axis=0)
+                if spread[j] > 0:
+                    centers[j] = points[members].mean(axis=0)
             else:
                 order = np.argsort(-point_d2, kind="stable")
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                centers[j] = points[far]
+                far = next((int(i) for i in order
+                            if int(i) not in taken and point_d2[i] > 0), None)
+                if far is not None:
+                    taken.add(far)
+                    centers[j] = points[far]
     return centers, history, min(len(history), max_iters)
 
 

@@ -11,7 +11,6 @@ backward -> Adam update. Pseudo-labels always come from clean audio; they
 are computed before training and never recomputed from mixed waveforms.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -43,7 +42,7 @@ from .losses import (
     contrastive_loss,
     diversity_loss,
 )
-from .numerics import BufferPool, FlatArrays, derive_seed
+from .numerics import FlatArrays, derive_seed, retain_freed_memory
 from .pseudolabel import PseudoLabelSequence
 from .quantizer import (
     QuantizerConfig,
@@ -58,7 +57,9 @@ from .quantizer import (
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
 CHECKPOINT_FORMAT = "speechssl-checkpoint-v2"
-ADAM_BLOCK = 8192   # elements per block of the flat Adam update (64 KiB per scratch vector)
+
+# once per process: a warm train step reuses the memory the last one freed
+retain_freed_memory()
 
 
 @dataclass
@@ -105,15 +106,6 @@ class TrainConfig:
         if self.quantizer.out_dim != self.encoder.model_dim:
             raise ValueError("quantizer out_dim must equal encoder model_dim")
 
-    @functools.cached_property
-    def scratch_pool(self) -> BufferPool:
-        """The train step's scratch buffers, shared by every state that
-        init_state or load_checkpoint makes from this config object. Not a
-        field: it is not saved, compared or carried over by replace(). A
-        pooled buffer is only handed out while nothing else refers to it,
-        so states that share the pool never see each other's data."""
-        return BufferPool()
-
     @property
     def gain_policy(self) -> GainPolicy:
         if self.gain_fixed is not None:
@@ -148,12 +140,7 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 class TrainState:
     """Everything a run carries from step to step, and what a checkpoint
     saves: the config, parameters, Adam moments and the metrics row of
-    every step so far (1..step). Parameters and moments are FlatArrays.
-
-    `pool` is not saved or compared: it holds the train step's scratch
-    buffers for reuse by the next step (config.scratch_pool for a state from
-    init_state or load_checkpoint), and changes no value. With None, every
-    step allocates afresh."""
+    every step so far (1..step). Parameters and moments are FlatArrays."""
 
     config: TrainConfig
     params: FlatArrays
@@ -162,7 +149,6 @@ class TrainState:
     step: int = 0
     metrics: list = field(default_factory=list)
     last_usage: np.ndarray | None = None  # batch-averaged codebook usage
-    pool: BufferPool | None = field(default=None, repr=False, compare=False)
 
     @property
     def encoder_config(self) -> EncoderConfig:
@@ -182,47 +168,32 @@ def _initial_params(config: TrainConfig) -> dict:
 
 
 def init_state(config: TrainConfig) -> TrainState:
-    params = _initial_params(config)
-    # a new run starts from an empty pool, so the memory the last run's
-    # buffers held is free for this state's arrays
-    config.scratch_pool.clear()
-    params = FlatArrays.copy_of(params)
+    params = FlatArrays.copy_of(_initial_params(config))
     shapes = {k: v.shape for k, v in params.items()}
-    return TrainState(config, params, FlatArrays(shapes), FlatArrays(shapes),
-                      pool=config.scratch_pool)
-
-
-def _allocator(state: TrainState):
-    return np.empty if state.pool is None else state.pool.empty
+    return TrainState(config, params, FlatArrays(shapes), FlatArrays(shapes))
 
 
 def adam_update(state: TrainState, grads: FlatArrays, lr: float, cfg: TrainConfig) -> None:
     """In-place Adam step on the flat parameter, moment and gradient
-    vectors, a block of ADAM_BLOCK elements at a time so the two scratch
-    vectors stay small. Each element sees the operations of the textbook
-    per-array update, in the same order."""
+    vectors. Each element sees the operations of the textbook per-array
+    update, in the same order."""
     t = state.step
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    alloc = _allocator(state)
-    s1, s2 = alloc((ADAM_BLOCK,)), alloc((ADAM_BLOCK,))
-    vectors = (state.params.flat, state.adam_m.flat, state.adam_v.flat, grads.flat)
-    for lo in range(0, grads.flat.size, ADAM_BLOCK):
-        p, m, v, g = (x[lo:lo + ADAM_BLOCK] for x in vectors)
-        a, b = s1[:g.size], s2[:g.size]
-        m *= b1
-        np.multiply(g, 1 - b1, out=a)
-        m += a                                          # b1 m + (1 - b1) g
-        v *= b2
-        np.multiply(g, 1 - b2, out=a)
-        a *= g
-        v += a                                          # b2 v + (1 - b2) g g
-        np.divide(v, 1 - b2**t, out=a)                  # vhat
-        np.sqrt(a, out=a)
-        a += eps
-        np.divide(m, 1 - b1**t, out=b)                  # mhat
-        b *= lr
-        b /= a                                          # lr mhat / (sqrt(vhat) + eps)
-        p -= b
+    p, m, v, g = state.params.flat, state.adam_m.flat, state.adam_v.flat, grads.flat
+    m *= b1
+    a = g * (1 - b1)
+    m += a                                              # b1 m + (1 - b1) g
+    v *= b2
+    np.multiply(g, 1 - b2, out=a)
+    a *= g
+    v += a                                              # b2 v + (1 - b2) g g
+    np.divide(v, 1 - b2**t, out=a)                      # vhat
+    np.sqrt(a, out=a)
+    a += eps
+    b = m / (1 - b1**t)                                 # mhat
+    b *= lr
+    b /= a                                              # lr mhat / (sqrt(vhat) + eps)
+    p -= b
 
 
 def _check_label_provenance(labels) -> None:
@@ -250,17 +221,15 @@ class ObjectiveResult:
 
 
 def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
-              seeds: ObjectiveSeeds, tau: float, config: TrainConfig, grads: bool,
-              alloc=np.empty) -> ObjectiveResult:
+              seeds: ObjectiveSeeds, tau: float, config: TrainConfig,
+              grads: bool) -> ObjectiveResult:
     """The combined loss of a (B, T, D) feature batch and its mask: encoder
     forward -> quantize the tap rows at the batch's masked steps in one call
     -> contrastive, diversity and content terms, and with grads=True the
     manual backward into every parameter (FlatArrays). Training and the
-    finite-difference check both evaluate this one function. `alloc`
-    supplies the encoder's batch-shaped buffers and the gradient vector (see
-    numerics.BufferPool)."""
+    finite-difference check both evaluate this one function."""
     enc_cfg = config.encoder
-    out = forward(features, mask, params, enc_cfg, alloc)
+    out = forward(features, mask, params, enc_cfg)
     if config.speaker_loss:
         qstate = QuantizerState(config.quantizer, params, tau)
         latent = out.tap.reshape(-1, enc_cfg.model_dim)[mask.rows]
@@ -281,19 +250,18 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
     if not grads:
         return ObjectiveResult(breakdown, None, usage)
 
-    param_grads = zero_grads(params, alloc)
+    param_grads = zero_grads(params)
     dtap = None
     if config.speaker_loss:
         dprobs = np.broadcast_to(config.weights.alpha * dp_bar / len(mask), qout.probs.shape)
         dlatent, qgrads = quantize_backward(qout, qstate, contr.dq, dprobs)
         for key, grad in qgrads.items():
             param_grads[key] += grad
-        dtap = alloc(out.tap.shape)
-        dtap.fill(0.0)
+        dtap = np.zeros(out.tap.shape)
         dlatent += contr.danchors
         dtap.reshape(-1, enc_cfg.model_dim)[mask.rows] = dlatent
     backward(out, params, enc_cfg, dlogits=config.weights.beta * dlogits,
-             dtap=dtap, grads=param_grads, alloc=alloc)
+             dtap=dtap, grads=param_grads)
     return ObjectiveResult(breakdown, param_grads, usage)
 
 
@@ -310,8 +278,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
         batch, config.mix_probability, config.gain_policy,
         seed=derive_seed(seeds.mixing, "mix", step),
     )
-    alloc = _allocator(state)
-    features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc, alloc)
+    features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc)
     ids = [u.id for u in mixed.batch.utterances]
     del mixed                           # the mixed audio is not needed past its features
     num_frames = features.shape[1]
@@ -335,7 +302,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     tau = tau_at(step, config.steps, config.quantizer.tau_start, config.quantizer.tau_end)
     try:
         result = objective(state.params, features, labels, mask, step_seeds, tau, config,
-                           grads=True, alloc=alloc)
+                           grads=True)
     except NonFiniteActivations as exc:
         bad = [ids[row] for row in exc.rows]
         raise FloatingPointError(f"step {step}, utterance(s) {bad}: {exc}") from exc
@@ -562,8 +529,7 @@ def load_checkpoint(stem) -> TrainState:
         if missing:
             raise ValueError(f"checkpoint entry {prefix}/{missing[0]} is missing from {stem}.json")
     params, adam_m, adam_v = (FlatArrays.copy_of(groups[g]) for g in ("param", "adam_m", "adam_v"))
-    return TrainState(config, params, adam_m, adam_v, meta["step"], meta["metrics"],
-                      pool=config.scratch_pool)
+    return TrainState(config, params, adam_m, adam_v, meta["step"], meta["metrics"])
 
 
 # ---------------------------------------------------------------------------

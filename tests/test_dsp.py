@@ -17,7 +17,6 @@ from speechssl.dsp import (
     mfcc_batch,
     save_features,
 )
-from speechssl.numerics import BufferPool
 
 
 def tone(freq, duration=1.0, sr=16000, amp=0.5):
@@ -181,15 +180,6 @@ class TestMfccBatch:
         for wav, row in zip(waves, feats):
             assert np.array_equal(row, reference_mfcc(wav.samples, 16000, cfg))
             assert np.array_equal(row, mfcc(wav, cfg).frames)
-
-    def test_pool_reuse_changes_nothing(self):
-        cfg = MfccConfig(deltas=False)
-        pool = BufferPool()
-        first, second = self.batch(seed=1), self.batch(seed=2)
-        mfcc_batch(first, cfg, pool.empty)
-        held = pool.nbytes
-        assert np.array_equal(mfcc_batch(second, cfg, pool.empty), mfcc_batch(second, cfg))
-        assert pool.nbytes == held
 
     def test_rejects_mixed_lengths_and_rates(self):
         with pytest.raises(ValueError, match="length"):

@@ -49,8 +49,10 @@ def explicit_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def explicit_lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     """Oracle: Lloyd's algorithm on the full explicit-difference matrix, with
-    the same empty-cluster reseeding. Returns (centers, history, iterations,
-    reseeds)."""
+    the same center updates: a cluster whose points all sit on its center
+    keeps it, and an empty cluster moves to the point farthest from its own
+    center if that distance is positive. Returns (centers, history,
+    iterations, reseeds)."""
     history, prev, iterations, reseeds = [], None, 0, 0
     rows = np.arange(points.shape[0])
     for _ in range(max_iters):
@@ -66,13 +68,15 @@ def explicit_lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         for j in range(centers.shape[0]):
             members = labels == j
             if members.any():
-                centers[j] = points[members].mean(axis=0)
-            else:
+                if point_d2[members].sum() > 0:     # else its points sit on it
+                    centers[j] = points[members].mean(axis=0)
+                continue
+            far = [int(i) for i in np.argsort(-point_d2, kind="stable")
+                   if int(i) not in taken and point_d2[i] > 0]
+            if far:                             # else no point gains from a move
                 reseeds += 1
-                order = np.argsort(-point_d2, kind="stable")
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                centers[j] = points[far]
+                taken.add(far[0])
+                centers[j] = points[far[0]]
     return centers, history, iterations, reseeds
 
 
@@ -209,8 +213,8 @@ class TestKmeansFit:
         elif name == "ties":
             points, k = rng.integers(-2, 3, size=(120, 2)).astype(np.float64), 6
         else:
-            # 3 distinct points for k = 4: k-means++ repeats a point and
-            # Lloyd reseeds the emptied cluster
+            # 3 distinct points for k = 4: k-means++ repeats a point, and the
+            # emptied cluster stays, as no point lies at a positive distance
             points, k = rng.standard_normal((3, 1))[np.arange(40) % 3], 4
         for seed in range(3):
             (centers, history, iterations), reseeds = explicit_kmeans_fit(points, k, seed, 3)
@@ -219,7 +223,17 @@ class TestKmeansFit:
             assert np.array_equal(model.centers, centers)
             assert model.inertia_history == history
             assert model.iterations_run == iterations
-            assert (reseeds > 0) == (name == "few-distinct")
+            assert reseeds == 0
+
+    def test_few_distinct_points_converge_at_zero_inertia(self):
+        # 3 distinct points for k = 4: no center is moved onto a point that
+        # already holds one, and no mean of equal rows rounds a center away
+        points = np.random.default_rng(21).standard_normal((3, 2))[np.arange(40) % 3]
+        for seed in range(3):
+            model = kmeans_fit(points, 4, seed=seed, restarts=3)
+            assert model.iterations_run <= 3
+            assert model.inertia == 0.0
+            assert model.inertia_history == [0.0] * len(model.inertia_history)
 
     def test_reseed_matches_explicit_lloyd(self):
         # a center far from every point empties at the first pass and is

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -87,22 +88,14 @@ class TestTrainStep:
             train_step(state, batch, tainted, config)
 
 
-def run_steps(state, config, corpus, labels, steps):
-    """metrics rows of `steps` train_steps from `state`, serialized."""
-    rows = []
-    for _ in range(steps):
-        batch = draw_batch(corpus, config, state.step + 1)
-        state, breakdown = train_step(state, batch, [labels[u.id] for u in batch.utterances],
-                                      config)
-        rows.append(json.dumps(breakdown.as_dict()))
-    return rows
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
 
 
-def flat_bytes(state):
-    return [group.flat.tobytes() for group in (state.params, state.adam_m, state.adam_v)]
-
-
-class TestScratchPool:
+class TestWarmStep:
     @pytest.fixture(scope="class")
     def default_setup(self):
         """The default TrainConfig (B=8, L=8000) on a corpus of 8 speakers."""
@@ -112,50 +105,24 @@ class TestScratchPool:
         _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=1)
         return config, corpus, labels
 
+    @pytest.mark.skipif(not on_glibc(), reason="freed memory is kept through glibc's mallopt")
     @pytest.mark.parametrize("speaker_loss", [True, False])
-    def test_pool_stops_growing_after_first_step(self, default_setup, speaker_loss):
+    def test_warm_step_takes_no_page_faults(self, default_setup, speaker_loss):
+        # a warm step reuses the memory the last one freed; without
+        # numerics.retain_freed_memory it takes about 3,800 faults
+        import resource
+
         config, corpus, labels = default_setup
         config = dataclasses.replace(config, speaker_loss=speaker_loss)
         state = init_state(config)
-        sizes = {}
+        faults = []
         for step in range(1, 11):
-            run_steps(state, config, corpus, labels, 1)
-            sizes[step] = (len(state.pool), state.pool.nbytes)
-        assert sizes[1] == sizes[2] == sizes[10]
-        assert sizes[1][0] > 0
-
-    def test_pooled_steps_byte_identical_to_unpooled(self, small_setup):
-        config, corpus, labels = small_setup
-        config = dataclasses.replace(config, steps=20)
-        pooled = init_state(config)
-        plain = init_state(config)
-        plain.pool = None
-        assert pooled.pool is not None
-        assert run_steps(pooled, config, corpus, labels, 20) == \
-            run_steps(plain, config, corpus, labels, 20)
-        assert flat_bytes(pooled) == flat_bytes(plain)
-
-    def test_states_of_one_config_share_its_pool(self, small_setup, tmp_path):
-        config, corpus, labels = small_setup
-        first, second = init_state(config), init_state(config)
-        assert first.pool is second.pool is config.scratch_pool
-        save_checkpoint(tmp_path / "ck", first)
-        loaded = load_checkpoint(tmp_path / "ck")
-        assert loaded.pool is loaded.config.scratch_pool
-        assert dataclasses.replace(config).scratch_pool is not config.scratch_pool
-        run_steps(first, config, corpus, labels, 1)
-        assert len(config.scratch_pool) > 0
-        init_state(config)
-        assert len(config.scratch_pool) == 0       # a new run starts from an empty pool
-        # interleaved steps of two states on one pool match separate runs
-        config = dataclasses.replace(config, steps=4)
-        a, b, alone = init_state(config), init_state(config), init_state(config)
-        alone.pool = None
-        rows_a, rows_b = [], []
-        for _ in range(4):
-            rows_a += run_steps(a, config, corpus, labels, 1)
-            rows_b += run_steps(b, config, corpus, labels, 1)
-        assert rows_a == rows_b == run_steps(alone, config, corpus, labels, 4)
+            batch = draw_batch(corpus, config, step)
+            batch_labels = [labels[u.id] for u in batch.utterances]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train_step(state, batch, batch_labels, config)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert np.median(faults[2:]) <= 64, faults     # warm steps 3-10
 
 
 def loop_adam(params, adam_m, adam_v, grads, step, lr, cfg):
@@ -181,9 +148,6 @@ class TestAdam:
         for group in (state.params, state.adam_m, state.adam_v):
             group.flat[...] = rng.standard_normal(group.flat.size)
         state.adam_v.flat[...] = np.abs(state.adam_v.flat)
-        # more elements than one block, and a tail shorter than a block
-        assert state.params.flat.size > 2 * trainer.ADAM_BLOCK
-        assert state.params.flat.size % trainer.ADAM_BLOCK
         oracle = {name: {k: v.copy() for k, v in group.items()}
                   for name, group in (("p", state.params), ("m", state.adam_m),
                                       ("v", state.adam_v))}
@@ -217,8 +181,8 @@ class TestNonFinite:
         batch, batch_labels = first_batch(config, corpus, labels)
         real = trainer.mfcc_batch
 
-        def poisoned(waveforms, cfg, alloc):
-            feats = real(waveforms, cfg, alloc)
+        def poisoned(waveforms, cfg):
+            feats = real(waveforms, cfg)
             feats[1, 2, 0] = np.nan
             return feats
 
