@@ -1,0 +1,58 @@
+"""Desk-scale ablation runner: one desk set-up, then every (mix_probability,
+speaker_loss) variant trained at every run seed and scored once, by
+tap-layer speaker separability on clean and on overlapped audio.
+"""
+
+from dataclasses import dataclass, replace
+
+from .corpus import synth_corpus
+from .dsp import mfcc
+from .probe import overlapped_corpus, speaker_separability
+from .pseudolabel import fit_labels
+from .trainer import Seeds, TrainConfig, TrainState, train
+
+
+@dataclass
+class DeskSetup:
+    config: TrainConfig
+    corpus: list
+    labels: dict        # utterance id -> PseudoLabelSequence
+    overlap: list       # overlapped_corpus(corpus, seed)
+
+
+@dataclass
+class DeskRun:
+    state: TrainState
+    metrics: list
+    separability_clean: float
+    separability_overlap: float
+
+
+def desk_setup(config: TrainConfig, num_speakers: int = 8, utts_per_speaker: int = 16,
+               seed: int = 0, restarts: int = 3) -> DeskSetup:
+    """synth_corpus -> MFCC -> fit_labels -> overlapped_corpus, all at `seed`."""
+    corpus = synth_corpus(num_speakers, utts_per_speaker,
+                          duration=config.utterance_length / 16000, seed=seed)
+    frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
+    _, labels = fit_labels(frames, config.encoder.num_classes, seed=seed, restarts=restarts)
+    return DeskSetup(config, corpus, labels, overlapped_corpus(corpus, seed=seed))
+
+
+def run_seeds(run_seed: int) -> Seeds:
+    """The six training seeds of run `run_seed`, a thousand apart per run."""
+    return Seeds(*(1000 * run_seed + i for i in range(6)))
+
+
+def run_grid(setup: DeskSetup, variants, seeds) -> dict:
+    """{(mix_probability, speaker_loss, seed): DeskRun}, in variant-major order."""
+    tap = setup.config.encoder.tap_layer
+    runs = {}
+    for p, speaker_loss in variants:
+        for seed in seeds:
+            config = replace(setup.config, mix_probability=p, speaker_loss=speaker_loss,
+                             seeds=run_seeds(seed))
+            state, metrics = train(config, setup.corpus, setup.labels)
+            runs[(p, speaker_loss, seed)] = DeskRun(
+                state, metrics, speaker_separability(state, setup.corpus, tap),
+                speaker_separability(state, setup.overlap, tap))
+    return runs

@@ -166,9 +166,8 @@ def verify_spec(mixed: MixedBatch) -> MixReport:
     return MixReport(not problems, problems)
 
 
-def save_mixspecs(path, batch_index: int, specs: list[MixSpec], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(Path(path), mode, encoding="utf-8") as fh:
+def save_mixspecs(path, batch_index: int, specs: list[MixSpec]) -> None:
+    with open(Path(path), "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "batch_index": batch_index,
             "specs": [

@@ -11,12 +11,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .ablate import desk_setup, run_grid
 from .augment import mix_batch, save_mixspecs, verify_spec
 from .corpus import (
     UtteranceRef,
@@ -34,9 +35,8 @@ from .pseudolabel import (
     save_kmeans,
     save_labels,
 )
-from .probe import ascii_bar_chart, layer_profile, overlapped_corpus, speaker_separability
+from .probe import ascii_bar_chart, layer_profile
 from .trainer import (
-    Seeds,
     TrainConfig,
     grad_check,
     load_checkpoint,
@@ -303,39 +303,36 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep_mix(args) -> int:
     started = time.monotonic()
+    try:
+        grid = [float(item) for item in args.p_grid.split(",")]
+    except ValueError:
+        raise UsageError(f"--p-grid {args.p_grid!r} is not a list of numbers") from None
+    if not all(0.0 <= p <= 1.0 for p in grid) or len(set(grid)) < len(grid):
+        raise UsageError(f"--p-grid {args.p_grid!r} must hold distinct values in [0, 1]")
+    if args.num_seeds < 1:
+        raise UsageError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+    if args.num_speakers < 2 or args.utts_per_speaker < 2:
+        raise UsageError("speaker separability needs --num-speakers >= 2 and "
+                         "--utts-per-speaker >= 2")
+    base = build_train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = build_train_config(args)
-    corpus = synth_corpus(args.num_speakers, args.utts_per_speaker,
-                          duration=base.utterance_length / 16000,
-                          seed=args.corpus_seed)
-    frames = {u.id: mfcc(u.waveform, base.mfcc, meta=u.id).frames for u in corpus}
-    _, labels = fit_labels(frames, base.encoder.num_classes, seed=args.corpus_seed,
-                           restarts=3)
-    overlap_eval = overlapped_corpus(corpus, seed=args.corpus_seed)
-
-    grid = [float(p) for p in args.p_grid.split(",")]
-    run_seeds = list(range(args.num_seeds))
+    setup = desk_setup(base, args.num_speakers, args.utts_per_speaker, seed=args.corpus_seed)
+    seeds = list(range(args.num_seeds))
+    runs = run_grid(setup, [(p, base.speaker_loss) for p in grid], seeds)
     rows = []
-    for p in grid:
-        for run_seed in run_seeds:
-            config = replace(
-                base, mix_probability=p,
-                seeds=Seeds(*(1000 * run_seed + i for i in range(6))),
-            )
-            ckpt, metrics = train(config, corpus, labels)
-            tap = config.encoder.tap_layer
-            rows.append({
-                "p": p,
-                "seed": run_seed,
-                "final_total": metrics[-1]["total"],
-                "mean_total_last_tenth": mean_total_last_tenth(metrics),
-                "separability_clean": speaker_separability(ckpt, corpus, tap),
-                "separability_overlap": speaker_separability(ckpt, overlap_eval, tap),
-            })
-            print(f"p={p} seed={run_seed}: total={rows[-1]['final_total']:.4f} "
-                  f"sep_clean={rows[-1]['separability_clean']:.3f} "
-                  f"sep_overlap={rows[-1]['separability_overlap']:.3f}")
+    for (p, _, seed), run in runs.items():
+        rows.append({
+            "p": p,
+            "seed": seed,
+            "final_total": run.metrics[-1]["total"],
+            "mean_total_last_tenth": mean_total_last_tenth(run.metrics),
+            "separability_clean": run.separability_clean,
+            "separability_overlap": run.separability_overlap,
+        })
+        print(f"p={p} seed={seed}: total={rows[-1]['final_total']:.4f} "
+              f"sep_clean={rows[-1]['separability_clean']:.3f} "
+              f"sep_overlap={rows[-1]['separability_overlap']:.3f}")
     summary = []
     for p in grid:
         group = [r for r in rows if r["p"] == p]
@@ -355,7 +352,7 @@ def cmd_sweep_mix(args) -> int:
               f"{row['mean_separability_clean']:>11.3f} "
               f"{row['mean_separability_overlap']:>13.3f}")
     write_run_manifest(out, "sweep-mix", base.to_dict(),
-                       {"corpus_seed": args.corpus_seed, "run_seeds": run_seeds},
+                       {"corpus_seed": args.corpus_seed, "run_seeds": seeds},
                        [], [out / "sweep.json"], started)
     return 0
 

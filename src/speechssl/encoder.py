@@ -102,17 +102,16 @@ class BatchMask:
                    [idx.size for idx in indices], num_frames)
 
 
-def sample_mask(num_frames: int, cfg: EncoderConfig, seed: int,
-                min_spans: int = 0) -> np.ndarray:
+def sample_mask(num_frames: int, cfg: EncoderConfig, seed: int) -> np.ndarray:
     """Each frame starts a span of `mask_span` frames (clipped at the end)
-    with probability `mask_start_prob`; overlapping spans merge. With
-    min_spans >= 1 a fallback span is placed when nothing was sampled.
-    Returns the masked frame indices, increasing."""
+    with probability `mask_start_prob`; overlapping spans merge. When no
+    frame starts a span, one fallback span starts at a seeded frame, so the
+    mask is never empty. Returns the masked frame indices, increasing."""
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     rng = np.random.default_rng(seed)
     starts = np.nonzero(rng.random(num_frames) < cfg.mask_start_prob)[0]
-    if starts.size == 0 and min_spans >= 1:
+    if starts.size == 0:
         starts = np.array([rng.integers(num_frames)])
     # +1 where a span starts and -1 where it ends: the running sum counts
     # the spans covering each frame
@@ -212,9 +211,7 @@ def zero_grads(params: dict) -> FlatArrays:
 def _qkv_weights(params, prefix):
     """Wq, Wk and Wv side by side: one (d, 3d) projection whose output rows
     split into the q, k and v heads."""
-    parts = [params[f"{prefix}/W{c}"] for c in "qkv"]
-    d = parts[0].shape[0]
-    return np.concatenate(parts, axis=1)
+    return np.concatenate([params[f"{prefix}/W{c}"] for c in "qkv"], axis=1)
 
 
 def _attention_context(attn, vh):

@@ -48,6 +48,10 @@ class LossCounts:
     masked_frames: int = 0
 
 
+class NonFiniteLoss(ValueError):
+    """A LossBreakdown with a non-finite term; the message names every one."""
+
+
 @dataclass
 class LossBreakdown:
     contrastive: float
@@ -58,9 +62,10 @@ class LossBreakdown:
     counts: LossCounts = field(default_factory=LossCounts)
 
     def __post_init__(self):
-        for name in ("contrastive", "diversity", "speaker", "content", "total"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} loss is not finite")
+        terms = [name for name in ("contrastive", "diversity", "speaker", "content", "total")
+                 if not np.isfinite(getattr(self, name))]
+        if terms:
+            raise NonFiniteLoss(f"non-finite loss term(s) {terms}")
 
     def as_dict(self) -> dict:
         return {
@@ -78,10 +83,6 @@ class LossBreakdown:
 def combine(contrastive: float, diversity: float, content: float,
             weights: LossWeights, counts: LossCounts | None = None) -> LossBreakdown:
     """speaker = contrastive + alpha * diversity; total = speaker + beta * content."""
-    for name, value in (("contrastive", contrastive), ("diversity", diversity),
-                        ("content", content)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} input is not finite")
     speaker = contrastive + weights.alpha * diversity
     total = speaker + weights.beta * content
     return LossBreakdown(contrastive, diversity, speaker, content, total,

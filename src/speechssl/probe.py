@@ -50,7 +50,7 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
     for b, utt in enumerate(corpus):
         feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
         indices = [] if mask_seed is None else sample_mask(
-            feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b), min_spans=1)
+            feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b))
         mask = BatchMask.from_indices([indices], feats.num_frames)
         yield utt, forward(feats.frames[None], mask, checkpoint.params, cfg), mask
 

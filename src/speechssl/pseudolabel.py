@@ -227,15 +227,14 @@ def assign(model: KmeansModel, features, source: str = "mfcc") -> PseudoLabelSeq
 
 
 def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
-               max_iters: int = 100, sample_cap: int = 100_000, source: str = "mfcc"):
+               max_iters: int = 100, source: str = "mfcc"):
     """Pool every utterance's (T, D) frames, fit k-means on the pool and
     label each utterance with its nearest centers.
 
     Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
     """
     pooled = np.concatenate(list(frames_by_id.values()), axis=0)
-    model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts,
-                       sample_cap=sample_cap)
+    model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts)
     labels = {uid: assign(model, frames, source=source) for uid, frames in frames_by_id.items()}
     return model, labels
 
@@ -246,9 +245,7 @@ def recluster_from_embeddings(
     tap_layer: int,
     k: int,
     seed: int = 0,
-    max_iters: int = 100,
     restarts: int = 1,
-    sample_cap: int = 100_000,
 ):
     """Second-iteration labels: run the frozen encoder over clean features,
     pool the chosen layer's frame outputs, re-fit k-means and re-assign.
@@ -260,8 +257,8 @@ def recluster_from_embeddings(
         raise ValueError(f"tap_layer {tap_layer} invalid for a {cfg.num_layers}-layer encoder")
     frames = {utt.id: out.layer_outputs[tap_layer][0]
               for utt, out, _ in encode_corpus(checkpoint, corpus)}
-    return fit_labels(frames, k, seed=seed, restarts=restarts, max_iters=max_iters,
-                      sample_cap=sample_cap, source=f"embedding:layer{tap_layer}")
+    return fit_labels(frames, k, seed=seed, restarts=restarts,
+                      source=f"embedding:layer{tap_layer}")
 
 
 # ---------------------------------------------------------------------------

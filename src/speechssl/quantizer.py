@@ -122,7 +122,6 @@ class QuantizeOutput:
     q: np.ndarray
     probs: np.ndarray
     hard_indices: np.ndarray
-    hard: bool
     cache: tuple = field(repr=False, compare=False, default=())
 
     @property
@@ -153,7 +152,7 @@ def quantize(latent: np.ndarray, state: QuantizerState, noise: np.ndarray,
     concat = entries.reshape(f, cfg.num_codebooks * cfg.entry_dim)
     q = concat @ p["quant/proj_out/W"] + p["quant/proj_out/b"]
     cache = (latent, probs, sel, concat)
-    return QuantizeOutput(q, probs, hard_indices, hard, cache)
+    return QuantizeOutput(q, probs, hard_indices, cache)
 
 
 def quantize_backward(output: QuantizeOutput, state: QuantizerState,

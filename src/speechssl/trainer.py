@@ -37,6 +37,7 @@ from .losses import (
     LossBreakdown,
     LossCounts,
     LossWeights,
+    NonFiniteLoss,
     combine,
     content_loss_batch,
     contrastive_loss,
@@ -292,7 +293,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
 
     mask = BatchMask.from_indices([
         sample_mask(num_frames, config.encoder,
-                    derive_seed(seeds.masking, "mask", step, b), min_spans=1)
+                    derive_seed(seeds.masking, "mask", step, b))
         for b in range(len(ids))
     ], num_frames)
     step_seeds = ObjectiveSeeds(
@@ -306,13 +307,9 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     except NonFiniteActivations as exc:
         bad = [ids[row] for row in exc.rows]
         raise FloatingPointError(f"step {step}, utterance(s) {bad}: {exc}") from exc
+    except NonFiniteLoss as exc:
+        raise FloatingPointError(f"step {step}, batch of utterances {ids}: {exc}") from exc
     breakdown = result.breakdown
-    if not np.isfinite(breakdown.total):
-        terms = [k for k, v in breakdown.as_dict().items() if not np.isfinite(v)]
-        raise FloatingPointError(
-            f"non-finite loss at step {step} in term(s) {terms} of the batch of "
-            f"utterances {ids}: {breakdown}"
-        )
     if result.usage is not None:
         state.last_usage = result.usage
 
@@ -590,7 +587,7 @@ def grad_check(
         for _ in range(config.batch_size)
     ]
     mask = BatchMask.from_indices([
-        sample_mask(num_frames, enc, derive_seed(seed, "mask", b), min_spans=1)
+        sample_mask(num_frames, enc, derive_seed(seed, "mask", b))
         for b in range(config.batch_size)
     ], num_frames)
     seeds = ObjectiveSeeds([derive_seed(seed, "noise", b) for b in range(config.batch_size)],

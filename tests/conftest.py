@@ -1,13 +1,11 @@
-"""Shared builders for desk-scale training tests: a small synthetic corpus,
-its MFCC-cluster labels, and a fast TrainConfig."""
+"""Shared builders for desk-scale training tests: a fast TrainConfig and a
+small desk set-up (synthetic corpus and its MFCC-cluster labels) for it."""
 
 import pytest
 
-from speechssl.corpus import synth_corpus
-from speechssl.dsp import mfcc
+from speechssl.ablate import desk_setup
 from speechssl.encoder import EncoderConfig
 from speechssl.losses import LossWeights
-from speechssl.pseudolabel import fit_labels
 from speechssl.quantizer import QuantizerConfig
 from speechssl.trainer import Seeds, TrainConfig
 
@@ -34,16 +32,7 @@ def fast_config(steps=8, seed=0, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def labeled_corpus(config: TrainConfig, num_speakers=3, utts_per_speaker=4, seed=0):
-    duration = config.utterance_length / 16000
-    corpus = synth_corpus(num_speakers, utts_per_speaker, duration=duration, seed=seed)
-    frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
-    _, labels = fit_labels(frames, config.encoder.num_classes, seed=seed, restarts=2)
-    return corpus, labels
-
-
 @pytest.fixture(scope="session")
 def small_setup():
-    config = fast_config()
-    corpus, labels = labeled_corpus(config)
-    return config, corpus, labels
+    setup = desk_setup(fast_config(), num_speakers=3, utts_per_speaker=4, restarts=2)
+    return setup.config, setup.corpus, setup.labels

@@ -1,23 +1,20 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The heavyweight training
-runs (criteria 5-7) share one module-scoped fixture; everything is seeded,
+runs of criteria 6-7 share one module-scoped fixture; everything is seeded,
 so results are bit-reproducible across runs of this suite.
 """
 
 import itertools
-import json
 import math
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from speechssl.ablate import desk_setup, run_grid, run_seeds
 from speechssl.augment import mix_batch
-from speechssl.corpus import Batch, Utterance, Waveform, synth_corpus
-from speechssl.dsp import mfcc
+from speechssl.corpus import Batch, Utterance, Waveform
 from speechssl.encoder import BatchMask
 from speechssl.losses import (
     LossWeights,
@@ -26,12 +23,8 @@ from speechssl.losses import (
     diversity_loss,
     sample_negatives,
 )
-from speechssl.pseudolabel import fit_labels, kmeans_fit
-from speechssl.probe import (
-    masked_prediction_accuracy,
-    overlapped_corpus,
-    speaker_separability,
-)
+from speechssl.pseudolabel import kmeans_fit
+from speechssl.probe import masked_prediction_accuracy
 from speechssl.quantizer import (
     QuantizerConfig,
     QuantizerState,
@@ -41,7 +34,7 @@ from speechssl.quantizer import (
     quantize,
 )
 from speechssl.pseudolabel import PseudoLabelSequence
-from speechssl.trainer import Seeds, TrainConfig, grad_check, load_checkpoint, train
+from speechssl.trainer import TrainConfig, grad_check, load_checkpoint, train
 
 DESK_SEEDS = (0, 1, 2)
 
@@ -51,26 +44,14 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def seed_bundle(run_seed: int) -> Seeds:
-    return Seeds(*(1000 * run_seed + i for i in range(6)))
-
-
 @pytest.fixture(scope="module")
 def desk():
-    """Desk-scale corpus, labels, and the trained runs shared by criteria 6-7:
-    p in {0, 0.2, 0.5} with the speaker loss, plus speaker-loss-off at p=0.2,
-    three seeds each."""
-    config = TrainConfig()  # steps=300, B=8, d=64, N=4, k=16, p=0.2
-    corpus = synth_corpus(8, 16, duration=0.5, seed=0)
-    frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
-    _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=3)
-    runs = {}
-    for p, speaker_loss in ((0.2, True), (0.2, False), (0.0, True), (0.5, True)):
-        for run_seed in DESK_SEEDS:
-            cfg = replace(config, mix_probability=p, speaker_loss=speaker_loss,
-                          seeds=seed_bundle(run_seed))
-            runs[(p, speaker_loss, run_seed)] = train(cfg, corpus, labels)
-    return SimpleNamespace(config=config, corpus=corpus, labels=labels, runs=runs)
+    """Desk-scale corpus, labels, and the trained and scored runs shared by
+    criteria 6-7: p in {0, 0.2, 0.5} with the speaker loss, plus
+    speaker-loss-off at p=0.2, three seeds each."""
+    setup = desk_setup(TrainConfig())  # steps=300, B=8, d=64, N=4, k=16, p=0.2
+    variants = ((0.2, True), (0.2, False), (0.0, True), (0.5, True))
+    return setup, run_grid(setup, variants, DESK_SEEDS)
 
 
 class TestCriterion1LossValueOracles:
@@ -207,10 +188,9 @@ class TestCriterion4MixingStatistics:
 
 class TestCriterion5Determinism:
     def test_identical_runs_and_resume(self, tmp_path):
-        config = TrainConfig(steps=40, checkpoint_every=20, seeds=seed_bundle(4))
-        corpus = synth_corpus(8, 16, duration=0.5, seed=0)
-        frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
-        _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=2)
+        setup = desk_setup(TrainConfig(steps=40, checkpoint_every=20, seeds=run_seeds(4)),
+                           restarts=2)
+        config, corpus, labels = setup.config, setup.corpus, setup.labels
 
         train(config, corpus, labels, out_dir=tmp_path / "a")
         train(config, corpus, labels, out_dir=tmp_path / "b")
@@ -235,9 +215,10 @@ class TestCriterion5Determinism:
 
 class TestCriterion6TrainingBehavior:
     def test_loss_descends(self, desk):
+        _, runs = desk
         worst = 0.0
         for run_seed in DESK_SEEDS:
-            _, metrics = desk.runs[(0.2, True, run_seed)]
+            metrics = runs[(0.2, True, run_seed)].metrics
             first = np.mean([m["total"] for m in metrics[:10]])
             last = np.mean([m["total"] for m in metrics[-len(metrics) // 10:]])
             worst = max(worst, last / first)
@@ -245,25 +226,23 @@ class TestCriterion6TrainingBehavior:
                f"max final/first-10 total-loss ratio {worst:.3f} (< 0.8) over 3 seeds")
 
     def test_masked_prediction_beats_chance(self, desk):
-        k = desk.config.encoder.num_classes
-        accs = []
-        for run_seed in DESK_SEEDS:
-            ckpt, _ = desk.runs[(0.2, True, run_seed)]
-            accs.append(masked_prediction_accuracy(ckpt, desk.corpus, desk.labels,
-                                                   seed=99))
+        setup, runs = desk
+        k = setup.config.encoder.num_classes
+        accs = [
+            masked_prediction_accuracy(runs[(0.2, True, s)].state, setup.corpus,
+                                       setup.labels, seed=99)
+            for s in DESK_SEEDS
+        ]
         passed = min(accs) > 2.0 / k
         report("criterion 6b (masked pseudo-label accuracy)", passed,
                f"accuracies {[f'{a:.3f}' for a in accs]} all > 2/k = {2.0 / k:.3f}")
 
     def test_contrastive_improves_separability(self, desk):
-        tap = desk.config.encoder.tap_layer
-        gaps = []
-        for run_seed in DESK_SEEDS:
-            on, _ = desk.runs[(0.2, True, run_seed)]
-            off, _ = desk.runs[(0.2, False, run_seed)]
-            sep_on = speaker_separability(on, desk.corpus, tap)
-            sep_off = speaker_separability(off, desk.corpus, tap)
-            gaps.append(sep_on - sep_off)
+        _, runs = desk
+        gaps = [
+            runs[(0.2, True, s)].separability_clean - runs[(0.2, False, s)].separability_clean
+            for s in DESK_SEEDS
+        ]
         mean_gap = float(np.mean(gaps))
         report("criterion 6c (speaker separability gain)", mean_gap >= 0.05,
                f"tap-layer separability gap {[f'{g:+.3f}' for g in gaps]}, "
@@ -272,15 +251,11 @@ class TestCriterion6TrainingBehavior:
 
 class TestCriterion7MixingSweep:
     def test_sweep_completes_and_orders(self, desk):
-        overlap_eval = overlapped_corpus(desk.corpus, seed=0)
-        tap = desk.config.encoder.tap_layer
-        means = {}
-        for p in (0.0, 0.2, 0.5):
-            seps = [
-                speaker_separability(desk.runs[(p, True, s)][0], overlap_eval, tap)
-                for s in DESK_SEEDS
-            ]
-            means[p] = float(np.mean(seps))
+        _, runs = desk
+        means = {
+            p: float(np.mean([runs[(p, True, s)].separability_overlap for s in DESK_SEEDS]))
+            for p in (0.0, 0.2, 0.5)
+        }
         passed = means[0.2] >= means[0.0] and means[0.5] >= means[0.0]
         report("criterion 7 (mixing-ratio sweep)", passed,
                "overlap separability means "

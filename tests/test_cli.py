@@ -259,3 +259,18 @@ def test_sweep_mix_rows(tmp_path, capsys):
     assert len(sweep["runs"]) == 3
     printed = capsys.readouterr().out
     assert "sep(overlap)" in printed
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--num-seeds", "0"], "--num-seeds"),
+    (["--p-grid", "0.2,x"], "list of numbers"),
+    (["--p-grid", "1.5"], "distinct values in [0, 1]"),
+    (["--p-grid", "0.2,0.2"], "distinct values in [0, 1]"),
+    (["--num-speakers", "1"], "--num-speakers >= 2"),
+    (["--utts-per-speaker", "1"], "--utts-per-speaker >= 2"),
+])
+def test_sweep_mix_bad_input_is_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep"
+    assert main(["sweep-mix", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()          # refused before anything is built or written

@@ -107,11 +107,6 @@ def reference_forward(feats, mask_indices, params, cfg):
 
 
 class TestSampleMask:
-    def test_zero_prob_empty(self):
-        cfg = EncoderConfig(mask_start_prob=0.0)
-        mask = sample_mask(50, cfg, seed=1)
-        assert len(mask) == 0
-
     def test_prob_one_full_span(self):
         cfg = EncoderConfig(mask_start_prob=1.0, mask_span=40)
         mask = sample_mask(40, cfg, seed=1)
@@ -131,28 +126,29 @@ class TestSampleMask:
         assert np.array_equal(a, b)
 
     def test_min_spans_fallback(self):
+        # no frame starts a span at prob 0: exactly one fallback span is placed
         cfg = EncoderConfig(mask_start_prob=0.0, mask_span=4)
-        mask = sample_mask(32, cfg, seed=3, min_spans=1)
+        mask = sample_mask(32, cfg, seed=3)
         assert 1 <= len(mask) <= 4
+        assert np.array_equal(mask, np.arange(mask[0], mask[0] + len(mask)))
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            t=st.integers(min_value=1, max_value=400),
            span=st.integers(min_value=1, max_value=12),
-           prob=st.sampled_from([0.0, 0.02, 0.08, 0.15, 0.5, 1.0]),
-           min_spans=st.sampled_from([0, 1]))
+           prob=st.sampled_from([0.0, 0.02, 0.08, 0.15, 0.5, 1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_concatenate_and_merge_oracle(self, seed, t, span, prob, min_spans):
+    def test_matches_concatenate_and_merge_oracle(self, seed, t, span, prob):
         # oracle: the same seeded draw, then one arange per span start,
         # concatenated and merged into sorted unique indices
         cfg = EncoderConfig(mask_start_prob=prob, mask_span=span)
         rng = np.random.default_rng(seed)
         starts = np.nonzero(rng.random(t) < prob)[0]
-        if starts.size == 0 and min_spans >= 1:
+        if starts.size == 0:
             starts = np.array([rng.integers(t)])
         want = np.unique(np.concatenate(
             [np.arange(s, min(s + span, t)) for s in starts]
-        ).astype(np.int64)) if starts.size else np.array([], dtype=np.int64)
-        got = sample_mask(t, cfg, seed=seed, min_spans=min_spans)
+        ).astype(np.int64))
+        got = sample_mask(t, cfg, seed=seed)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
         assert all(0 <= i < t for i in got)
@@ -220,7 +216,7 @@ class TestForward:
     def test_deterministic(self):
         params = init_encoder_params(TINY, seed=1)
         feats = tiny_features(t=6, seed=3)
-        mask = BatchMask.from_indices([sample_mask(6, TINY, seed=2, min_spans=1)], 6)
+        mask = BatchMask.from_indices([sample_mask(6, TINY, seed=2)], 6)
         a = forward(feats.frames[None], mask, params, TINY)
         b = forward(feats.frames[None], mask, params, TINY)
         assert np.array_equal(a.content_logits, b.content_logits)

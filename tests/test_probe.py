@@ -60,8 +60,7 @@ class TestEncodeCorpus:
         config, corpus, _ = small_setup
         state = init_state(config)
         for b, (utt, out, mask) in enumerate(encode_corpus(state, corpus, mask_seed=7)):
-            want = sample_mask(out.num_frames, config.encoder, derive_seed(7, "eval-mask", b),
-                               min_spans=1)
+            want = sample_mask(out.num_frames, config.encoder, derive_seed(7, "eval-mask", b))
             assert len(mask) > 0
             assert np.array_equal(mask.rows, want)
             self.assert_same_output(

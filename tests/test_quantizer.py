@@ -246,7 +246,7 @@ class TestUsageStats:
         probs = np.zeros((2, 1, 2))
         probs[0, 0, 0] = 1.0
         probs[1, 0, 1] = 1.0
-        out = QuantizeOutput(np.zeros((2, 4)), probs, np.argmax(probs, -1), True)
+        out = QuantizeOutput(np.zeros((2, 4)), probs, np.argmax(probs, -1))
         assert np.allclose(usage_stats(out), [[0.5, 0.5]])
 
     def test_matches_naive_sum_oracle(self):
@@ -266,11 +266,11 @@ class TestUsageStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             usage_stats(QuantizeOutput(np.zeros((0, 4)), np.zeros((0, 2, 4)),
-                                       np.zeros((0, 2), dtype=int), True))
+                                       np.zeros((0, 2), dtype=int)))
 
     def test_row_sums_validated(self):
         bad = QuantizeOutput(np.zeros((1, 4)), np.full((1, 2, 4), 0.3),
-                             np.zeros((1, 2), dtype=int), True)
+                             np.zeros((1, 2), dtype=int))
         with pytest.raises(ValueError, match="sum"):
             usage_stats(bad)
 

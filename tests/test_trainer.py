@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from speechssl import trainer
-from speechssl.corpus import make_batch, synth_corpus
+from speechssl.ablate import desk_setup
+from speechssl.corpus import make_batch
 from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward
 from speechssl.numerics import derive_seed
-from speechssl.pseudolabel import PseudoLabelSequence, fit_labels
+from speechssl.pseudolabel import PseudoLabelSequence
 from speechssl.trainer import (
     TrainConfig,
     TrainState,
@@ -99,11 +100,8 @@ class TestWarmStep:
     @pytest.fixture(scope="class")
     def default_setup(self):
         """The default TrainConfig (B=8, L=8000) on a corpus of 8 speakers."""
-        config = TrainConfig()
-        corpus = synth_corpus(8, 2, duration=0.5, seed=0)
-        frames = {u.id: mfcc(u.waveform, config.mfcc).frames for u in corpus}
-        _, labels = fit_labels(frames, config.encoder.num_classes, seed=0, restarts=1)
-        return config, corpus, labels
+        setup = desk_setup(TrainConfig(), utts_per_speaker=2, restarts=1)
+        return setup.config, setup.corpus, setup.labels
 
     @pytest.mark.skipif(not on_glibc(), reason="freed memory is kept through glibc's mallopt")
     @pytest.mark.parametrize("speaker_loss", [True, False])
@@ -195,6 +193,20 @@ class TestNonFinite:
         assert repr(batch.utterances[1].id) in message
         assert batch.utterances[0].id not in message
         assert "block 0" in message
+        assert state.step == 0
+
+    def test_nan_loss_names_step_terms_and_utterances(self, small_setup):
+        config, corpus, labels = small_setup
+        batch, batch_labels = first_batch(config, corpus, labels)
+        state = init_state(config)
+        state.params["head/b"][0] = np.nan    # finite activations, NaN content logits
+        with pytest.raises(FloatingPointError) as err:
+            train_step(state, batch, batch_labels, config)
+        message = str(err.value)
+        assert "step 1" in message
+        assert "'content'" in message and "'total'" in message
+        assert "'contrastive'" not in message
+        assert all(repr(u.id) in message for u in batch.utterances)
         assert state.step == 0
 
 
