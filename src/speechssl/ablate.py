@@ -1,9 +1,10 @@
 """Desk-scale ablation runner: one desk set-up, then every (mix_probability,
-speaker_loss) variant trained at every run seed and scored once, by
-tap-layer speaker separability on clean and on overlapped audio.
+speaker_loss) variant trained at every run seed and scored, on first read,
+by tap-layer speaker separability on clean and on overlapped audio.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .corpus import synth_corpus
 from .dsp import mfcc
@@ -22,10 +23,19 @@ class DeskSetup:
 
 @dataclass
 class DeskRun:
+    setup: DeskSetup
     state: TrainState
     metrics: list
-    separability_clean: float
-    separability_overlap: float
+
+    @cached_property
+    def separability_clean(self) -> float:
+        return speaker_separability(self.state, self.setup.corpus,
+                                    self.setup.config.encoder.tap_layer)
+
+    @cached_property
+    def separability_overlap(self) -> float:
+        return speaker_separability(self.state, self.setup.overlap,
+                                    self.setup.config.encoder.tap_layer)
 
 
 def desk_setup(config: TrainConfig, num_speakers: int = 8, utts_per_speaker: int = 16,
@@ -45,14 +55,11 @@ def run_seeds(run_seed: int) -> Seeds:
 
 def run_grid(setup: DeskSetup, variants, seeds) -> dict:
     """{(mix_probability, speaker_loss, seed): DeskRun}, in variant-major order."""
-    tap = setup.config.encoder.tap_layer
     runs = {}
     for p, speaker_loss in variants:
         for seed in seeds:
             config = replace(setup.config, mix_probability=p, speaker_loss=speaker_loss,
                              seeds=run_seeds(seed))
             state, metrics = train(config, setup.corpus, setup.labels)
-            runs[(p, speaker_loss, seed)] = DeskRun(
-                state, metrics, speaker_separability(state, setup.corpus, tap),
-                speaker_separability(state, setup.overlap, tap))
+            runs[(p, speaker_loss, seed)] = DeskRun(setup, state, metrics)
     return runs

@@ -5,7 +5,7 @@ utterance gets one chunk of another batch member (self allowed) added over
 at most half of its samples, so the original speaker stays dominant and
 per-frame labels from the clean audio remain valid. All draws come from a
 single seeded generator consumed in a fixed order (selection, then per
-selected utterance: source, length, target start, source start, gain).
+selected utterance: source, length, target start, source start, SNR).
 
 Recorded MixSpec positions are 1-based to match the sampling definition of
 the chunk bounds; apply/verify converts internally.
@@ -18,23 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Batch, Utterance, Waveform
-
-
-@dataclass(frozen=True)
-class FixedGain:
-    gain: float = 1.0
-
-
-@dataclass(frozen=True)
-class UniformSnrGain:
-    """Gain drawn so the chunk sits at a uniform random SNR (dB) below/above
-    the target region's energy. Falls back to unit gain on silent targets."""
-
-    low_db: float = -5.0
-    high_db: float = 5.0
-
-
-GainPolicy = FixedGain | UniformSnrGain
 
 
 @dataclass
@@ -74,30 +57,24 @@ class MixedBatch:
     clean: Batch
 
 
-def _chunk_gain(policy: GainPolicy, target_region, source_chunk, rng) -> float:
-    if isinstance(policy, FixedGain):
-        return float(policy.gain)
-    snr_db = rng.uniform(policy.low_db, policy.high_db)
+def _chunk_gain(snr_db, target_region, source_chunk, rng) -> float:
+    """Gain that puts the chunk at an SNR (dB) drawn uniformly from
+    `snr_db` = (low, high) against the target region's energy; unit gain
+    when the target region or the chunk is silent."""
+    snr = rng.uniform(*snr_db)
     target_energy = float(np.sum(target_region**2))
     chunk_energy = float(np.sum(source_chunk**2))
     if target_energy == 0.0 or chunk_energy == 0.0:
         return 1.0
-    return float(np.sqrt(target_energy / chunk_energy) * 10.0 ** (-snr_db / 20.0))
+    return float(np.sqrt(target_energy / chunk_energy) * 10.0 ** (-snr / 20.0))
 
 
-def mix_batch(
-    batch: Batch,
-    p: float,
-    gain_policy: GainPolicy | None = None,
-    seed: int = 0,
-    allow_self_mix: bool = True,
-) -> MixedBatch:
+def mix_batch(batch: Batch, p: float, snr_db=(-5.0, 5.0), seed: int = 0) -> MixedBatch:
     """Overlay a random chunk of a random batch member onto each selected
     utterance. Mixed-in chunks always come from the clean batch, so results
     do not depend on the order the selected utterances are processed."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("mixing probability must lie in [0, 1]")
-    gain_policy = gain_policy if gain_policy is not None else UniformSnrGain()
     rng = np.random.default_rng(seed)
     b, length = batch.size, batch.length
     half = length // 2
@@ -109,15 +86,12 @@ def mix_batch(
     selected = np.nonzero(rng.random(b) < p)[0]
     specs: list[MixSpec] = []
     for target in selected:
-        candidates = [i for i in range(b) if allow_self_mix or i != target]
-        if not candidates:
-            raise ValueError("cannot exclude self-mixing in a batch of size 1")
-        source = int(candidates[rng.integers(len(candidates))])
+        source = int(rng.integers(b))
         l = int(rng.integers(1, half + 1))
         s = int(rng.integers(1, length - l + 1))
         s_b = int(rng.integers(1, length - l + 1))
         chunk = clean[source][s_b - 1 : s_b - 1 + l]
-        gain = _chunk_gain(gain_policy, clean[target][s - 1 : s - 1 + l], chunk, rng)
+        gain = _chunk_gain(snr_db, clean[target][s - 1 : s - 1 + l], chunk, rng)
         mixed[target, s - 1 : s - 1 + l] += gain * chunk
         specs.append(MixSpec(int(target), source, l, s, s_b, gain))
 

@@ -245,8 +245,8 @@ def cmd_recluster(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.manifest)
-    layer = args.layer if args.layer is not None else ckpt.encoder_config.tap_layer
-    k = args.k or ckpt.encoder_config.num_classes
+    layer = args.layer if args.layer is not None else ckpt.config.encoder.tap_layer
+    k = args.k if args.k is not None else ckpt.config.encoder.num_classes
     model, labels = recluster_from_embeddings(ckpt, corpus, layer, k, seed=args.seed,
                                               restarts=args.restarts)
     labels_path = out / "labels.jsonl"

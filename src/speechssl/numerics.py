@@ -1,6 +1,6 @@
 """Shared numerical kernels: stable softmax/sigmoid, seeded RNG derivation,
-the linear backward, and forward/backward pairs for layer norm and GELU;
-plus FlatArrays, the container the train step keeps its parameters,
+the linear backward, forward/backward pairs for layer norm and GELU, and
+the one Adam update; plus FlatArrays, the container the train step keeps its parameters,
 moments and gradients in, and retain_freed_memory, the process's one
 setting of the C heap.
 
@@ -47,9 +47,10 @@ def rng_from(*parts) -> np.random.Generator:
 
 class FlatArrays(dict):
     """Named float64 arrays, zero at first, that are views into one flat
-    vector, `flat`, laid out in sorted key order (the checkpoint's blob order), so an update
-    of the whole group is a few vector operations. Write into the entries in
-    place: assigning a new array to a key would detach it from `flat`."""
+    vector, `flat`, laid out in sorted key order, so an update of the whole
+    group is a few vector operations and a checkpoint saves the group as
+    `flat` alone. Write into the entries in place: assigning a new array to
+    a key would detach it from `flat`."""
 
     def __init__(self, shapes: dict):
         super().__init__()
@@ -67,6 +68,26 @@ class FlatArrays(dict):
         for key, value in arrays.items():
             out[key][...] = value
         return out
+
+
+def adam_step(p, m, v, g, t: int, lr: float, b1: float, b2: float, eps: float) -> None:
+    """In-place Adam update of parameters `p` and moments `m`, `v` by the
+    gradient `g` at step t >= 1. Each element sees the operations of the
+    textbook update, in the same order."""
+    m *= b1
+    a = g * (1 - b1)
+    m += a                                              # b1 m + (1 - b1) g
+    v *= b2
+    np.multiply(g, 1 - b2, out=a)
+    a *= g
+    v += a                                              # b2 v + (1 - b2) g g
+    np.divide(v, 1 - b2**t, out=a)                      # vhat
+    np.sqrt(a, out=a)
+    a += eps
+    b = m / (1 - b1**t)                                 # mhat
+    b *= lr
+    b /= a                                              # lr mhat / (sqrt(vhat) + eps)
+    p -= b
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Utterance, Waveform
 from .dsp import mfcc
 from .encoder import BatchMask, forward, sample_mask
-from .numerics import derive_seed, rng_from, softmax, softmax_backward
+from .numerics import adam_step, derive_seed, rng_from, softmax, softmax_backward
 
 
 @dataclass
@@ -46,9 +46,9 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
     derive_seed(mask_seed, "eval-mask", b). A generator, so only the current
     utterance's output (which holds every block's caches) is kept alive.
     """
-    cfg = checkpoint.encoder_config
+    cfg = checkpoint.config.encoder
     for b, utt in enumerate(corpus):
-        feats = mfcc(utt.waveform, checkpoint.mfcc_config, meta=utt.id)
+        feats = mfcc(utt.waveform, checkpoint.config.mfcc, meta=utt.id)
         indices = [] if mask_seed is None else sample_mask(
             feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b))
         mask = BatchMask.from_indices([indices], feats.num_frames)
@@ -99,7 +99,7 @@ def loo_nearest_centroid_accuracy(embeddings: np.ndarray, classes) -> float:
 def speaker_separability(checkpoint, corpus, layer: int) -> float:
     """Leave-one-out nearest-centroid speaker accuracy of utterance-mean
     embeddings at `layer` for a speaker-tagged corpus."""
-    cfg = checkpoint.encoder_config
+    cfg = checkpoint.config.encoder
     if not 0 <= layer <= cfg.num_layers:
         raise ValueError(f"layer {layer} invalid for a {cfg.num_layers}-layer encoder")
     speakers = {u.speaker for u in corpus}
@@ -156,12 +156,7 @@ def fit_layer_weights(
         dlw = np.einsum("nd,lnd->l", drep, outputs)
         grad_theta = softmax_backward(lw, dlw)
         for name, p, g in (("theta", theta, grad_theta), ("w", w, grad_w), ("b", b, grad_b)):
-            m, v = moments[name]
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            p -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+            adam_step(p, *moments[name], g, t, lr, beta1, beta2, eps)
     lw = softmax(theta)
     rep = np.einsum("l,lnd->nd", lw, outputs)
     accuracy = float(np.mean(np.argmax(rep @ w + b, axis=1) == y))

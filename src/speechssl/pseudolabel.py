@@ -197,6 +197,8 @@ def kmeans_fit(
         raise ValueError("frames must be an N x D matrix")
     if not np.all(np.isfinite(points)):
         raise ValueError("frames contain non-finite values")
+    if k < 1 or restarts < 1:
+        raise ValueError(f"k and restarts must be >= 1, got k={k}, restarts={restarts}")
     if points.shape[0] < k:
         raise ValueError(f"need at least k={k} frames, got {points.shape[0]}")
     if sample_cap and points.shape[0] > sample_cap:
@@ -252,7 +254,7 @@ def recluster_from_embeddings(
 
     Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
     """
-    cfg = checkpoint.encoder_config
+    cfg = checkpoint.config.encoder
     if not 0 <= tap_layer <= cfg.num_layers:
         raise ValueError(f"tap_layer {tap_layer} invalid for a {cfg.num_layers}-layer encoder")
     frames = {utt.id: out.layer_outputs[tap_layer][0]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import FixedGain, GainPolicy, UniformSnrGain, mix_batch
+from .augment import mix_batch
 from .corpus import Batch, make_batch
 from .dsp import MfccConfig, mfcc_batch
 from .encoder import (
@@ -43,7 +43,7 @@ from .losses import (
     contrastive_loss,
     diversity_loss,
 )
-from .numerics import FlatArrays, derive_seed, retain_freed_memory
+from .numerics import FlatArrays, adam_step, derive_seed, retain_freed_memory
 from .pseudolabel import PseudoLabelSequence
 from .quantizer import (
     QuantizerConfig,
@@ -57,7 +57,7 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v2"
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v3"
 
 # once per process: a warm train step reuses the memory the last one freed
 retain_freed_memory()
@@ -84,12 +84,10 @@ class TrainConfig:
     adam_beta2: float = 0.98
     adam_eps: float = 1e-6
     mix_probability: float = 0.2
-    gain_fixed: float | None = None       # set to use a fixed mixing gain
     gain_snr_low: float = -5.0
     gain_snr_high: float = 5.0
     quantizer_hard: bool = True
     speaker_loss: bool = True             # ablation: False trains on content only
-    distinct_speakers: bool = True        # draw batches from distinct speakers
     checkpoint_every: int = 0             # 0 = only final
     seeds: Seeds = field(default_factory=Seeds)
     weights: LossWeights = field(default_factory=LossWeights)
@@ -106,12 +104,6 @@ class TrainConfig:
             raise ValueError("quantizer latent_dim must equal encoder model_dim")
         if self.quantizer.out_dim != self.encoder.model_dim:
             raise ValueError("quantizer out_dim must equal encoder model_dim")
-
-    @property
-    def gain_policy(self) -> GainPolicy:
-        if self.gain_fixed is not None:
-            return FixedGain(self.gain_fixed)
-        return UniformSnrGain(self.gain_snr_low, self.gain_snr_high)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -151,14 +143,6 @@ class TrainState:
     metrics: list = field(default_factory=list)
     last_usage: np.ndarray | None = None  # batch-averaged codebook usage
 
-    @property
-    def encoder_config(self) -> EncoderConfig:
-        return self.config.encoder
-
-    @property
-    def mfcc_config(self) -> MfccConfig:
-        return self.config.mfcc
-
 
 def _initial_params(config: TrainConfig) -> dict:
     params = init_encoder_params(config.encoder, derive_seed(config.seeds.model, "encoder"))
@@ -176,25 +160,9 @@ def init_state(config: TrainConfig) -> TrainState:
 
 def adam_update(state: TrainState, grads: FlatArrays, lr: float, cfg: TrainConfig) -> None:
     """In-place Adam step on the flat parameter, moment and gradient
-    vectors. Each element sees the operations of the textbook per-array
-    update, in the same order."""
-    t = state.step
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    p, m, v, g = state.params.flat, state.adam_m.flat, state.adam_v.flat, grads.flat
-    m *= b1
-    a = g * (1 - b1)
-    m += a                                              # b1 m + (1 - b1) g
-    v *= b2
-    np.multiply(g, 1 - b2, out=a)
-    a *= g
-    v += a                                              # b2 v + (1 - b2) g g
-    np.divide(v, 1 - b2**t, out=a)                      # vhat
-    np.sqrt(a, out=a)
-    a += eps
-    b = m / (1 - b1**t)                                 # mhat
-    b *= lr
-    b /= a                                              # lr mhat / (sqrt(vhat) + eps)
-    p -= b
+    vectors: one pass over every parameter at once."""
+    adam_step(state.params.flat, state.adam_m.flat, state.adam_v.flat, grads.flat,
+              state.step, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
 def _check_label_provenance(labels) -> None:
@@ -276,7 +244,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     seeds = config.seeds
 
     mixed = mix_batch(
-        batch, config.mix_probability, config.gain_policy,
+        batch, config.mix_probability, (config.gain_snr_low, config.gain_snr_high),
         seed=derive_seed(seeds.mixing, "mix", step),
     )
     features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc)
@@ -325,7 +293,7 @@ def draw_batch(corpus, config: TrainConfig, step: int) -> Batch:
     negatives, so same-speaker collisions would push a speaker apart)."""
     seed = derive_seed(config.seeds.data, "batch", step)
     speakers = sorted({u.speaker for u in corpus if u.speaker is not None})
-    stratify = (config.distinct_speakers and len(speakers) >= config.batch_size
+    stratify = (len(speakers) >= config.batch_size
                 and all(u.speaker is not None for u in corpus))
     if not stratify:
         return make_batch(corpus, config.batch_size, config.utterance_length, seed)
@@ -374,6 +342,8 @@ def train(
     metrics, metrics.jsonl and summary.json equal the uninterrupted run's.
     A resumed state is continued in place and must carry the same config.
     """
+    if until_step is not None and until_step < 1:
+        raise ValueError(f"until_step must be >= 1, got {until_step}")
     missing = [u.id for u in corpus if u.id not in labels_by_id]
     if missing:
         raise ValueError(f"no labels for utterances: {missing[:5]}")
@@ -393,7 +363,7 @@ def train(
     else:
         state = init_state(config)
     metrics = state.metrics
-    last_step = min(until_step or config.steps, config.steps)
+    last_step = config.steps if until_step is None else min(until_step, config.steps)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_fh = None
@@ -445,10 +415,12 @@ def write_usage_histogram(path, p_bar: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: {stem}.json metadata + {stem}.bin float64 little-endian blob.
+# Checkpointing: {stem}.json metadata (format, step, config, metrics rows and
+# the blob's length and sha256) + {stem}.bin, the float64 little-endian
+# concatenation of the params, adam_m and adam_v flat vectors. The config
+# fixes the layout of all three, so it is the only layout the metadata keeps.
 # Each file is written to a temporary name and renamed into place, the blob
-# first; the metadata records the blob's length and sha256, so a torn or
-# mismatched pair is refused on load.
+# first, so a torn or mismatched pair is refused on load.
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -459,22 +431,12 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 def save_checkpoint(stem, state: TrainState) -> None:
     stem = Path(stem)
-    manifest = []
-    chunks = []
-    offset = 0
-    groups = (("param", state.params), ("adam_m", state.adam_m), ("adam_v", state.adam_v))
-    for prefix, group in groups:
-        for key in sorted(group):
-            arr = np.ascontiguousarray(group[key], dtype=np.float64)
-            manifest.append([f"{prefix}/{key}", offset, list(arr.shape)])
-            chunks.append(arr.reshape(-1))
-            offset += arr.size
-    blob = np.concatenate(chunks).astype("<f8").tobytes()
+    blob = b"".join(group.flat.astype("<f8").tobytes()
+                    for group in (state.params, state.adam_m, state.adam_v))
     meta = {
         "format": CHECKPOINT_FORMAT,
         "step": state.step,
         "config": state.config.to_dict(),
-        "manifest": manifest,
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "metrics": state.metrics,
@@ -484,9 +446,9 @@ def save_checkpoint(stem, state: TrainState) -> None:
 
 
 def load_checkpoint(stem) -> TrainState:
-    """Load a checkpoint, refusing a blob that does not match the manifest's
-    length and digest, and a manifest whose entries are not exactly the
-    parameter layout (names and shapes) that the checkpoint's config builds."""
+    """Load a checkpoint, refusing a blob that does not match the metadata's
+    length and digest, or whose size is not that of the parameters and two
+    Adam moments that the checkpoint's own config builds."""
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
     if not isinstance(meta, dict):
@@ -497,36 +459,23 @@ def load_checkpoint(stem) -> TrainState:
     if (len(raw) != meta.get("blob_bytes")
             or hashlib.sha256(raw).hexdigest() != meta.get("blob_sha256")):
         raise ValueError(f"{stem}.bin does not match the length and digest in {stem}.json")
-    blob = np.frombuffer(raw, dtype="<f8")
-    for entry in ("config", "manifest", "step", "metrics"):
+    for entry in ("config", "step", "metrics"):
         if entry not in meta:
             raise ValueError(f"{stem}.json has no {entry!r} entry")
     try:
         config = TrainConfig.from_dict(meta["config"])
     except TypeError as exc:
         raise ValueError(f"the config in {stem}.json is not a TrainConfig: {exc}") from exc
-    layout = {key: value.shape for key, value in _initial_params(config).items()}
-    groups = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for entry in meta["manifest"]:
-        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
-                and isinstance(entry[1], int) and entry[1] >= 0 and isinstance(entry[2], list)):
-            raise ValueError(f"checkpoint entry {entry!r} in {stem}.json is not "
-                             "[name, offset, shape]")
-        name, offset, shape = entry
-        prefix, _, key = name.partition("/")
-        if prefix not in groups or key in groups[prefix] or layout.get(key) != tuple(shape):
-            raise ValueError(f"checkpoint entry {name} with shape {shape} is not in the "
-                             f"parameter layout of the config in {stem}.json")
-        size = int(np.prod(shape)) if shape else 1
-        if offset + size > blob.size:
-            raise ValueError(f"checkpoint entry {name} runs past the end of {stem}.bin")
-        groups[prefix][key] = blob[offset : offset + size].reshape(shape)
-    for prefix, group in groups.items():
-        missing = sorted(layout.keys() - group.keys())
-        if missing:
-            raise ValueError(f"checkpoint entry {prefix}/{missing[0]} is missing from {stem}.json")
-    params, adam_m, adam_v = (FlatArrays.copy_of(groups[g]) for g in ("param", "adam_m", "adam_v"))
-    return TrainState(config, params, adam_m, adam_v, meta["step"], meta["metrics"])
+    state = init_state(config)
+    n = state.params.flat.size
+    if len(raw) != 3 * 8 * n:
+        raise ValueError(f"{stem}.bin holds {len(raw) / 8:.12g} floats, but the config in "
+                         f"{stem}.json needs 3 x {n} = {3 * n} (parameters, adam_m, adam_v)")
+    blob = np.frombuffer(raw, dtype="<f8")
+    for i, group in enumerate((state.params, state.adam_m, state.adam_v)):
+        group.flat[...] = blob[i * n : (i + 1) * n]
+    state.step, state.metrics = meta["step"], meta["metrics"]
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,19 @@ def test_pipeline_labels_format(pipeline):
     assert all(0 <= l < 16 for l in first["labels"])
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("cluster", ["--k", "0"], "k=0"),
+    ("cluster", ["--restarts", "0"], "restarts=0"),
+    ("recluster", ["--k", "0"], "k=0"),
+])
+def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, named):
+    inputs = {"cluster": ["--features", str(pipeline / "features")],
+              "recluster": ["--checkpoint", str(pipeline / "run/checkpoint_final"),
+                            "--manifest", str(pipeline / "corpus/manifest.jsonl")]}
+    assert main([command, *inputs[command], "--out", str(tmp_path), *flags]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_pipeline_recluster(pipeline, tmp_path):
     out = tmp_path / "recluster"
     assert main(["recluster", "--checkpoint", str(pipeline / "run/checkpoint_final"),
@@ -224,28 +237,28 @@ def test_pipeline_resume_refuses_bad_checkpoint(pipeline, tmp_path, capsys):
     assert "digest" in capsys.readouterr().err
 
 
-def test_probe_refuses_checkpoint_with_bad_manifest(pipeline, tmp_path, capsys):
+def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
     # the digest covers the blob only, so these edits leave it valid
     source = pipeline / "run/checkpoint_final"
+    stem = tmp_path / "checkpoint"
     probe = ["probe", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
-             "--out", str(tmp_path / "probe")]
-    def proj_w(manifest):
-        return next(entry for entry in manifest if entry[0] == "param/proj/W")
-
+             "--out", str(tmp_path / "probe"), "--checkpoint", str(stem)]
+    stem.with_suffix(".bin").write_bytes(source.with_suffix(".bin").read_bytes())
+    floats = json.loads(source.with_suffix(".json").read_text())["blob_bytes"] // 8
     edits = {
-        "entry bogus/proj/W": lambda m: proj_w(m).__setitem__(0, "bogus/proj/W"),
-        "entry param/proj/W is missing": lambda m: m.remove(proj_w(m)),
+        "unrecognized checkpoint format": lambda meta: meta.update(
+            format="speechssl-checkpoint-v2"),
+        f"holds {floats} floats": lambda meta: meta["config"]["encoder"].update(
+            ffn_dim=meta["config"]["encoder"]["ffn_dim"] + 1),
     }
     for expected, edit in edits.items():
-        stem = tmp_path / "checkpoint"
-        stem.with_suffix(".bin").write_bytes(source.with_suffix(".bin").read_bytes())
         meta = json.loads(source.with_suffix(".json").read_text())
-        edit(meta["manifest"])
+        edit(meta)
         stem.with_suffix(".json").write_text(json.dumps(meta))
-        assert main([*probe, "--checkpoint", str(stem)]) == 1
+        assert main(probe) == 1
         assert expected in capsys.readouterr().err
     stem.with_suffix(".json").write_text("[]")
-    assert main([*probe, "--checkpoint", str(stem)]) == 1
+    assert main(probe) == 1
     assert "not a JSON object" in capsys.readouterr().err
 
 

@@ -26,9 +26,9 @@ class TestWeightedSum:
 
 class TestEncodeCorpus:
     def direct(self, state, utt, mask=None):
-        feats = mfcc(utt.waveform, state.mfcc_config, meta=utt.id)
+        feats = mfcc(utt.waveform, state.config.mfcc, meta=utt.id)
         mask = mask or BatchMask.from_indices([[]], feats.num_frames)
-        return forward(feats.frames[None], mask, state.params, state.encoder_config)
+        return forward(feats.frames[None], mask, state.params, state.config.encoder)
 
     def assert_same_output(self, got, want):
         assert np.array_equal(got.content_logits, want.content_logits)

@@ -280,6 +280,14 @@ class TestTrain:
                      "checkpoint_final.bin"):
             assert (tmp_path / "full" / name).read_bytes() == (split / name).read_bytes(), name
 
+    @pytest.mark.parametrize("until_step", [0, -3])
+    def test_until_step_below_one_rejected_before_writing(self, small_setup, tmp_path,
+                                                          until_step):
+        config, corpus, labels = small_setup
+        with pytest.raises(ValueError, match=f"until_step must be >= 1, got {until_step}"):
+            train(config, corpus, labels, out_dir=tmp_path / "run", until_step=until_step)
+        assert not (tmp_path / "run").exists()
+
     def test_resume_without_metrics_history_rejected(self, small_setup):
         config, corpus, labels = small_setup
         state = init_state(config)
@@ -353,57 +361,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="digest"):
             load_checkpoint(one)
 
-    def test_manifest_entry_past_blob_rejected(self, two_checkpoints):
+    def test_blob_is_the_three_flat_vectors(self, small_setup, tmp_path):
+        config, corpus, labels = small_setup
+        state, _ = train(dataclasses.replace(config, steps=2), corpus, labels, until_step=1)
+        save_checkpoint(tmp_path / "ck", state)
+        blob = np.concatenate([state.params.flat, state.adam_m.flat, state.adam_v.flat])
+        assert (tmp_path / "ck.bin").read_bytes() == blob.astype("<f8").tobytes()
+
+    def test_config_that_does_not_fit_the_blob_rejected(self, two_checkpoints):
+        # the digest covers the blob only, so it stays valid
         stem, _ = two_checkpoints
         meta = json.loads(stem.with_suffix(".json").read_text())
-        meta["manifest"][-1][1] += 1
+        floats = meta["blob_bytes"] // 8
+        meta["config"]["encoder"]["ffn_dim"] += 1
         stem.with_suffix(".json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="past the end"):
+        params = init_state(TrainConfig.from_dict(meta["config"])).params.flat.size
+        assert 3 * params != floats
+        with pytest.raises(ValueError, match=f"holds {floats} floats.* = {3 * params} "):
             load_checkpoint(stem)
 
-    @staticmethod
-    def edit_proj_w(stem, edit):
-        """Apply `edit` to the manifest and its param/proj/W entry; the blob
-        and its digest stay valid."""
+    def test_v2_checkpoint_rejected(self, two_checkpoints):
+        stem, _ = two_checkpoints
         meta = json.loads(stem.with_suffix(".json").read_text())
-        manifest = meta["manifest"]
-        edit(manifest, next(entry for entry in manifest if entry[0] == "param/proj/W"))
+        meta["format"] = "speechssl-checkpoint-v2"
         stem.with_suffix(".json").write_text(json.dumps(meta))
-
-    def test_unknown_group_rejected(self, two_checkpoints):
-        stem, _ = two_checkpoints
-        self.edit_proj_w(stem, lambda manifest, entry: entry.__setitem__(0, "bogus/proj/W"))
-        with pytest.raises(ValueError, match="entry bogus/proj/W"):
-            load_checkpoint(stem)
-
-    def test_missing_entry_rejected(self, two_checkpoints):
-        stem, _ = two_checkpoints
-        self.edit_proj_w(stem, lambda manifest, entry: manifest.remove(entry))
-        with pytest.raises(ValueError, match="entry param/proj/W is missing"):
-            load_checkpoint(stem)
-
-    def test_wrong_shape_rejected(self, two_checkpoints):
-        stem, _ = two_checkpoints
-        self.edit_proj_w(stem, lambda manifest, entry: entry.__setitem__(2, entry[2][::-1]))
-        with pytest.raises(ValueError, match="entry param/proj/W with shape"):
-            load_checkpoint(stem)
-
-    @pytest.mark.parametrize("edit", [
-        lambda manifest, entry: entry.__setitem__(2, 3),
-        lambda manifest, entry: entry.__setitem__(0, 7),
-        lambda manifest, entry: entry.__setitem__(1, -1),
-        lambda manifest, entry: entry.pop(),
-    ], ids=["shape-not-list", "name-not-string", "negative-offset", "two-fields"])
-    def test_malformed_entry_rejected(self, two_checkpoints, edit):
-        stem, _ = two_checkpoints
-        self.edit_proj_w(stem, edit)
-        with pytest.raises(ValueError, match=r"is not \[name, offset, shape\]"):
-            load_checkpoint(stem)
-
-    def test_duplicate_entry_rejected(self, two_checkpoints):
-        stem, _ = two_checkpoints
-        self.edit_proj_w(stem, lambda manifest, entry: manifest.append(list(entry)))
-        with pytest.raises(ValueError, match="entry param/proj/W with shape"):
+        with pytest.raises(ValueError, match="unrecognized checkpoint format"):
             load_checkpoint(stem)
 
     @pytest.mark.parametrize("document", ["[]", "3", "\"checkpoint\""])
@@ -414,11 +396,12 @@ class TestCheckpoint:
             load_checkpoint(stem)
 
     @pytest.mark.parametrize("edit, expected", [
-        (lambda meta: meta.pop("manifest"), "no 'manifest' entry"),
+        (lambda meta: meta.pop("step"), "no 'step' entry"),
+        (lambda meta: meta.pop("metrics"), "no 'metrics' entry"),
         (lambda meta: meta.pop("config"), "no 'config' entry"),
         (lambda meta: meta["config"].update(bogus_key=1), "bogus_key"),
         (lambda meta: meta["config"]["encoder"].update(bogus_key=1), "bogus_key"),
-    ], ids=["no-manifest", "no-config", "unknown-key", "unknown-nested-key"])
+    ], ids=["no-step", "no-metrics", "no-config", "unknown-key", "unknown-nested-key"])
     def test_bad_metadata_rejected(self, two_checkpoints, edit, expected):
         stem, _ = two_checkpoints
         meta = json.loads(stem.with_suffix(".json").read_text())
