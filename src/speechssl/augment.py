@@ -103,22 +103,17 @@ def mix_batch(batch: Batch, p: float, snr_db=(-5.0, 5.0), seed: int = 0) -> Mixe
     return MixedBatch(Batch(out, length), specs, batch)
 
 
-@dataclass
-class MixReport:
-    ok: bool
-    problems: list[str]
-
-
-def verify_spec(mixed: MixedBatch) -> MixReport:
+def verify_spec(mixed: MixedBatch) -> list[str]:
     """Re-derive the mixed batch from clean audio + specs and confirm
-    bit-equality, plus every MixSpec bound (notably l <= L/2)."""
+    bit-equality, plus every MixSpec bound (notably l <= L/2). Returns the
+    problems found; empty means the batch verifies."""
     batch, clean = mixed.batch, mixed.clean
     problems: list[str] = []
     for idx, spec in enumerate(mixed.specs):
         for msg in spec.validate(batch.size, batch.length):
             problems.append(f"spec {idx}: {msg}")
     if problems:
-        return MixReport(False, problems)
+        return problems
 
     clean_samples = np.stack([u.waveform.samples for u in clean.utterances])
     rebuilt = clean_samples.copy()
@@ -137,7 +132,7 @@ def verify_spec(mixed: MixedBatch) -> MixReport:
                 "no spec",
             )
             problems.append(f"utterance {i}: {where} differs from reconstruction ({owner})")
-    return MixReport(not problems, problems)
+    return problems
 
 
 def save_mixspecs(path, batch_index: int, specs: list[MixSpec]) -> None:

@@ -27,7 +27,7 @@ from .corpus import (
     write_manifest,
     write_wav,
 )
-from .dsp import MfccConfig, mfcc, save_features
+from .dsp import mfcc, save_features
 from .pseudolabel import (
     fit_labels,
     load_labels,
@@ -71,9 +71,16 @@ def write_run_manifest(out_dir: Path, command: str, config_dict: dict,
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+# the JSON value types a key whose default has this type accepts: a float
+# key takes an int too, and a bool is never taken for a number
+_VALUE_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                float: ((int, float), "a number")}
+
+
 def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
-    """Merge `extra` into `base`; a key `base` lacks, or a value where `base`
-    has a section (or the reverse), is a UsageError."""
+    """Merge `extra` into `base`; a key `base` lacks, a value where `base`
+    has a section (or the reverse), or a value of another JSON type than the
+    default's is a UsageError."""
     for key, value in extra.items():
         name = prefix + key
         if key not in base:
@@ -83,8 +90,14 @@ def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
             raise UsageError(f"config key {name!r} takes {kind}")
         if isinstance(value, dict):
             _deep_update(base[key], value, f"{name}.")
-        else:
-            base[key] = value
+            continue
+        types, kind = _VALUE_TYPES[type(base[key])]
+        if type(value) not in types:
+            raise UsageError(f"config key {name!r} takes {kind}, got {value!r}")
+        try:
+            base[key] = type(base[key])(value)  # so a later update sees the default's type
+        except OverflowError:
+            raise UsageError(f"config key {name!r} takes {kind}, got {value!r}") from None
     return base
 
 
@@ -150,16 +163,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _mfcc_config(args) -> MfccConfig:
-    return MfccConfig(window=args.window, hop=args.hop, num_mel=args.num_mel,
-                      num_ceps=args.num_ceps, fft_size=args.fft_size,
-                      deltas=not args.no_deltas)
-
-
 def cmd_mfcc(args) -> int:
     started = time.monotonic()
     out = Path(args.out)
-    cfg = _mfcc_config(args)
+    cfg = build_train_config(args).mfcc
     refs = load_manifest(args.manifest)
     for ref in refs:
         feats = mfcc(ref.load().waveform, cfg, meta=ref.id)
@@ -204,9 +211,9 @@ def cmd_mix(args) -> int:
     length = args.length or min(len(u.waveform) for u in corpus)
     batch = make_batch(corpus, batch_size, length, seed=args.seed)
     mixed = mix_batch(batch, args.p, seed=args.seed)
-    report = verify_spec(mixed)
-    if not report.ok:
-        for problem in report.problems:
+    problems = verify_spec(mixed)
+    if problems:
+        for problem in problems:
             print(f"verify_spec: {problem}", file=sys.stderr)
         return 1
     for utt in mixed.batch.utterances:
@@ -268,7 +275,7 @@ def cmd_probe(args) -> int:
     corpus = load_corpus(args.manifest)
     weights, accuracy, separability = layer_profile(ckpt, corpus, steps=args.probe_steps,
                                                     seed=args.seed)
-    profile = {str(layer): float(w) for layer, w in enumerate(weights.weights)}
+    profile = {str(layer): float(w) for layer, w in enumerate(weights)}
     report = {
         "layer_weights": profile,
         "task_accuracy": accuracy,
@@ -361,10 +368,14 @@ def cmd_sweep_mix(args) -> int:
 # Argument parsing
 
 
-def _add_train_config_flags(parser):
+def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON config file (full or partial)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key, e.g. --set encoder.num_layers=2")
+
+
+def _add_train_config_flags(parser):
+    _add_config_flags(parser)
     parser.add_argument("--steps", type=int, help="override training steps")
     for name in ("data", "model", "mixing", "masking", "negatives", "noise"):
         parser.add_argument(f"--seed-{name}", type=int, dest=f"seed_{name}")
@@ -391,12 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mfcc", help="extract MFCC features for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=400)
-    p.add_argument("--hop", type=int, default=160)
-    p.add_argument("--num-mel", type=int, default=26)
-    p.add_argument("--num-ceps", type=int, default=13)
-    p.add_argument("--fft-size", type=int, default=512)
-    p.add_argument("--no-deltas", action="store_true")
+    _add_config_flags(p)                # reads the mfcc section
     p.set_defaults(func=cmd_mfcc)
 
     p = sub.add_parser("cluster", help="fit k-means pseudo-labels on features")

@@ -7,7 +7,6 @@ known speaker structure that separability diagnostics can be scored against.
 """
 
 import json
-import struct
 import wave
 from dataclasses import dataclass
 from pathlib import Path

@@ -56,6 +56,8 @@ class EncoderConfig:
     def __post_init__(self):
         if not 0 <= self.tap_layer <= self.num_layers:
             raise ValueError("tap_layer must lie in [0, num_layers]")
+        if self.num_heads < 1:
+            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide model_dim")
         if self.mask_span < 1:
@@ -119,19 +121,6 @@ def sample_mask(num_frames: int, cfg: EncoderConfig, seed: int) -> np.ndarray:
     edges = np.bincount(starts, minlength=num_frames + 1)
     edges -= np.bincount(ends, minlength=num_frames + 1)
     return np.flatnonzero(np.cumsum(edges[:num_frames]))
-
-
-def corrupt(frames: np.ndarray, rows, mask_embedding: np.ndarray) -> np.ndarray:
-    """Replace the frames at `rows` with the learned mask embedding."""
-    frames = np.asarray(frames, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size and rows.max() >= frames.shape[0]:
-        raise ValueError("mask index out of range for this sequence")
-    if mask_embedding.shape != (frames.shape[1],):
-        raise ValueError("mask embedding dim does not match frames")
-    out = frames.copy()
-    out[rows] = mask_embedding
-    return out
 
 
 def sinusoidal_positions(num_frames: int, dim: int) -> np.ndarray:
@@ -312,11 +301,12 @@ def _block_backward(cache, dy, params, i, cfg, grads):
 
 def forward(frames: np.ndarray, mask: BatchMask, params: dict,
             cfg: EncoderConfig) -> EncoderOutput:
-    """Project a (B, T, D) batch, corrupt the frames that `mask` marks, run
-    the transformer stack, and emit per-layer outputs plus content logits.
-    layer_outputs[0] is the projected corrupted input; layer_outputs[j] is
-    the output of block j. Non-finite activations out of a block raise
-    NonFiniteActivations naming the block and the batch rows."""
+    """Project a (B, T, D) batch, replace the frames that `mask` marks with
+    the learned mask embedding, run the transformer stack, and emit
+    per-layer outputs plus content logits. layer_outputs[0] is the
+    projected corrupted input; layer_outputs[j] is the output of block j.
+    Non-finite activations out of a block raise NonFiniteActivations naming
+    the block and the batch rows."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3:
         raise ValueError(f"frames must be a (B, T, D) array, got shape {frames.shape}")
@@ -334,10 +324,9 @@ def forward(frames: np.ndarray, mask: BatchMask, params: dict,
 
     n, d = batch * t, cfg.model_dim
     feats = frames.reshape(n, dim)
-    projected = feats @ params["proj/W"]
-    projected += params["proj/b"]
-    h0 = corrupt(projected, mask.rows, params["mask_emb"])
-    del projected
+    h0 = feats @ params["proj/W"]
+    h0 += params["proj/b"]
+    h0[mask.rows] = params["mask_emb"]  # BatchMask checked the rows lie in range
     layer_outputs = [per_utterance(h0)]
     block_caches = []
     h = h0
@@ -364,27 +353,19 @@ def forward(frames: np.ndarray, mask: BatchMask, params: dict,
 
 
 def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
-             dlogits: np.ndarray | None = None,
-             dtap: np.ndarray | None = None,
-             grads: dict | None = None) -> dict:
-    """Accumulate parameter gradients for upstream gradients arriving at the
-    content logits (B, T, C) and/or at the tap layer (B, T, d). Returns the
-    grads dict."""
+             dlogits: np.ndarray, dtap: np.ndarray | None, grads: dict) -> dict:
+    """Accumulate into `grads` the parameter gradients for upstream
+    gradients arriving at the content logits (B, T, C) and, unless dtap is
+    None, at the tap layer (B, T, d). Returns `grads`."""
     cache = output.cache
-    if grads is None:
-        grads = zero_grads(params)
     n = output.num_frames
-    d = cfg.model_dim
     if dtap is not None:
-        dtap = np.reshape(dtap, (n, d))
+        dtap = np.reshape(dtap, (n, cfg.model_dim))
 
-    if dlogits is not None:
-        dh, dwh, dbh = linear_backward(cache["final"], params["head/W"],
-                                       np.reshape(dlogits, (n, -1)))
-        grads["head/W"] += dwh
-        grads["head/b"] += dbh
-    else:
-        dh = np.zeros((n, d))
+    dh, dwh, dbh = linear_backward(cache["final"], params["head/W"],
+                                   np.reshape(dlogits, (n, -1)))
+    grads["head/W"] += dwh
+    grads["head/b"] += dbh
     dh, dg, db = layer_norm_backward(cache["final_ln"], dh)
     grads["final_ln/g"] += dg
     grads["final_ln/b"] += db

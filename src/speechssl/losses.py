@@ -14,7 +14,7 @@ Minimizing it raises positive and lowers negative similarity.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class LossWeights:
             raise ValueError("num_negatives must be >= 0")
 
 
-@dataclass
-class LossCounts:
-    positives: int = 0
-    negatives: int = 0
-    masked_frames: int = 0
-
-
 class NonFiniteLoss(ValueError):
     """A LossBreakdown with a non-finite term; the message names every one."""
 
@@ -59,7 +52,9 @@ class LossBreakdown:
     speaker: float
     content: float
     total: float
-    counts: LossCounts = field(default_factory=LossCounts)
+    positives: int = 0
+    negatives: int = 0
+    masked_frames: int = 0
 
     def __post_init__(self):
         terms = [name for name in ("contrastive", "diversity", "speaker", "content", "total")
@@ -68,25 +63,16 @@ class LossBreakdown:
             raise NonFiniteLoss(f"non-finite loss term(s) {terms}")
 
     def as_dict(self) -> dict:
-        return {
-            "contrastive": self.contrastive,
-            "diversity": self.diversity,
-            "speaker": self.speaker,
-            "content": self.content,
-            "total": self.total,
-            "positives": self.counts.positives,
-            "negatives": self.counts.negatives,
-            "masked_frames": self.counts.masked_frames,
-        }
+        return asdict(self)
 
 
 def combine(contrastive: float, diversity: float, content: float,
-            weights: LossWeights, counts: LossCounts | None = None) -> LossBreakdown:
-    """speaker = contrastive + alpha * diversity; total = speaker + beta * content."""
+            weights: LossWeights, *counts: int) -> LossBreakdown:
+    """speaker = contrastive + alpha * diversity; total = speaker + beta * content.
+    `counts` are the positives, negatives and masked_frames fields."""
     speaker = contrastive + weights.alpha * diversity
     total = speaker + weights.beta * content
-    return LossBreakdown(contrastive, diversity, speaker, content, total,
-                         counts or LossCounts())
+    return LossBreakdown(contrastive, diversity, speaker, content, total, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,31 +9,12 @@ softmax-weighted combination of layer outputs plus a linear head, exposing
 which depths carry the probed information.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Utterance, Waveform
 from .dsp import mfcc
 from .encoder import BatchMask, forward, sample_mask
 from .numerics import adam_step, derive_seed, rng_from, softmax, softmax_backward
-
-
-@dataclass
-class LayerWeights:
-    logits: np.ndarray
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 1:
-            raise ValueError("layer logits must be 1-D")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return softmax(self.logits)
-
-    def __len__(self) -> int:
-        return self.logits.size
 
 
 def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
@@ -119,9 +100,10 @@ def fit_layer_weights(
     """Train (layer logits + linear head) on frozen per-layer features.
 
     per_layer_outputs: (num_layers, num_examples, d); targets: int class per
-    example. Returns (LayerWeights, final accuracy). The representation fed
-    to the head is the softmax-weighted layer combination, so the learned
-    weights read out as a layer-contribution profile.
+    example. Returns (softmax layer weights, final accuracy). The
+    representation fed to the head is the softmax-weighted layer
+    combination, so the learned weights read out as a layer-contribution
+    profile.
     """
     outputs = np.asarray(per_layer_outputs, dtype=np.float64)
     if outputs.ndim != 3:
@@ -160,13 +142,13 @@ def fit_layer_weights(
     lw = softmax(theta)
     rep = np.einsum("l,lnd->nd", lw, outputs)
     accuracy = float(np.mean(np.argmax(rep @ w + b, axis=1) == y))
-    return LayerWeights(theta), accuracy
+    return lw, accuracy
 
 
 def layer_profile(checkpoint, corpus, steps: int = 200, lr: float = 0.1, seed: int = 0):
     """Layer-contribution profile for the speaker task on a tagged corpus.
 
-    Returns (LayerWeights, accuracy, per-layer separability dict).
+    Returns (softmax layer weights, accuracy, per-layer separability dict).
     """
     stacked, tags = _utterance_means(checkpoint, corpus)
     index = {s: i for i, s in enumerate(sorted(set(tags)))}

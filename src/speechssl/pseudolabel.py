@@ -197,8 +197,9 @@ def kmeans_fit(
         raise ValueError("frames must be an N x D matrix")
     if not np.all(np.isfinite(points)):
         raise ValueError("frames contain non-finite values")
-    if k < 1 or restarts < 1:
-        raise ValueError(f"k and restarts must be >= 1, got k={k}, restarts={restarts}")
+    if k < 1 or restarts < 1 or max_iters < 0:
+        raise ValueError(f"k and restarts must be >= 1 and max_iters >= 0, got k={k}, "
+                         f"restarts={restarts}, max_iters={max_iters}")
     if points.shape[0] < k:
         raise ValueError(f"need at least k={k} frames, got {points.shape[0]}")
     if sample_cap and points.shape[0] > sample_cap:

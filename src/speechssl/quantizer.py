@@ -85,8 +85,6 @@ def init_quantizer_params(cfg: QuantizerConfig, seed: int) -> dict:
 
 def tau_at(step: int, total_steps: int, start: float = 2.0, end: float = 0.1) -> float:
     """Geometric anneal from `start` to `end` across the run."""
-    if total_steps <= 0:
-        return end
     frac = min(max(step / total_steps, 0.0), 1.0)
     return float(start * (end / start) ** frac)
 

@@ -35,7 +35,6 @@ from .encoder import (
 )
 from .losses import (
     LossBreakdown,
-    LossCounts,
     LossWeights,
     NonFiniteLoss,
     combine,
@@ -114,7 +113,10 @@ class TrainConfig:
         for key, sub in (("seeds", Seeds), ("weights", LossWeights),
                          ("encoder", EncoderConfig), ("quantizer", QuantizerConfig),
                          ("mfcc", MfccConfig)):
-            if key in data and isinstance(data[key], dict):
+            if key in data:
+                if not isinstance(data[key], dict):
+                    raise ValueError(f"config section {key!r} must be an object, "
+                                     f"got {data[key]!r}")
                 data[key] = sub(**data[key])
         return cls(**data)
 
@@ -124,8 +126,6 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
     warmup = max(1, math.ceil(cfg.warmup_frac * cfg.steps))
     if step <= warmup:
         return cfg.learning_rate * step / warmup
-    if cfg.steps == warmup:
-        return cfg.learning_rate
     return cfg.learning_rate * (cfg.steps - step) / (cfg.steps - warmup)
 
 
@@ -177,12 +177,6 @@ def _check_label_provenance(labels) -> None:
 
 
 @dataclass
-class ObjectiveSeeds:
-    noise: list       # quantizer noise seed, one per utterance
-    negatives: int    # negative-sampling seed of the batch
-
-
-@dataclass
 class ObjectiveResult:
     breakdown: LossBreakdown
     grads: dict | None                  # set when called with grads=True
@@ -190,23 +184,25 @@ class ObjectiveResult:
 
 
 def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
-              seeds: ObjectiveSeeds, tau: float, config: TrainConfig,
+              noise_seeds: list, negatives_seed: int, tau: float, config: TrainConfig,
               grads: bool) -> ObjectiveResult:
     """The combined loss of a (B, T, D) feature batch and its mask: encoder
     forward -> quantize the tap rows at the batch's masked steps in one call
     -> contrastive, diversity and content terms, and with grads=True the
-    manual backward into every parameter (FlatArrays). Training and the
-    finite-difference check both evaluate this one function."""
+    manual backward into every parameter (FlatArrays). `noise_seeds` holds
+    one quantizer-noise seed per utterance; `negatives_seed` seeds the
+    batch's negative sampling. Training and the finite-difference check
+    both evaluate this one function."""
     enc_cfg = config.encoder
     out = forward(features, mask, params, enc_cfg)
     if config.speaker_loss:
         qstate = QuantizerState(config.quantizer, params, tau)
         latent = out.tap.reshape(-1, enc_cfg.model_dim)[mask.rows]
-        noise = gumbel_noise(seeds.noise, mask.counts, config.quantizer)
+        noise = gumbel_noise(noise_seeds, mask.counts, config.quantizer)
         qout = quantize(latent, qstate, noise, hard=config.quantizer_hard)
         usage = usage_stats(qout)
         div_value, dp_bar = diversity_loss(usage)
-        contr = contrastive_loss(out.tap, qout.q, mask, config.weights, seed=seeds.negatives)
+        contr = contrastive_loss(out.tap, qout.q, mask, config.weights, seed=negatives_seed)
         contrastive_value = contr.value
         num_pos, num_neg = contr.num_positives, contr.num_negatives
     else:
@@ -214,8 +210,8 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
         contrastive_value, div_value = 0.0, 0.0
         num_pos = num_neg = 0
     cont_value, dlogits = content_loss_batch(out.content_logits, labels, mask)
-    counts = LossCounts(num_pos, num_neg, len(out.mask))
-    breakdown = combine(contrastive_value, div_value, cont_value, config.weights, counts)
+    breakdown = combine(contrastive_value, div_value, cont_value, config.weights,
+                        num_pos, num_neg, len(out.mask))
     if not grads:
         return ObjectiveResult(breakdown, None, usage)
 
@@ -229,8 +225,7 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
         dtap = np.zeros(out.tap.shape)
         dlatent += contr.danchors
         dtap.reshape(-1, enc_cfg.model_dim)[mask.rows] = dlatent
-    backward(out, params, enc_cfg, dlogits=config.weights.beta * dlogits,
-             dtap=dtap, grads=param_grads)
+    backward(out, params, enc_cfg, config.weights.beta * dlogits, dtap, param_grads)
     return ObjectiveResult(breakdown, param_grads, usage)
 
 
@@ -264,14 +259,11 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
                     derive_seed(seeds.masking, "mask", step, b))
         for b in range(len(ids))
     ], num_frames)
-    step_seeds = ObjectiveSeeds(
-        [derive_seed(seeds.noise, "noise", step, b) for b in range(len(ids))],
-        derive_seed(seeds.negatives, "neg", step),
-    )
+    noise_seeds = [derive_seed(seeds.noise, "noise", step, b) for b in range(len(ids))]
     tau = tau_at(step, config.steps, config.quantizer.tau_start, config.quantizer.tau_end)
     try:
-        result = objective(state.params, features, labels, mask, step_seeds, tau, config,
-                           grads=True)
+        result = objective(state.params, features, labels, mask, noise_seeds,
+                           derive_seed(seeds.negatives, "neg", step), tau, config, grads=True)
     except NonFiniteActivations as exc:
         bad = [ids[row] for row in exc.rows]
         raise FloatingPointError(f"step {step}, utterance(s) {bad}: {exc}") from exc
@@ -539,19 +531,18 @@ def grad_check(
         sample_mask(num_frames, enc, derive_seed(seed, "mask", b))
         for b in range(config.batch_size)
     ], num_frames)
-    seeds = ObjectiveSeeds([derive_seed(seed, "noise", b) for b in range(config.batch_size)],
-                           derive_seed(seed, "neg"))
-    tau = 1.0
+    noise_seeds = [derive_seed(seed, "noise", b) for b in range(config.batch_size)]
+    negatives_seed, tau = derive_seed(seed, "neg"), 1.0
 
     params = init_encoder_params(enc, derive_seed(seed, "enc-params"))
     params.update(init_quantizer_params(config.quantizer, derive_seed(seed, "q-params")))
 
     def loss() -> float:
-        return objective(params, features, labels, mask, seeds, tau, config,
-                         grads=False).breakdown.total
+        return objective(params, features, labels, mask, noise_seeds, negatives_seed, tau,
+                         config, grads=False).breakdown.total
 
-    analytic = objective(params, features, labels, mask, seeds, tau, config,
-                         grads=True).grads
+    analytic = objective(params, features, labels, mask, noise_seeds, negatives_seed, tau,
+                         config, grads=True).grads
 
     keys = sorted(params) if groups is None else [
         k for k in sorted(params) if any(k.startswith(g) for g in groups)

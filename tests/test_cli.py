@@ -99,21 +99,43 @@ def test_set_unknown_key_rejected(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("body, message", [
-    ({"num_layer": 2}, "unknown config key: 'num_layer'"),
-    ({"encoder": {"num_layer": 2}}, "unknown config key: 'encoder.num_layer'"),
-    ({"encoder": 3}, "config key 'encoder' takes an object of keys"),
+@pytest.mark.parametrize("body, message, code", [
+    ({"num_layer": 2}, "unknown config key: 'num_layer'", 2),
+    ({"encoder": {"num_layer": 2}}, "unknown config key: 'encoder.num_layer'", 2),
+    ({"encoder": 3}, "config key 'encoder' takes an object of keys", 2),
     ({"encoder": {"num_layers": {"x": 1}}},
-     "config key 'encoder.num_layers' takes a single value"),
-    ([1], "must hold a JSON object"),
-], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object"])
-def test_config_file_bad_key_rejected(tmp_path, capsys, body, message):
+     "config key 'encoder.num_layers' takes a single value", 2),
+    ([1], "must hold a JSON object", 2),
+    ({"steps": "abc"}, "config key 'steps' takes an integer, got 'abc'", 2),
+    ({"learning_rate": None}, "config key 'learning_rate' takes a number, got None", 2),
+    ({"batch_size": "abc"}, "config key 'batch_size' takes an integer, got 'abc'", 2),
+    ({"steps": True}, "config key 'steps' takes an integer, got True", 2),
+    ({"weights": {"kappa": False}}, "config key 'weights.kappa' takes a number", 2),
+    ({"speaker_loss": 1}, "config key 'speaker_loss' takes true or false, got 1", 2),
+    ({"learning_rate": 10**400}, "config key 'learning_rate' takes a number, got 1000", 2),
+    ({"encoder": {"num_heads": 0}}, "num_heads must be >= 1, got 0", 1),
+], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
+        "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
+        "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads"])
+def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
-    code = main(["pretrain", "--manifest", "whatever.jsonl", "--labels", "whatever.jsonl",
-                 "--out", str(tmp_path / "run"), "--config", str(config)])
-    assert code == 2
+    assert main(["pretrain", "--manifest", "whatever.jsonl", "--labels", "whatever.jsonl",
+                 "--out", str(tmp_path / "run"), "--config", str(config)]) == code
     assert message in capsys.readouterr().err
+
+
+def test_int_taken_for_float_key_as_float(tmp_path):
+    from speechssl.cli import build_parser, build_train_config
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"learning_rate": 1}))
+    args = build_parser().parse_args(["pretrain", "--manifest", "m", "--labels", "l",
+                                      "--out", "o", "--config", str(config),
+                                      "--set", "learning_rate=0.5"])
+    assert build_train_config(args).learning_rate == 0.5
+    args.set = None
+    assert type(build_train_config(args).learning_rate) is float
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +185,7 @@ def test_pipeline_labels_format(pipeline):
     ("cluster", ["--k", "0"], "k=0"),
     ("cluster", ["--restarts", "0"], "restarts=0"),
     ("recluster", ["--k", "0"], "k=0"),
+    ("cluster", ["--max-iters", "-1"], "max_iters=-1"),
 ])
 def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, named):
     inputs = {"cluster": ["--features", str(pipeline / "features")],
@@ -170,6 +193,25 @@ def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, 
                             "--manifest", str(pipeline / "corpus/manifest.jsonl")]}
     assert main([command, *inputs[command], "--out", str(tmp_path), *flags]) == 1
     assert named in capsys.readouterr().err
+
+
+def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):
+    manifest = str(pipeline / "corpus/manifest.jsonl")
+    assert main(["mfcc", "--manifest", manifest, "--out", str(tmp_path), "--hop", "200"]) == 2
+    hop = ["--set", "mfcc.hop=200"]
+    assert main(["mfcc", "--manifest", manifest, "--out", str(tmp_path / "features"),
+                 *hop]) == 0
+    sidecar = json.loads((tmp_path / "features/spk00_utt000.json").read_text())
+    assert sidecar["frame_rate"] == 80.0
+    assert main(["cluster", "--features", str(tmp_path / "features"),
+                 "--out", str(tmp_path / "cluster"), "--k", "16"]) == 0
+    pretrain = ["pretrain", "--manifest", manifest, "--labels",
+                str(tmp_path / "cluster/labels.jsonl"), "--out", str(tmp_path / "run"),
+                "--steps", "1", *TINY_MODEL_SETS]
+    assert main([*pretrain, *hop]) == 0
+    capsys.readouterr()
+    assert main(pretrain) == 1          # labels at hop 200, features at the default 160
+    assert "labels must come from the clean audio" in capsys.readouterr().err
 
 
 def test_pipeline_recluster(pipeline, tmp_path):
@@ -250,6 +292,7 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
             format="speechssl-checkpoint-v2"),
         f"holds {floats} floats": lambda meta: meta["config"]["encoder"].update(
             ffn_dim=meta["config"]["encoder"]["ffn_dim"] + 1),
+        "section 'encoder' must be an object": lambda meta: meta["config"].update(encoder=3),
     }
     for expected, edit in edits.items():
         meta = json.loads(source.with_suffix(".json").read_text())

@@ -11,11 +11,11 @@ from speechssl.encoder import (
     EncoderConfig,
     NonFiniteActivations,
     backward,
-    corrupt,
     forward,
     init_encoder_params,
     sample_mask,
     sinusoidal_positions,
+    zero_grads,
 )
 
 TINY = EncoderConfig(input_dim=6, model_dim=8, num_layers=2, num_heads=2,
@@ -155,23 +155,19 @@ class TestSampleMask:
 
 
 class TestCorrupt:
-    def test_empty_mask_identity(self):
-        frames = np.arange(12.0).reshape(4, 3)
-        out = corrupt(frames, [], np.ones(3))
-        assert np.array_equal(out, frames)
-
-    def test_single_index(self):
-        frames = np.zeros((5, 3))
-        emb = np.array([1.0, 2.0, 3.0])
-        out = corrupt(frames, [3], emb)
-        assert np.array_equal(out[3], emb)
-        assert np.all(out[[0, 1, 2, 4]] == 0.0)
-
-    def test_full_mask(self):
-        frames = np.random.default_rng(0).standard_normal((4, 3))
-        emb = np.array([1.0, 2.0, 3.0])
-        out = corrupt(frames, np.arange(4), emb)
-        assert np.all(out == emb)
+    @pytest.mark.parametrize("indices", [[[], []], [[], [3]], [list(range(5))] * 2],
+                             ids=["empty", "one-row", "all-rows"])
+    def test_forward_writes_mask_emb_at_masked_rows(self, indices):
+        params = init_encoder_params(TINY, seed=4)
+        frames = np.stack([tiny_features(seed=s).frames for s in (1, 2)])
+        mask = BatchMask.from_indices(indices, 5)
+        out = forward(frames, mask, params, TINY)
+        projected = frames.reshape(10, -1) @ params["proj/W"] + params["proj/b"]
+        projected = projected.reshape(2, 5, -1)
+        masked = np.zeros((2, 5), dtype=bool)
+        masked.reshape(-1)[mask.rows] = True
+        assert np.all(out.layer_outputs[0][masked] == params["mask_emb"])
+        assert np.array_equal(out.layer_outputs[0][~masked], projected[~masked])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -283,7 +279,7 @@ class TestBackward:
             out = forward(frames, masks, params, cfg)
             dlogits = np.cos(out.content_logits)
             dtap = 2.0 * out.tap
-            grads = backward(out, params, cfg, dlogits=dlogits, dtap=dtap)
+            grads = backward(out, params, cfg, dlogits, dtap, zero_grads(params))
             rng = np.random.default_rng(0)
             for key in sorted(params):
                 flat = params[key].reshape(-1)
@@ -306,13 +302,15 @@ class TestBackward:
         feats = tiny_features(t=4, seed=5)
         mask = BatchMask.from_indices([[1]], 4)
         out = forward(feats.frames[None], mask, params, cfg)
-        grads = backward(out, params, cfg, dtap=np.ones_like(out.tap))
+        grads = backward(out, params, cfg, np.zeros_like(out.content_logits),
+                         np.ones_like(out.tap), zero_grads(params))
         assert any(np.any(g != 0) for g in grads.values())
 
     def test_grads_zero_without_upstream(self):
         params = init_encoder_params(TINY, seed=3)
         out = forward(tiny_features().frames[None], BatchMask.from_indices([[]], 5), params, TINY)
-        grads = backward(out, params, TINY)
+        grads = backward(out, params, TINY, np.zeros_like(out.content_logits), None,
+                         zero_grads(params))
         assert all(np.all(g == 0) for k, g in grads.items() if k.startswith("head"))
 
 
@@ -340,16 +338,15 @@ class TestBatch:
         rng = np.random.default_rng(1)
         dlogits = rng.standard_normal(out.content_logits.shape)
         dtap = rng.standard_normal(out.tap.shape)
-        grads = backward(out, params, TINY, dlogits=dlogits, dtap=dtap)
-        summed = None
+        grads = backward(out, params, TINY, dlogits, dtap, zero_grads(params))
+        summed = zero_grads(params)
         for b, idx in enumerate(self.MASKS):
             solo = forward(frames[b:b + 1], BatchMask.from_indices([idx], self.T), params, TINY)
             assert self.rel(out.content_logits[b], solo.content_logits[0]) < 1e-12
             assert self.rel(out.tap[b], solo.tap[0]) < 1e-12
             for mine, ref in zip(out.layer_outputs, solo.layer_outputs):
                 assert self.rel(mine[b], ref[0]) < 1e-12
-            summed = backward(solo, params, TINY, dlogits=dlogits[b:b + 1],
-                              dtap=dtap[b:b + 1], grads=summed)
+            backward(solo, params, TINY, dlogits[b:b + 1], dtap[b:b + 1], summed)
         for key in params:
             assert self.rel(grads[key], summed[key]) < 1e-12, key
 

@@ -7,7 +7,6 @@ from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward, sample_mask
 from speechssl.numerics import derive_seed
 from speechssl.probe import (
-    LayerWeights,
     ascii_bar_chart,
     encode_corpus,
     fit_layer_weights,
@@ -15,13 +14,6 @@ from speechssl.probe import (
     loo_nearest_centroid_accuracy,
     speaker_separability,
 )
-
-
-class TestWeightedSum:
-    def test_uniform_logits_uniform_weights(self):
-        weights = LayerWeights(np.zeros(5))
-        assert np.allclose(weights.weights, 0.2)
-        assert abs(weights.weights.sum() - 1.0) < 1e-8
 
 
 class TestEncodeCorpus:
@@ -154,7 +146,7 @@ class TestFitLayerWeights:
     def test_weights_concentrate_on_planted_layer(self):
         outputs, targets = self.planted_instance(planted_layer=1)
         weights, accuracy = fit_layer_weights(outputs, targets, steps=400, lr=0.1, seed=0)
-        assert weights.weights[1] > 0.5
+        assert weights[1] > 0.5
         assert accuracy > 0.9
 
     def test_single_class_rejected(self):
@@ -165,14 +157,14 @@ class TestFitLayerWeights:
     def test_zero_learning_rate_keeps_uniform(self):
         outputs, targets = self.planted_instance()
         weights, _ = fit_layer_weights(outputs, targets, steps=50, lr=0.0, seed=0)
-        assert np.allclose(weights.weights, 0.25)
+        assert np.allclose(weights, 0.25)
 
     def test_profile_invariant_to_example_order(self):
         outputs, targets = self.planted_instance(seed=3)
         perm = np.random.default_rng(1).permutation(targets.size)
         w1, _ = fit_layer_weights(outputs, targets, steps=200, seed=0)
         w2, _ = fit_layer_weights(outputs[:, perm], targets[perm], steps=200, seed=0)
-        assert np.max(np.abs(w1.weights - w2.weights)) < 1e-6
+        assert np.max(np.abs(w1 - w2)) < 1e-6
 
 
 class TestLayerProfile:
@@ -186,7 +178,7 @@ class TestLayerProfile:
         ckpt, _ = train(config, corpus, labels)
         weights, accuracy, separability = layer_profile(ckpt, corpus, steps=50)
         assert len(weights) == config.encoder.num_layers + 1
-        assert abs(weights.weights.sum() - 1.0) < 1e-8
+        assert abs(weights.sum() - 1.0) < 1e-8
         assert set(separability) == set(range(config.encoder.num_layers + 1))
         assert 0.0 <= accuracy <= 1.0
 

@@ -54,7 +54,7 @@ class TestTrainStep:
         batch, batch_labels = first_batch(config, corpus, labels)
         state, breakdown = train_step(state, batch, batch_labels, config)
         assert np.isfinite(breakdown.total)
-        assert breakdown.counts.masked_frames > 0
+        assert breakdown.masked_frames > 0
 
     def test_run_twice_identical_streams(self, small_setup):
         config, corpus, labels = small_setup
@@ -401,7 +401,10 @@ class TestCheckpoint:
         (lambda meta: meta.pop("config"), "no 'config' entry"),
         (lambda meta: meta["config"].update(bogus_key=1), "bogus_key"),
         (lambda meta: meta["config"]["encoder"].update(bogus_key=1), "bogus_key"),
-    ], ids=["no-step", "no-metrics", "no-config", "unknown-key", "unknown-nested-key"])
+        (lambda meta: meta["config"].update(encoder=3), "section 'encoder' must be an object"),
+        (lambda meta: meta["config"]["encoder"].update(num_heads=0), "num_heads must be >= 1"),
+    ], ids=["no-step", "no-metrics", "no-config", "unknown-key", "unknown-nested-key",
+            "scalar-section", "zero-heads"])
     def test_bad_metadata_rejected(self, two_checkpoints, edit, expected):
         stem, _ = two_checkpoints
         meta = json.loads(stem.with_suffix(".json").read_text())
