@@ -10,7 +10,7 @@ from .corpus import synth_corpus
 from .dsp import mfcc
 from .probe import overlapped_corpus, speaker_separability
 from .pseudolabel import fit_labels
-from .trainer import Seeds, TrainConfig, TrainState, train
+from .trainer import Seeds, TrainConfig, TrainState, init_state, train
 
 
 @dataclass
@@ -25,7 +25,10 @@ class DeskSetup:
 class DeskRun:
     setup: DeskSetup
     state: TrainState
-    metrics: list
+
+    @property
+    def metrics(self) -> list:
+        return self.state.metrics
 
     @cached_property
     def separability_clean(self) -> float:
@@ -60,6 +63,6 @@ def run_grid(setup: DeskSetup, variants, seeds) -> dict:
         for seed in seeds:
             config = replace(setup.config, mix_probability=p, speaker_loss=speaker_loss,
                              seeds=run_seeds(seed))
-            state, metrics = train(config, setup.corpus, setup.labels)
-            runs[(p, speaker_loss, seed)] = DeskRun(setup, state, metrics)
+            state = train(init_state(config), setup.corpus, setup.labels)
+            runs[(p, speaker_loss, seed)] = DeskRun(setup, state)
     return runs

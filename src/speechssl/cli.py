@@ -2,8 +2,9 @@
 
 One binary, subcommand style: synth, mfcc, cluster, mix, pretrain,
 recluster, probe, gradcheck, sweep-mix. All randomness is surfaced as named
-seed flags; there is no hidden global RNG. Every command writes a
-run_manifest.json describing what ran, with a platform-stable config hash.
+seed flags; there is no hidden global RNG. Each command returns its config
+document, seeds and outputs, and `main` writes them with the wall time and
+the input paths to a run_manifest.json with a platform-stable config hash.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .corpus import (
     write_manifest,
     write_wav,
 )
-from .dsp import mfcc, save_features
+from .dsp import load_features, mfcc, save_features
 from .pseudolabel import (
     fit_labels,
     load_labels,
@@ -39,6 +40,7 @@ from .probe import ascii_bar_chart, layer_profile
 from .trainer import (
     TrainConfig,
     grad_check,
+    init_state,
     load_checkpoint,
     mean_total_last_tenth,
     train,
@@ -51,19 +53,23 @@ class UsageError(Exception):
     """Bad command-line input (unknown config key, malformed override)."""
 
 
-def config_hash(config_dict: dict) -> str:
-    canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+# the flags that name a file or directory a command reads
+INPUT_FLAGS = ("manifest", "labels", "features", "checkpoint", "resume", "config")
 
 
-def write_run_manifest(out_dir: Path, command: str, config_dict: dict,
-                       seeds: dict, inputs: list, outputs: list, started: float) -> None:
+def write_run_manifest(args, config_dict: dict, seeds: dict, outputs: list,
+                       started: float) -> None:
+    """run_manifest.json in the command's --out directory: the command, its
+    config hash, seeds, the input paths it was given, outputs and wall time."""
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "command": command,
-        "config_hash": config_hash(config_dict),
+        "command": args.command,
+        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seeds": seeds,
-        "inputs": [str(p) for p in inputs],
+        "inputs": [str(getattr(args, name)) for name in INPUT_FLAGS
+                   if getattr(args, name, None)],
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
@@ -101,34 +107,24 @@ def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
     return base
 
 
-def _parse_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def build_train_config(args) -> TrainConfig:
     data = TrainConfig().to_dict()
-    if getattr(args, "config", None):
+    if args.config:
         extra = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(extra, dict):
             raise UsageError(f"--config {args.config} must hold a JSON object")
         _deep_update(data, extra)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         key, sep, raw = item.partition("=")
         if not sep:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        override = _parse_value(raw)
+        try:
+            override = json.loads(raw)
+        except json.JSONDecodeError:
+            override = raw
         for part in reversed(key.split(".")):
             override = {part: override}
         _deep_update(data, override)
-    for name in ("data", "model", "mixing", "masking", "negatives", "noise"):
-        value = getattr(args, f"seed_{name}", None)
-        if value is not None:
-            data["seeds"][name] = value
-    if getattr(args, "steps", None) is not None:
-        data["steps"] = args.steps
     return TrainConfig.from_dict(data)
 
 
@@ -140,14 +136,13 @@ def load_corpus(manifest_path) -> list:
 # Commands
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
-    out = Path(args.out)
-    wav_dir = out / "wavs"
-    wav_dir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args):
     corpus = synth_corpus(args.num_speakers, args.utts_per_speaker,
                           duration=args.duration, sample_rate=args.sample_rate,
                           seed=args.seed)
+    out = Path(args.out)
+    wav_dir = out / "wavs"
+    wav_dir.mkdir(parents=True, exist_ok=True)
     refs = []
     for utt in corpus:
         write_wav(wav_dir / f"{utt.id}.wav", utt.waveform)
@@ -158,29 +153,22 @@ def cmd_synth(args) -> int:
     write_manifest(manifest_path, refs)
     cfg = {"num_speakers": args.num_speakers, "utts_per_speaker": args.utts_per_speaker,
            "duration": args.duration, "sample_rate": args.sample_rate}
-    write_run_manifest(out, "synth", cfg, {"seed": args.seed}, [], [manifest_path], started)
     print(f"wrote {len(refs)} utterances to {wav_dir} (manifest: {manifest_path})")
-    return 0
+    return cfg, {"seed": args.seed}, [manifest_path]
 
 
-def cmd_mfcc(args) -> int:
-    started = time.monotonic()
+def cmd_mfcc(args):
     out = Path(args.out)
     cfg = build_train_config(args).mfcc
     refs = load_manifest(args.manifest)
     for ref in refs:
         feats = mfcc(ref.load().waveform, cfg, meta=ref.id)
         save_features(out, ref.id, feats)
-    write_run_manifest(out, "mfcc", asdict(cfg), {}, [args.manifest],
-                       [out / f"{r.id}.f32" for r in refs], started)
     print(f"extracted features for {len(refs)} utterances into {out}")
-    return 0
+    return asdict(cfg), {}, [out / f"{r.id}.f32" for r in refs]
 
 
-def cmd_cluster(args) -> int:
-    started = time.monotonic()
-    from .dsp import load_features
-
+def cmd_cluster(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     feature_dir = Path(args.features)
@@ -193,19 +181,13 @@ def cmd_cluster(args) -> int:
     labels_path = out / "labels.jsonl"
     save_labels(labels_path, labels)
     save_kmeans(out / "kmeans", model)
-    cfg = {"k": args.k, "max_iters": args.max_iters, "restarts": args.restarts}
-    write_run_manifest(out, "cluster", cfg, {"seed": args.seed}, [args.features],
-                       [labels_path], started)
     print(f"k-means: k={args.k} inertia={model.inertia:.2f} "
           f"iters={model.iterations_run}; labels: {labels_path}")
-    return 0
+    cfg = {"k": args.k, "max_iters": args.max_iters, "restarts": args.restarts}
+    return cfg, {"seed": args.seed}, [labels_path]
 
 
-def cmd_mix(args) -> int:
-    started = time.monotonic()
-    out = Path(args.out)
-    mixed_dir = out / "mixed"
-    mixed_dir.mkdir(parents=True, exist_ok=True)
+def cmd_mix(args):
     corpus = load_corpus(args.manifest)
     batch_size = args.batch_size or len(corpus)
     length = args.length or min(len(u.waveform) for u in corpus)
@@ -213,41 +195,36 @@ def cmd_mix(args) -> int:
     mixed = mix_batch(batch, args.p, seed=args.seed)
     problems = verify_spec(mixed)
     if problems:
-        for problem in problems:
-            print(f"verify_spec: {problem}", file=sys.stderr)
-        return 1
+        raise ValueError("mix verification failed: " + "; ".join(problems))
+    out = Path(args.out)
+    mixed_dir = out / "mixed"
+    mixed_dir.mkdir(parents=True, exist_ok=True)
     for utt in mixed.batch.utterances:
         write_wav(mixed_dir / f"{utt.id}.wav", utt.waveform)
     specs_path = out / "mixspecs.jsonl"
     save_mixspecs(specs_path, 0, mixed.specs)
-    cfg = {"p": args.p, "batch_size": batch_size, "length": length}
-    write_run_manifest(out, "mix", cfg, {"seed": args.seed}, [args.manifest],
-                       [specs_path], started)
     print(f"mixed {len(mixed.specs)} of {batch_size} utterances; "
           f"specs: {specs_path}; verification passed")
-    return 0
+    cfg = {"p": args.p, "batch_size": batch_size, "length": length}
+    return cfg, {"seed": args.seed}, [specs_path]
 
 
-def cmd_pretrain(args) -> int:
-    started = time.monotonic()
+def cmd_pretrain(args):
+    if args.resume and (args.config or args.set):
+        raise UsageError("--resume continues with the checkpoint's config; give no "
+                         "--config, --set, --steps or --seed-* flags with it")
+    state = load_checkpoint(args.resume) if args.resume else init_state(build_train_config(args))
     out = Path(args.out)
-    config = build_train_config(args)
-    corpus = load_corpus(args.manifest)
-    labels = load_labels(args.labels)
-    resume = load_checkpoint(args.resume) if args.resume else None
-    ckpt, metrics = train(config, corpus, labels, out_dir=out, resume=resume,
-                          until_step=args.until_step)
-    write_run_manifest(out, "pretrain", config.to_dict(), asdict(config.seeds),
-                       [args.manifest, args.labels],
-                       [out / "metrics.jsonl", out / "checkpoint_final.json"], started)
-    tail = metrics[-1]
-    print(f"trained to step {ckpt.step}: total={tail['total']:.4f} "
+    state = train(state, load_corpus(args.manifest), load_labels(args.labels), out_dir=out,
+                  until_step=args.until_step)
+    tail = state.metrics[-1]
+    print(f"trained to step {state.step}: total={tail['total']:.4f} "
           f"content={tail['content']:.4f} contrastive={tail['contrastive']:.4f}")
-    return 0
+    return (state.config.to_dict(), asdict(state.config.seeds),
+            [out / "metrics.jsonl", out / "checkpoint_final.json"])
 
 
-def cmd_recluster(args) -> int:
-    started = time.monotonic()
+def cmd_recluster(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
@@ -259,16 +236,13 @@ def cmd_recluster(args) -> int:
     labels_path = out / "labels.jsonl"
     save_labels(labels_path, labels)
     save_kmeans(out / "kmeans", model)
-    cfg = {"layer": layer, "k": k, "restarts": args.restarts}
-    write_run_manifest(out, "recluster", cfg, {"seed": args.seed},
-                       [args.checkpoint, args.manifest], [labels_path], started)
     print(f"re-clustered layer {layer} embeddings: k={k} "
           f"inertia={model.inertia:.2f}; labels: {labels_path}")
-    return 0
+    cfg = {"layer": layer, "k": k, "restarts": args.restarts}
+    return cfg, {"seed": args.seed}, [labels_path]
 
 
-def cmd_probe(args) -> int:
-    started = time.monotonic()
+def cmd_probe(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
@@ -287,13 +261,10 @@ def cmd_probe(args) -> int:
     print(ascii_bar_chart({f"layer {k}": v for k, v in profile.items()}))
     print("\nper-layer speaker separability:")
     print(ascii_bar_chart({f"layer {k}": v for k, v in separability.items()}))
-    write_run_manifest(out, "probe", {"probe_steps": args.probe_steps},
-                       {"seed": args.seed}, [args.checkpoint, args.manifest],
-                       [report_path], started)
-    return 0
+    return {"probe_steps": args.probe_steps}, {"seed": args.seed}, [report_path]
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args):
     report = grad_check(seed=args.seed, num_coords=args.coords)
     print(f"checked {report.num_coords} coordinates across "
           f"{len(report.per_group)} parameter groups")
@@ -302,14 +273,12 @@ def cmd_gradcheck(args) -> int:
         print(f"  {name:<24s} max rel err {err:.3e}")
     print(f"max relative error: {report.max_rel_error:.3e} (tolerance 1e-4)")
     if not report.ok():
-        print("FAIL: gradient check exceeded tolerance", file=sys.stderr)
-        return 1
+        raise ValueError("FAIL: gradient check exceeded tolerance")
     print("PASS")
-    return 0
+    return None                         # no --out, so no run manifest
 
 
-def cmd_sweep_mix(args) -> int:
-    started = time.monotonic()
+def cmd_sweep_mix(args):
     try:
         grid = [float(item) for item in args.p_grid.split(",")]
     except ValueError:
@@ -340,17 +309,10 @@ def cmd_sweep_mix(args) -> int:
         print(f"p={p} seed={seed}: total={rows[-1]['final_total']:.4f} "
               f"sep_clean={rows[-1]['separability_clean']:.3f} "
               f"sep_overlap={rows[-1]['separability_overlap']:.3f}")
-    summary = []
-    for p in grid:
-        group = [r for r in rows if r["p"] == p]
-        summary.append({
-            "p": p,
-            "mean_final_total": float(np.mean([r["final_total"] for r in group])),
-            "mean_separability_clean": float(np.mean(
-                [r["separability_clean"] for r in group])),
-            "mean_separability_overlap": float(np.mean(
-                [r["separability_overlap"] for r in group])),
-        })
+    summary = [{"p": p, **{f"mean_{key}": float(np.mean([r[key] for r in rows if r["p"] == p]))
+                           for key in ("final_total", "separability_clean",
+                                       "separability_overlap")}}
+               for p in grid]
     (out / "sweep.json").write_text(json.dumps({"runs": rows, "summary": summary},
                                                indent=2) + "\n")
     print(f"\n{'p':>5s} {'total':>9s} {'sep(clean)':>11s} {'sep(overlap)':>13s}")
@@ -358,10 +320,8 @@ def cmd_sweep_mix(args) -> int:
         print(f"{row['p']:>5.2f} {row['mean_final_total']:>9.4f} "
               f"{row['mean_separability_clean']:>11.3f} "
               f"{row['mean_separability_overlap']:>13.3f}")
-    write_run_manifest(out, "sweep-mix", base.to_dict(),
-                       {"corpus_seed": args.corpus_seed, "run_seeds": seeds},
-                       [], [out / "sweep.json"], started)
-    return 0
+    return (base.to_dict(), {"corpus_seed": args.corpus_seed, "run_seeds": seeds},
+            [out / "sweep.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +334,21 @@ def _add_config_flags(parser):
                         help="override a config key, e.g. --set encoder.num_layers=2")
 
 
+class _SetShorthand(argparse.Action):
+    """`--steps N` is `--set steps=N` and `--seed-<name> N` is `--set
+    seeds.<name>=N`: one list of overrides, applied in command-line order."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.set = (namespace.set or []) + [f"{self.const}={value}"]
+
+
 def _add_train_config_flags(parser):
     _add_config_flags(parser)
-    parser.add_argument("--steps", type=int, help="override training steps")
+    parser.add_argument("--steps", type=int, action=_SetShorthand, dest="set",
+                        const="steps", metavar="N", help="override training steps")
     for name in ("data", "model", "mixing", "masking", "negatives", "noise"):
-        parser.add_argument(f"--seed-{name}", type=int, dest=f"seed_{name}")
+        parser.add_argument(f"--seed-{name}", type=int, action=_SetShorthand, dest="set",
+                            const=f"seeds.{name}", metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,14 +444,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
+    started = time.monotonic()
     try:
-        return args.func(args)
+        record = args.func(args)        # (config dict, seeds, outputs), or None
+        if record is not None:
+            write_run_manifest(args, *record, started)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ValueError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ PCM16_SCALE = 32768.0
 
 
 class ManifestError(ValueError):
-    """Raised for malformed or inconsistent manifest files."""
+    """Raised for malformed or inconsistent manifest and label files."""
 
 
 @dataclass
@@ -114,33 +114,42 @@ def write_wav(path, waveform: Waveform) -> None:
 # Manifests: JSON Lines, one {"id", "audio_path", "speaker"?} object per line
 
 
-def load_manifest(path) -> list[UtteranceRef]:
+def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
+    """(`file:line`, object) for each non-blank line of a JSON Lines file.
+    Every line must be a JSON object holding each of `keys`, the first of
+    which is an id no earlier line holds."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"manifest not found: {path}")
-    refs: list[UtteranceRef] = []
-    seen: dict[str, int] = {}
+        raise FileNotFoundError(f"{what} not found: {path}")
+    rows, seen = [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "audio_path" not in obj:
-                raise ManifestError(f"{path}:{lineno}: expected object with 'id' and 'audio_path'")
-            uid = str(obj["id"])
+                raise ManifestError(f"{where}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict) or any(key not in obj for key in keys):
+                raise ManifestError(f"{where}: expected an object with keys {list(keys)}")
+            uid = str(obj[keys[0]])
             if uid in seen:
-                raise ManifestError(
-                    f"{path}:{lineno}: duplicate id {uid!r} (first seen on line {seen[uid]})"
-                )
+                raise ManifestError(f"{where}: duplicate id {uid!r} "
+                                    f"(first seen on line {seen[uid]})")
             seen[uid] = lineno
-            audio_path = Path(obj["audio_path"])
-            if not audio_path.is_absolute():
-                audio_path = path.parent / audio_path
-            refs.append(UtteranceRef(uid, audio_path, obj.get("speaker")))
+            rows.append((where, obj))
+    return rows
+
+
+def load_manifest(path) -> list[UtteranceRef]:
+    refs: list[UtteranceRef] = []
+    for _, obj in read_jsonl(path, ("id", "audio_path"), "manifest"):
+        audio_path = Path(obj["audio_path"])
+        if not audio_path.is_absolute():
+            audio_path = Path(path).parent / audio_path
+        refs.append(UtteranceRef(str(obj["id"]), audio_path, obj.get("speaker")))
     return refs
 
 
@@ -213,8 +222,9 @@ def synth_corpus(
     """
     if num_speakers < 1 or utts_per_speaker < 1:
         raise ValueError("num_speakers and utts_per_speaker must be >= 1")
-    if duration <= 0 or sample_rate <= 0:
-        raise ValueError("duration and sample_rate must be positive")
+    if not (0 < duration < np.inf and sample_rate > 0):
+        raise ValueError(f"duration and sample_rate must be positive and finite, "
+                         f"got duration={duration}, sample_rate={sample_rate}")
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
     utterances = []

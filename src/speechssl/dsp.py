@@ -205,8 +205,11 @@ def save_features(out_dir, uid: str, features: FeatureSequence) -> None:
 
 
 def load_features(out_dir, uid: str) -> FeatureSequence:
-    out_dir = Path(out_dir)
-    sidecar = json.loads((out_dir / f"{uid}.json").read_text(encoding="utf-8"))
-    raw = np.frombuffer((out_dir / f"{uid}.f32").read_bytes(), dtype="<f4")
-    frames = raw.astype(np.float64).reshape(sidecar["T"], sidecar["D"])
-    return FeatureSequence(frames, sidecar["frame_rate"], meta=sidecar["id"])
+    path = Path(out_dir) / f"{uid}.json"
+    try:
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        raw = np.frombuffer(path.with_suffix(".f32").read_bytes(), dtype="<f4")
+        frames = raw.astype(np.float64).reshape(sidecar["T"], sidecar["D"])
+        return FeatureSequence(frames, sidecar["frame_rate"], meta=sidecar["id"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot read feature sidecar {path}: {exc!r}") from exc

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numerics import log_sigmoid, sigmoid
+from .numerics import log_sigmoid, log_softmax, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -79,11 +79,6 @@ def combine(contrastive: float, diversity: float, content: float,
 # Content loss
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def content_loss_batch(logits, labels_list, mask):
     """Batch content loss over stacked (B, T, C) logits: the mean negative
     log-probability of the pseudo-label over all masked frames of all
@@ -108,7 +103,7 @@ def content_loss_batch(logits, labels_list, mask):
         raise ValueError("content loss needs a non-empty mask")
     targets = np.concatenate([lab.labels for lab in labels_list])[rows]
     flat = logits.reshape(b * t, k)
-    logp = _log_softmax(flat[rows])
+    logp = log_softmax(flat[rows])
     picked = np.arange(rows.size)
     loss = float(-logp[picked, targets].mean())
     dmasked = np.exp(logp)

@@ -132,6 +132,12 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
+def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Row-stable log softmax (max subtraction)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Gradient through softmax given its output `probs`."""
     out = dprobs * probs

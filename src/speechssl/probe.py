@@ -14,7 +14,8 @@ import numpy as np
 from .corpus import Utterance, Waveform
 from .dsp import mfcc
 from .encoder import BatchMask, forward, sample_mask
-from .numerics import adam_step, derive_seed, rng_from, softmax, softmax_backward
+from .numerics import (adam_step, derive_seed, log_softmax, rng_from, softmax,
+                       softmax_backward)
 
 
 def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
@@ -125,11 +126,7 @@ def fit_layer_weights(
     for t in range(1, steps + 1):
         lw = softmax(theta)
         rep = np.einsum("l,lnd->nd", lw, outputs)
-        logits = rep @ w + b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        probs = np.exp(shifted - logz)
-        dlogits = probs.copy()
+        dlogits = np.exp(log_softmax(rep @ w + b))
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
         grad_w = rep.T @ dlogits

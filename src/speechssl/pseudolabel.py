@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_jsonl
 from .dsp import FeatureSequence
 from .numerics import rng_from
 from .probe import encode_corpus
@@ -279,15 +280,12 @@ def save_labels(path, labeled: dict[str, PseudoLabelSequence]) -> None:
 
 def load_labels(path) -> dict[str, PseudoLabelSequence]:
     out: dict[str, PseudoLabelSequence] = {}
-    with open(Path(path), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out[obj["id"]] = PseudoLabelSequence(
-                np.asarray(obj["labels"], dtype=np.int64), obj["k"], obj["source"]
-            )
+    for where, obj in read_jsonl(path, ("id", "k", "source", "labels"), "labels file"):
+        try:
+            out[str(obj["id"])] = PseudoLabelSequence(
+                np.asarray(obj["labels"], dtype=np.int64), obj["k"], obj["source"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return out
 
 

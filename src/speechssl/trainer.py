@@ -22,7 +22,7 @@ import numpy as np
 
 from .augment import mix_batch
 from .corpus import Batch, make_batch
-from .dsp import MfccConfig, mfcc_batch
+from .dsp import MfccConfig, frame_count, mfcc_batch
 from .encoder import (
     BatchMask,
     EncoderConfig,
@@ -72,6 +72,15 @@ class Seeds:
     noise: int = 5
 
 
+def _float_leaves(doc: dict, prefix: str = ""):
+    """(dotted key, value) of every float in a nested config dict."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _float_leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, float):
+            yield prefix + key, value
+
+
 @dataclass
 class TrainConfig:
     steps: int = 300
@@ -95,6 +104,13 @@ class TrainConfig:
     mfcc: MfccConfig = field(default_factory=MfccConfig)
 
     def __post_init__(self):
+        for key, value in _float_leaves(asdict(self)):
+            if not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite, got {value}")
+        for key in ("warmup_frac", "mix_probability"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"config key {key!r} must lie in [0, 1], "
+                                 f"got {getattr(self, key)}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.learning_rate < 0:
@@ -165,17 +181,6 @@ def adam_update(state: TrainState, grads: FlatArrays, lr: float, cfg: TrainConfi
               state.step, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
 
-def _check_label_provenance(labels) -> None:
-    for seq in labels:
-        if not isinstance(seq, PseudoLabelSequence):
-            raise ValueError("labels must be PseudoLabelSequence instances")
-        if not seq.source.startswith(CLEAN_LABEL_SOURCES):
-            raise ValueError(
-                f"label source {seq.source!r} is not a clean-audio source; "
-                "content targets must be computed before mixing"
-            )
-
-
 @dataclass
 class ObjectiveResult:
     breakdown: LossBreakdown
@@ -231,10 +236,9 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
 
 def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     """One optimization step. `labels` are per-batch-member pseudo-labels
-    computed from the clean audio. Returns (state, LossBreakdown). A
-    non-finite activation or loss raises FloatingPointError naming the step
-    and the utterance ids."""
-    _check_label_provenance(labels)
+    computed from the clean audio; `train` checks them once, before its
+    first step. Returns (state, LossBreakdown). A non-finite activation or
+    loss raises FloatingPointError naming the step and the utterance ids."""
     step = state.step + 1
     seeds = config.seeds
 
@@ -246,13 +250,6 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     ids = [u.id for u in mixed.batch.utterances]
     del mixed                           # the mixed audio is not needed past its features
     num_frames = features.shape[1]
-    for uid, seq in zip(ids, labels):
-        if num_frames != len(seq):
-            raise ValueError(
-                f"utterance {uid!r}: {num_frames} frames vs "
-                f"{len(seq)} labels; labels must come from the clean audio "
-                "at the training utterance length"
-            )
 
     mask = BatchMask.from_indices([
         sample_mask(num_frames, config.encoder,
@@ -305,56 +302,44 @@ def mean_total_last_tenth(metrics) -> float:
     return float(np.mean([m["total"] for m in metrics[-max(1, len(metrics) // 10):]]))
 
 
-def _first_difference(a: dict, b: dict, prefix: str = "") -> str | None:
-    """Dotted name of the first key whose value differs between two config
-    dicts of the same shape, or None when they are equal."""
-    for key in a:
-        if isinstance(a[key], dict):
-            found = _first_difference(a[key], b[key], f"{prefix}{key}.")
-            if found:
-                return found
-        elif a[key] != b[key]:
-            return prefix + key
-    return None
+def _check_labels(corpus, labels_by_id: dict, config: TrainConfig) -> None:
+    """Refuse, naming the utterance, a corpus utterance without labels or
+    whose labels are not from clean audio, do not have one label per frame
+    of a training crop, or have more clusters than the content head."""
+    frames = frame_count(config.utterance_length, config.mfcc.window, config.mfcc.hop)
+    for utt in corpus:
+        seq = labels_by_id.get(utt.id)
+        if seq is None:
+            raise ValueError(f"no labels for utterance {utt.id!r}")
+        if not seq.source.startswith(CLEAN_LABEL_SOURCES):
+            raise ValueError(f"utterance {utt.id!r}: label source {seq.source!r} is not a "
+                             "clean-audio source; content targets must be computed before mixing")
+        if len(seq) != frames:
+            raise ValueError(f"utterance {utt.id!r}: {len(seq)} labels vs {frames} frames; "
+                             "labels must come from the clean audio at the training "
+                             "utterance length")
+        if seq.k > config.encoder.num_classes:
+            raise ValueError(f"utterance {utt.id!r}: labels of k={seq.k} exceed "
+                             f"encoder.num_classes={config.encoder.num_classes}")
 
 
-def train(
-    config: TrainConfig,
-    corpus,
-    labels_by_id: dict[str, PseudoLabelSequence],
-    out_dir=None,
-    resume: TrainState | None = None,
-    until_step: int | None = None,
-):
-    """Run (or continue) pre-training. Returns (TrainState, metrics list).
-
-    With out_dir set, metrics stream to metrics.jsonl and checkpoints are
-    written on the checkpoint_every schedule plus at the end. A checkpoint
-    carries the metrics rows of every step up to it, so a resumed run's
-    metrics, metrics.jsonl and summary.json equal the uninterrupted run's.
-    A resumed state is continued in place and must carry the same config.
-    """
+def train(state: TrainState, corpus, labels_by_id: dict[str, PseudoLabelSequence],
+          out_dir=None, until_step: int | None = None) -> TrainState:
+    """Run `state` (init_state(config) or load_checkpoint(stem)) to its
+    config's last step, or to `until_step`, and return it. Every corpus
+    utterance's labels are checked before anything is written. With out_dir
+    set, metrics stream to metrics.jsonl and checkpoints are written on the
+    checkpoint_every schedule plus at the end. A checkpoint carries the
+    metrics rows of every step up to it, so a resumed run's metrics,
+    metrics.jsonl and summary.json equal the uninterrupted run's."""
+    config = state.config
     if until_step is not None and until_step < 1:
         raise ValueError(f"until_step must be >= 1, got {until_step}")
-    missing = [u.id for u in corpus if u.id not in labels_by_id]
-    if missing:
-        raise ValueError(f"no labels for utterances: {missing[:5]}")
-    if resume is not None:
-        if [m["step"] for m in resume.metrics] != list(range(1, resume.step + 1)):
-            raise ValueError(
-                f"checkpoint at step {resume.step} does not carry the metrics of "
-                f"steps 1..{resume.step}; it cannot be resumed"
-            )
-        differs = _first_difference(resume.config.to_dict(), config.to_dict())
-        if differs:
-            raise ValueError(
-                f"config key {differs!r} differs from the checkpoint's; a run "
-                "resumes only with the config it was started with"
-            )
-        state = resume
-    else:
-        state = init_state(config)
+    _check_labels(corpus, labels_by_id, config)
     metrics = state.metrics
+    if [m["step"] for m in metrics] != list(range(1, state.step + 1)):
+        raise ValueError(f"state at step {state.step} does not carry the metrics of "
+                         f"steps 1..{state.step}; it cannot be resumed")
     last_step = config.steps if until_step is None else min(until_step, config.steps)
 
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -390,7 +375,7 @@ def train(
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         if state.last_usage is not None:
             write_usage_histogram(out_dir / "usage.json", state.last_usage)
-    return state, metrics
+    return state
 
 
 def write_usage_histogram(path, p_bar: np.ndarray) -> None:

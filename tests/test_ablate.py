@@ -7,7 +7,7 @@ from speechssl.corpus import synth_corpus
 from speechssl.dsp import mfcc
 from speechssl.probe import overlapped_corpus, speaker_separability
 from speechssl.pseudolabel import fit_labels
-from speechssl.trainer import Seeds, train
+from speechssl.trainer import Seeds, init_state, train
 
 from conftest import fast_config
 
@@ -34,8 +34,8 @@ def test_run_grid_matches_separate_train_and_score_calls():
     for (p, speaker_loss, seed), run in runs.items():
         config = dataclasses.replace(setup.config, mix_probability=p,
                                      speaker_loss=speaker_loss, seeds=run_seeds(seed))
-        state, metrics = train(config, setup.corpus, setup.labels)
-        assert run.state.config == config and run.metrics == metrics
+        state = train(init_state(config), setup.corpus, setup.labels)
+        assert run.state.config == config and run.metrics == state.metrics
         assert np.array_equal(run.state.params.flat, state.params.flat)
         assert run.separability_clean == speaker_separability(state, setup.corpus, tap)
         assert run.separability_overlap == speaker_separability(state, setup.overlap, tap)

@@ -34,7 +34,7 @@ from speechssl.quantizer import (
     quantize,
 )
 from speechssl.pseudolabel import PseudoLabelSequence
-from speechssl.trainer import TrainConfig, grad_check, load_checkpoint, train
+from speechssl.trainer import TrainConfig, grad_check, init_state, load_checkpoint, train
 
 DESK_SEEDS = (0, 1, 2)
 
@@ -192,16 +192,16 @@ class TestCriterion5Determinism:
                            restarts=2)
         config, corpus, labels = setup.config, setup.corpus, setup.labels
 
-        train(config, corpus, labels, out_dir=tmp_path / "a")
-        train(config, corpus, labels, out_dir=tmp_path / "b")
+        train(init_state(config), corpus, labels, out_dir=tmp_path / "a")
+        train(init_state(config), corpus, labels, out_dir=tmp_path / "b")
         same_metrics = (tmp_path / "a/metrics.jsonl").read_bytes() == (
             tmp_path / "b/metrics.jsonl").read_bytes()
         same_params = (tmp_path / "a/checkpoint_final.bin").read_bytes() == (
             tmp_path / "b/checkpoint_final.bin").read_bytes()
 
-        train(config, corpus, labels, out_dir=tmp_path / "c", until_step=20)
+        train(init_state(config), corpus, labels, out_dir=tmp_path / "c", until_step=20)
         resumed = load_checkpoint(tmp_path / "c/checkpoint_final")
-        train(config, corpus, labels, out_dir=tmp_path / "c", resume=resumed)
+        train(resumed, corpus, labels, out_dir=tmp_path / "c")
         resume_metrics = (tmp_path / "a/metrics.jsonl").read_bytes() == (
             tmp_path / "c/metrics.jsonl").read_bytes()
         resume_params = (tmp_path / "a/checkpoint_final.bin").read_bytes() == (

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,15 +115,44 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"speaker_loss": 1}, "config key 'speaker_loss' takes true or false, got 1", 2),
     ({"learning_rate": 10**400}, "config key 'learning_rate' takes a number, got 1000", 2),
     ({"encoder": {"num_heads": 0}}, "num_heads must be >= 1, got 0", 1),
+    ({"learning_rate": float("inf")}, "config key 'learning_rate' must be finite, got inf", 1),
+    ({"weights": {"alpha": float("nan")}}, "config key 'weights.alpha' must be finite", 1),
+    ({"mix_probability": 2}, "config key 'mix_probability' must lie in [0, 1], got 2.0", 1),
+    ({"warmup_frac": -1}, "config key 'warmup_frac' must lie in [0, 1], got -1.0", 1),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
-        "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads"])
+        "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
+        "infinite-learning-rate", "nan-nested", "mix-probability-above-1",
+        "negative-warmup-frac"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
     assert main(["pretrain", "--manifest", "whatever.jsonl", "--labels", "whatever.jsonl",
                  "--out", str(tmp_path / "run"), "--config", str(config)]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+def test_synth_bad_duration_exits_1(tmp_path, capsys, duration):
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--duration", duration]) == 1
+    assert "duration" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_shorthands_apply_in_command_line_order():
+    from speechssl.cli import build_parser, build_train_config
+
+    def config(*flags):
+        args = build_parser().parse_args(["pretrain", "--manifest", "m", "--labels", "l",
+                                          "--out", "o", *flags])
+        return build_train_config(args)
+
+    assert config("--set", "steps=3", "--steps", "2").steps == 2
+    assert config("--steps", "2", "--set", "steps=3").steps == 3
+    assert config("--seed-noise", "9", "--set", "seeds.noise=4").seeds.noise == 4
+    assert config("--set", "seeds.noise=4", "--seed-noise", "9").seeds.noise == 9
 
 
 def test_int_taken_for_float_key_as_float(tmp_path):
@@ -210,8 +240,9 @@ def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):
                 "--steps", "1", *TINY_MODEL_SETS]
     assert main([*pretrain, *hop]) == 0
     capsys.readouterr()
-    assert main(pretrain) == 1          # labels at hop 200, features at the default 160
+    assert main([*pretrain, "--out", str(tmp_path / "run2")]) == 1  # features at hop 160
     assert "labels must come from the clean audio" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
 
 
 def test_pipeline_recluster(pipeline, tmp_path):
@@ -249,14 +280,14 @@ def test_pipeline_pretrain_deterministic(pipeline, tmp_path):
 
 
 def test_pipeline_resume_matches(pipeline, tmp_path):
-    args_common = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
-                   "--labels", str(pipeline / "cluster/labels.jsonl"),
-                   "--steps", "4", *TINY_MODEL_SETS]
+    inputs = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+              "--labels", str(pipeline / "cluster/labels.jsonl")]
+    args_common = [*inputs, "--steps", "4", *TINY_MODEL_SETS]
     straight = tmp_path / "straight"
     assert main([*args_common, "--out", str(straight)]) == 0
     split = tmp_path / "split"
     assert main([*args_common, "--out", str(split), "--until-step", "2"]) == 0
-    assert main([*args_common, "--out", str(split),
+    assert main([*inputs, "--out", str(split),
                  "--resume", str(split / "checkpoint_final")]) == 0
     assert (straight / "metrics.jsonl").read_bytes() == (
         split / "metrics.jsonl").read_bytes()
@@ -265,18 +296,94 @@ def test_pipeline_resume_matches(pipeline, tmp_path):
 
 
 def test_pipeline_resume_refuses_bad_checkpoint(pipeline, tmp_path, capsys):
-    args_common = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
-                   "--labels", str(pipeline / "cluster/labels.jsonl"),
-                   "--steps", "4", *TINY_MODEL_SETS, "--out", str(tmp_path)]
+    inputs = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+              "--labels", str(pipeline / "cluster/labels.jsonl"), "--out", str(tmp_path)]
     stem = tmp_path / "checkpoint_final"
-    assert main([*args_common, "--until-step", "2"]) == 0
-    assert main([*args_common, "--set", "learning_rate=0.001",
-                 "--resume", str(stem)]) == 1
-    assert "'learning_rate'" in capsys.readouterr().err
+    assert main([*inputs, "--steps", "4", *TINY_MODEL_SETS, "--until-step", "2"]) == 0
     blob = stem.with_suffix(".bin")
     blob.write_bytes(blob.read_bytes()[:-8])
-    assert main([*args_common, "--resume", str(stem)]) == 1
+    assert main([*inputs, "--resume", str(stem)]) == 1
     assert "digest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--set", "steps=2"], ["--steps", "2"],
+                                   ["--seed-data", "3"], ["--config", "config.json"]],
+                         ids=["set", "steps", "seed", "config"])
+def test_resume_with_config_flags_is_usage_error(pipeline, tmp_path, capsys, flags):
+    run = tmp_path / "run"
+    pretrain = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                "--labels", str(pipeline / "cluster/labels.jsonl"), "--out", str(run)]
+    assert main([*pretrain, "--steps", "2", *TINY_MODEL_SETS, "--until-step", "1"]) == 0
+    before = (run / "metrics.jsonl").read_bytes()
+    assert main([*pretrain, "--resume", str(run / "checkpoint_final"), *flags]) == 2
+    assert "--resume continues with the checkpoint's config" in capsys.readouterr().err
+    assert (run / "metrics.jsonl").read_bytes() == before
+
+
+def test_run_manifest_lists_input_paths(pipeline, tmp_path):
+    manifest = str(pipeline / "corpus/manifest.jsonl")
+    labels = str(pipeline / "cluster/labels.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 2}))
+    run = tmp_path / "run"
+    pretrain = ["pretrain", "--manifest", manifest, "--labels", labels, "--out", str(run)]
+    assert main([*pretrain, "--config", str(config), *TINY_MODEL_SETS, "--until-step", "1"]) == 0
+    recorded = json.loads((run / "run_manifest.json").read_text())
+    assert recorded["inputs"] == [manifest, labels, str(config)]
+    stem = str(run / "checkpoint_final")
+    assert main([*pretrain, "--resume", stem]) == 0
+    recorded = json.loads((run / "run_manifest.json").read_text())
+    assert recorded["command"] == "pretrain" and recorded["inputs"] == [manifest, labels, stem]
+    assert recorded["seeds"] == json.loads(Path(stem + ".json").read_text())["config"]["seeds"]
+
+
+def test_unreadable_labels_or_features_exit_1(pipeline, tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    rows = (pipeline / "cluster/labels.jsonl").read_text().splitlines()
+    row = json.loads(rows[1])
+    del row["k"]
+    labels.write_text("\n".join([rows[0], json.dumps(row), *rows[2:]]) + "\n")
+    assert main(["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                 "--labels", str(labels), "--out", str(tmp_path / "run"), "--steps", "1",
+                 *TINY_MODEL_SETS]) == 1
+    err = capsys.readouterr().err
+    assert f"{labels}:2: expected an object with keys" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+    features = tmp_path / "features"
+    features.mkdir()
+    for blob in (pipeline / "features").glob("spk00_utt00*"):
+        (features / blob.name).write_bytes(blob.read_bytes())
+    sidecar = features / "spk00_utt001.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["T"]
+    sidecar.write_text(json.dumps(doc))
+    assert main(["cluster", "--features", str(features), "--out", str(tmp_path / "cluster"),
+                 "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read feature sidecar {sidecar}: KeyError('T')" in err
+
+
+def test_mix_verify_failure_exits_1(pipeline, tmp_path, capsys, monkeypatch):
+    from speechssl import cli
+
+    monkeypatch.setattr(cli, "verify_spec", lambda mixed: ["chunk 1 is out of range"])
+    assert main(["mix", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                 "--out", str(tmp_path / "mixed"), "--p", "1.0"]) == 1
+    assert "mix verification failed: chunk 1 is out of range" in capsys.readouterr().err
+    assert not (tmp_path / "mixed").exists()
+
+
+def test_gradcheck_fail_exits_1(capsys, monkeypatch):
+    from speechssl import cli
+    from speechssl.trainer import GradCheckReport
+
+    monkeypatch.setattr(cli, "grad_check", lambda **kwargs: GradCheckReport(
+        0.5, {"encoder/w": 0.5}, 1))
+    assert main(["gradcheck"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: gradient check exceeded tolerance" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):

@@ -114,11 +114,11 @@ class TestSpeakerSeparability:
     def test_runs_on_trained_checkpoint(self, small_setup):
         import dataclasses
 
-        from speechssl.trainer import train
+        from speechssl.trainer import init_state, train
 
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
-        ckpt, _ = train(config, corpus, labels)
+        ckpt = train(init_state(config), corpus, labels)
         score = speaker_separability(ckpt, corpus, layer=config.encoder.tap_layer)
         assert 0.0 <= score <= 1.0
 
@@ -126,11 +126,11 @@ class TestSpeakerSeparability:
         import dataclasses
 
         from speechssl.corpus import Utterance
-        from speechssl.trainer import train
+        from speechssl.trainer import init_state, train
 
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=1)
-        ckpt, _ = train(config, corpus, labels)
+        ckpt = train(init_state(config), corpus, labels)
         untagged = [Utterance(u.id, u.waveform, None) for u in corpus]
         with pytest.raises(ValueError, match="speaker"):
             speaker_separability(ckpt, untagged, layer=0)
@@ -171,11 +171,11 @@ class TestLayerProfile:
     def test_emits_profile_and_separability(self, small_setup):
         import dataclasses
 
-        from speechssl.trainer import train
+        from speechssl.trainer import init_state, train
 
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
-        ckpt, _ = train(config, corpus, labels)
+        ckpt = train(init_state(config), corpus, labels)
         weights, accuracy, separability = layer_profile(ckpt, corpus, steps=50)
         assert len(weights) == config.encoder.num_layers + 1
         assert abs(weights.sum() - 1.0) < 1e-8

@@ -77,17 +77,6 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="labels"):
             train_step(state, batch, bad, config)
 
-    def test_mixed_audio_label_provenance_enforced(self, small_setup):
-        config, corpus, labels = small_setup
-        batch, batch_labels = first_batch(config, corpus, labels)
-        tainted = [
-            PseudoLabelSequence(seq.labels, seq.k, source="mixed-audio")
-            for seq in batch_labels
-        ]
-        state = init_state(config)
-        with pytest.raises(ValueError, match="clean"):
-            train_step(state, batch, tainted, config)
-
 
 def on_glibc() -> bool:
     try:
@@ -214,20 +203,44 @@ class TestTrain:
     def test_single_step_single_record(self, small_setup):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=1)
-        _, metrics = train(config, corpus, labels)
+        state = init_state(config)
+        assert train(state, corpus, labels) is state
+        metrics = state.metrics
         assert len(metrics) == 1
         assert metrics[0]["step"] == 1
 
     def test_missing_labels_rejected(self, small_setup):
         config, corpus, labels = small_setup
         partial = dict(list(labels.items())[:-1])
-        with pytest.raises(ValueError, match="no labels"):
-            train(config, corpus, partial)
+        with pytest.raises(ValueError, match=f"no labels for utterance {corpus[-1].id!r}"):
+            train(init_state(config), corpus, partial)
+
+    def test_mixed_audio_label_provenance_enforced(self, small_setup, tmp_path):
+        config, corpus, labels = small_setup
+        tainted = {uid: PseudoLabelSequence(seq.labels, seq.k, source="mixed-audio")
+                   for uid, seq in labels.items()}
+        with pytest.raises(ValueError, match=f"utterance {corpus[0].id!r}: .*clean"):
+            train(init_state(config), corpus, tainted, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda seq: PseudoLabelSequence(seq.labels[:-1], seq.k, seq.source),
+         r"\d+ labels vs \d+ frames; labels must come from the clean audio"),
+        (lambda seq: PseudoLabelSequence(seq.labels, 7, seq.source),
+         "labels of k=7 exceed encoder.num_classes=6"),
+    ], ids=["wrong-length", "k-above-num-classes"])
+    def test_bad_labels_refused_before_writing(self, small_setup, tmp_path, edit, expected):
+        config, corpus, labels = small_setup
+        bad = corpus[-1].id
+        labels = {**labels, bad: edit(labels[bad])}
+        with pytest.raises(ValueError, match=f"utterance {bad!r}: {expected}"):
+            train(init_state(config), corpus, labels, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_metrics_file_stream(self, small_setup, tmp_path):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=3)
-        _, metrics = train(config, corpus, labels, out_dir=tmp_path)
+        metrics = train(init_state(config), corpus, labels, out_dir=tmp_path).metrics
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 3
         assert [json.loads(l) for l in lines] == metrics
@@ -243,8 +256,8 @@ class TestTrain:
     def test_two_runs_bit_identical_metrics(self, small_setup, tmp_path):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=4)
-        train(config, corpus, labels, out_dir=tmp_path / "a")
-        train(config, corpus, labels, out_dir=tmp_path / "b")
+        train(init_state(config), corpus, labels, out_dir=tmp_path / "a")
+        train(init_state(config), corpus, labels, out_dir=tmp_path / "b")
         assert (tmp_path / "a/metrics.jsonl").read_bytes() == (
             tmp_path / "b/metrics.jsonl"
         ).read_bytes()
@@ -252,11 +265,12 @@ class TestTrain:
     def test_resume_equivalent_to_uninterrupted(self, small_setup, tmp_path):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=6)
-        full_ckpt, full_metrics = train(config, corpus, labels)
-        half_ckpt, half_metrics = train(config, corpus, labels, until_step=3)
-        resumed_ckpt, resumed_metrics = train(config, corpus, labels, resume=half_ckpt)
-        assert len(resumed_metrics) == 6
-        assert resumed_metrics == full_metrics
+        full_ckpt = train(init_state(config), corpus, labels)
+        half_ckpt = train(init_state(config), corpus, labels, until_step=3)
+        assert half_ckpt.step == 3
+        resumed_ckpt = train(half_ckpt, corpus, labels)
+        assert len(resumed_ckpt.metrics) == 6
+        assert resumed_ckpt.metrics == full_ckpt.metrics
         for key in full_ckpt.params:
             assert np.array_equal(full_ckpt.params[key], resumed_ckpt.params[key]), key
             assert np.array_equal(full_ckpt.adam_m[key], resumed_ckpt.adam_m[key]), key
@@ -268,14 +282,13 @@ class TestTrain:
         # the intermediate checkpoint of a finished run must not duplicate rows
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=30, checkpoint_every=15)
-        train(config, corpus, labels, out_dir=tmp_path / "full")
+        train(init_state(config), corpus, labels, out_dir=tmp_path / "full")
         split = tmp_path / "split"
         first_leg = 15 if resume_from == "checkpoint_final" else None
-        train(config, corpus, labels, out_dir=split, until_step=first_leg)
+        train(init_state(config), corpus, labels, out_dir=split, until_step=first_leg)
         resumed = load_checkpoint(split / resume_from)
         assert resumed.step == 15
-        _, metrics = train(config, corpus, labels, out_dir=split, resume=resumed)
-        assert len(metrics) == 30
+        assert len(train(resumed, corpus, labels, out_dir=split).metrics) == 30
         for name in ("metrics.jsonl", "summary.json", "checkpoint_final.json",
                      "checkpoint_final.bin"):
             assert (tmp_path / "full" / name).read_bytes() == (split / name).read_bytes(), name
@@ -285,7 +298,8 @@ class TestTrain:
                                                           until_step):
         config, corpus, labels = small_setup
         with pytest.raises(ValueError, match=f"until_step must be >= 1, got {until_step}"):
-            train(config, corpus, labels, out_dir=tmp_path / "run", until_step=until_step)
+            train(init_state(config), corpus, labels, out_dir=tmp_path / "run",
+                  until_step=until_step)
         assert not (tmp_path / "run").exists()
 
     def test_resume_without_metrics_history_rejected(self, small_setup):
@@ -293,21 +307,12 @@ class TestTrain:
         state = init_state(config)
         ckpt = TrainState(config, state.params, state.adam_m, state.adam_v, 3, [])
         with pytest.raises(ValueError, match="metrics"):
-            train(config, corpus, labels, resume=ckpt)
-
-    def test_resume_with_different_config_rejected(self, small_setup):
-        config, corpus, labels = small_setup
-        config = dataclasses.replace(config, steps=4)
-        half, _ = train(config, corpus, labels, until_step=2)
-        changed = dataclasses.replace(config, learning_rate=config.learning_rate * 2)
-        with pytest.raises(ValueError, match="'learning_rate'"):
-            train(changed, corpus, labels, resume=half)
-        assert half.step == 2
+            train(ckpt, corpus, labels)
 
     def test_loss_descends_on_longer_run(self, small_setup):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=40, learning_rate=5e-3)
-        _, metrics = train(config, corpus, labels)
+        metrics = train(init_state(config), corpus, labels).metrics
         first = np.mean([m["total"] for m in metrics[:5]])
         last = np.mean([m["total"] for m in metrics[-5:]])
         assert last < first
@@ -317,7 +322,7 @@ class TestCheckpoint:
     def test_round_trip_probe_forward_bit_identical(self, small_setup, tmp_path):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
-        ckpt, _ = train(config, corpus, labels)
+        ckpt = train(init_state(config), corpus, labels)
         save_checkpoint(tmp_path / "ck", ckpt)
         back = load_checkpoint(tmp_path / "ck")
         assert back.step == 2
@@ -340,9 +345,9 @@ class TestCheckpoint:
         different bytes."""
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
-        ckpt, _ = train(config, corpus, labels, until_step=1)
+        ckpt = train(init_state(config), corpus, labels, until_step=1)
         save_checkpoint(tmp_path / "one", ckpt)
-        train(config, corpus, labels, resume=ckpt)
+        train(ckpt, corpus, labels)
         save_checkpoint(tmp_path / "two", ckpt)
         return tmp_path / "one", tmp_path / "two"
 
@@ -363,7 +368,8 @@ class TestCheckpoint:
 
     def test_blob_is_the_three_flat_vectors(self, small_setup, tmp_path):
         config, corpus, labels = small_setup
-        state, _ = train(dataclasses.replace(config, steps=2), corpus, labels, until_step=1)
+        state = train(init_state(dataclasses.replace(config, steps=2)), corpus, labels,
+                      until_step=1)
         save_checkpoint(tmp_path / "ck", state)
         blob = np.concatenate([state.params.flat, state.adam_m.flat, state.adam_v.flat])
         assert (tmp_path / "ck.bin").read_bytes() == blob.astype("<f8").tobytes()
