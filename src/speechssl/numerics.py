@@ -10,7 +10,9 @@ accumulated in place, so callers control reduction order. The elementwise
 kernels work in place on the arrays they create where they can. On batched
 activations every such array is large; retain_freed_memory keeps the
 memory they free in the C heap, so a warm train step reuses it instead of
-taking page faults on fresh pages.
+taking page faults on fresh pages. scipy.special serves only gelu_forward's
+erf and sigmoid's expit and is imported at their first call, so the
+commands that never run the encoder or the contrastive loss never load it.
 """
 
 import ctypes
@@ -19,7 +21,6 @@ import math
 import os
 
 import numpy as np
-from scipy.special import erf, expit
 
 SQRT_2 = np.sqrt(2.0)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -148,6 +149,7 @@ def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> n
 
 
 def sigmoid(x):
+    from scipy.special import expit
     return expit(x)
 
 
@@ -223,6 +225,7 @@ def layer_norm_backward(cache, dy):
 def gelu_forward(x):
     """Returns (y, cache); the cache keeps x and its normal CDF, so that
     gelu_backward needs no second erf."""
+    from scipy.special import erf
     cdf = x / SQRT_2
     erf(cdf, out=cdf)
     cdf += 1.0

@@ -111,8 +111,9 @@ class TrainConfig:
             if not 0 <= getattr(self, key) <= 1:
                 raise ValueError(f"config key {key!r} must lie in [0, 1], "
                                  f"got {getattr(self, key)}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for key, low in (("steps", 1), ("batch_size", 1), ("checkpoint_every", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(self, key)}")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
         if self.quantizer.latent_dim != self.encoder.model_dim:

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speechssl
 from speechssl.cli import main
 
 TINY_MODEL_SETS = [
@@ -119,11 +122,15 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"weights": {"alpha": float("nan")}}, "config key 'weights.alpha' must be finite", 1),
     ({"mix_probability": 2}, "config key 'mix_probability' must lie in [0, 1], got 2.0", 1),
     ({"warmup_frac": -1}, "config key 'warmup_frac' must lie in [0, 1], got -1.0", 1),
+    ({"batch_size": 0}, "config key 'batch_size' must be >= 1, got 0", 1),
+    ({"batch_size": -2}, "config key 'batch_size' must be >= 1, got -2", 1),
+    ({"checkpoint_every": -1}, "config key 'checkpoint_every' must be >= 0, got -1", 1),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
         "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
         "infinite-learning-rate", "nan-nested", "mix-probability-above-1",
-        "negative-warmup-frac"])
+        "negative-warmup-frac", "zero-batch-size", "negative-batch-size",
+        "negative-checkpoint-every"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
@@ -437,3 +444,38 @@ def test_sweep_mix_bad_input_is_usage_error(tmp_path, capsys, flags, message):
     assert main(["sweep-mix", "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()          # refused before anything is built or written
+
+
+STARTUP_CHILD = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from speechssl import cli, numerics
+
+out = sys.argv[2]
+for argv in (["synth", "--out", out + "/corpus", "--num-speakers", "2",
+              "--utts-per-speaker", "3", "--duration", "0.1", "--seed", "0"],
+             ["mfcc", "--manifest", out + "/corpus/manifest.jsonl", "--out", out + "/features"],
+             ["cluster", "--features", out + "/features", "--out", out + "/cluster", "--k", "4"],
+             ["mix", "--manifest", out + "/corpus/manifest.jsonl", "--out", out + "/mixed"]):
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+
+x = np.linspace(-6.0, 6.0, 97)
+gelu, _ = numerics.gelu_forward(x)
+sigmoid = numerics.sigmoid(x)
+assert "scipy.special" in sys.modules
+import scipy.special
+assert np.array_equal(gelu, x * (0.5 * (1.0 + scipy.special.erf(x / np.sqrt(2.0)))))
+assert np.array_equal(sigmoid, scipy.special.expit(x))
+"""
+
+
+def test_commands_without_encoder_never_load_scipy(tmp_path):
+    # a fresh interpreter: this one has loaded scipy through other tests
+    src = str(Path(speechssl.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
