@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .pseudolabel import (
 )
 from .probe import ascii_bar_chart, layer_profile
 from .trainer import (
+    Seeds,
     TrainConfig,
     grad_check,
     init_state,
@@ -285,8 +286,6 @@ def cmd_sweep_mix(args):
         raise UsageError(f"--p-grid {args.p_grid!r} is not a list of numbers") from None
     if not all(0.0 <= p <= 1.0 for p in grid) or len(set(grid)) < len(grid):
         raise UsageError(f"--p-grid {args.p_grid!r} must hold distinct values in [0, 1]")
-    if args.num_seeds < 1:
-        raise UsageError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     if args.num_speakers < 2 or args.utts_per_speaker < 2:
         raise UsageError("speaker separability needs --num-speakers >= 2 and "
                          "--utts-per-speaker >= 2")
@@ -328,6 +327,20 @@ def cmd_sweep_mix(args):
 # Argument parsing
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`, else a usage error
+    naming the flag, raised while parsing, before the command runs."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON config file (full or partial)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -346,9 +359,9 @@ def _add_train_config_flags(parser):
     _add_config_flags(parser)
     parser.add_argument("--steps", type=int, action=_SetShorthand, dest="set",
                         const="steps", metavar="N", help="override training steps")
-    for name in ("data", "model", "mixing", "masking", "negatives", "noise"):
-        parser.add_argument(f"--seed-{name}", type=int, action=_SetShorthand, dest="set",
-                            const=f"seeds.{name}", metavar="N")
+    for seed in fields(Seeds):
+        parser.add_argument(f"--seed-{seed.name}", type=int, action=_SetShorthand, dest="set",
+                            const=f"seeds.{seed.name}", metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--length", type=int)
+    p.add_argument("--batch-size", type=_int_at_least(1))
+    p.add_argument("--length", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mix)
 
@@ -416,19 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--probe-steps", type=int, default=200)
+    p.add_argument("--probe-steps", type=_int_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=int, default=240)
+    p.add_argument("--coords", type=_int_at_least(1), default=240)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep-mix", help="train at p in a mixing-ratio grid and compare")
     p.add_argument("--out", required=True)
     p.add_argument("--p-grid", default="0.0,0.2,0.5")
-    p.add_argument("--num-seeds", type=int, default=3)
+    p.add_argument("--num-seeds", type=_int_at_least(1), default=3)
     p.add_argument("--num-speakers", type=int, default=8)
     p.add_argument("--utts-per-speaker", type=int, default=16)
     p.add_argument("--corpus-seed", type=int, default=0)

@@ -43,7 +43,6 @@ class NonFiniteActivations(FloatingPointError):
 
 @dataclass
 class EncoderConfig:
-    input_dim: int = 39
     model_dim: int = 64
     num_layers: int = 4
     num_heads: int = 4
@@ -155,7 +154,8 @@ class EncoderOutput:
 # Parameters
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict:
+def init_encoder_params(cfg: EncoderConfig, input_dim: int, seed: int) -> dict:
+    """Parameters for frames of `input_dim` features (the MFCC width)."""
     rng = np.random.default_rng(seed)
     d = cfg.model_dim
 
@@ -164,7 +164,7 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict:
         return rng.uniform(-limit, limit, (n_in, n_out))
 
     params = {}
-    params["proj/W"] = xavier(cfg.input_dim, d)
+    params["proj/W"] = xavier(input_dim, d)
     params["proj/b"] = np.zeros(d)
     params["mask_emb"] = rng.normal(0.0, 0.1, d)
     for i in range(cfg.num_layers):
@@ -311,8 +311,9 @@ def forward(frames: np.ndarray, mask: BatchMask, params: dict,
     if frames.ndim != 3:
         raise ValueError(f"frames must be a (B, T, D) array, got shape {frames.shape}")
     batch, t, dim = frames.shape
-    if dim != cfg.input_dim:
-        raise ValueError(f"feature dim {dim} != configured input_dim {cfg.input_dim}")
+    if dim != params["proj/W"].shape[0]:
+        raise ValueError(f"feature dim {dim} != the projection's input width "
+                         f"{params['proj/W'].shape[0]}")
     if (mask.batch_size, mask.num_frames) != (batch, t):
         raise ValueError(
             f"masks cover {mask.batch_size} utterances of {mask.num_frames} frames, "

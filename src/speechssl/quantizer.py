@@ -22,38 +22,16 @@ class QuantizerConfig:
     num_codebooks: int = 2
     num_entries: int = 32
     entry_dim: int = 32
-    latent_dim: int = 64
-    out_dim: int = 64
     # desk-scale anneal floor: at a few hundred steps, stopping at 0.5 leaves
     # code selection noisy enough to jitter the contrastive anchors
     tau_start: float = 2.0
     tau_end: float = 0.1
 
     def __post_init__(self):
-        if min(self.num_codebooks, self.num_entries, self.entry_dim,
-               self.latent_dim, self.out_dim) < 1:
+        if min(self.num_codebooks, self.num_entries, self.entry_dim) < 1:
             raise ValueError("all quantizer dimensions must be >= 1")
         if self.tau_start <= 0 or self.tau_end <= 0:
             raise ValueError("temperatures must be positive")
-
-
-@dataclass
-class QuantizerState:
-    """Config plus the parameter slice this module owns and the current
-    temperature. Parameters live in the shared training dict under quant/*."""
-
-    config: QuantizerConfig
-    params: dict
-    tau: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
-        for key in PARAM_KEYS:
-            if key not in self.params:
-                raise ValueError(f"missing quantizer parameter {key!r}")
-            if not np.all(np.isfinite(self.params[key])):
-                raise ValueError(f"quantizer parameter {key!r} is not finite")
 
 
 PARAM_KEYS = (
@@ -65,21 +43,23 @@ PARAM_KEYS = (
 )
 
 
-def init_quantizer_params(cfg: QuantizerConfig, seed: int) -> dict:
+def init_quantizer_params(cfg: QuantizerConfig, dim: int, seed: int) -> dict:
+    """The quant/* parameters for latent rows of width `dim` (the encoder's
+    model width), quantized back to vectors of the same width."""
     rng = np.random.default_rng(seed)
     gv = cfg.num_codebooks * cfg.num_entries
-    limit_in = np.sqrt(6.0 / (cfg.latent_dim + gv))
+    limit_in = np.sqrt(6.0 / (dim + gv))
     concat = cfg.num_codebooks * cfg.entry_dim
-    limit_out = np.sqrt(6.0 / (concat + cfg.out_dim))
+    limit_out = np.sqrt(6.0 / (concat + dim))
     scale = 1.0 / np.sqrt(cfg.entry_dim)
     return {
-        "quant/proj_in/W": rng.uniform(-limit_in, limit_in, (cfg.latent_dim, gv)),
+        "quant/proj_in/W": rng.uniform(-limit_in, limit_in, (dim, gv)),
         "quant/proj_in/b": np.zeros(gv),
         "quant/codebook": rng.uniform(
             -scale, scale, (cfg.num_codebooks, cfg.num_entries, cfg.entry_dim)
         ),
-        "quant/proj_out/W": rng.uniform(-limit_out, limit_out, (concat, cfg.out_dim)),
-        "quant/proj_out/b": np.zeros(cfg.out_dim),
+        "quant/proj_out/W": rng.uniform(-limit_out, limit_out, (concat, dim)),
+        "quant/proj_out/b": np.zeros(dim),
     }
 
 
@@ -127,54 +107,55 @@ class QuantizeOutput:
         return self.q.shape[0]
 
 
-def quantize(latent: np.ndarray, state: QuantizerState, noise: np.ndarray,
-             hard: bool = True) -> QuantizeOutput:
-    """Quantize F latent rows with the given (F, G, V) Gumbel noise. Rows
-    never interact, so the masked rows of a whole batch go through in one
-    call, each with its own utterance's draw."""
+def quantize(latent: np.ndarray, params: dict, cfg: QuantizerConfig, tau: float,
+             noise: np.ndarray, hard: bool = True) -> QuantizeOutput:
+    """Quantize F latent rows with the quant/* parameters in `params` at
+    temperature `tau` and the given (F, G, V) Gumbel noise. Rows never
+    interact, so the masked rows of a whole batch go through in one call,
+    each with its own utterance's draw. Non-finite parameters and a
+    non-positive `tau` (gumbel_probs) are refused."""
+    for key in PARAM_KEYS:
+        if not np.all(np.isfinite(params[key])):
+            raise ValueError(f"quantizer parameter {key!r} is not finite")
     latent = np.asarray(latent, dtype=np.float64)
-    cfg = state.config
-    if latent.ndim != 2 or latent.shape[1] != cfg.latent_dim:
-        raise ValueError(
-            f"latent must be F x {cfg.latent_dim}, got {latent.shape}"
-        )
-    p = state.params
+    dim = params["quant/proj_in/W"].shape[0]
+    if latent.ndim != 2 or latent.shape[1] != dim:
+        raise ValueError(f"latent must be F x {dim}, got {latent.shape}")
     f = latent.shape[0]
-    logits = (latent @ p["quant/proj_in/W"] + p["quant/proj_in/b"]).reshape(
+    logits = (latent @ params["quant/proj_in/W"] + params["quant/proj_in/b"]).reshape(
         f, cfg.num_codebooks, cfg.num_entries
     )
-    probs = gumbel_probs(logits, state.tau, noise)
+    probs = gumbel_probs(logits, tau, noise)
     hard_indices = np.argmax(logits + noise, axis=-1)
     sel = one_hot(hard_indices, cfg.num_entries) if hard else probs
-    entries = np.einsum("fgv,gvd->fgd", sel, p["quant/codebook"])
+    entries = np.einsum("fgv,gvd->fgd", sel, params["quant/codebook"])
     concat = entries.reshape(f, cfg.num_codebooks * cfg.entry_dim)
-    q = concat @ p["quant/proj_out/W"] + p["quant/proj_out/b"]
+    q = concat @ params["quant/proj_out/W"] + params["quant/proj_out/b"]
     cache = (latent, probs, sel, concat)
     return QuantizeOutput(q, probs, hard_indices, cache)
 
 
-def quantize_backward(output: QuantizeOutput, state: QuantizerState,
+def quantize_backward(output: QuantizeOutput, params: dict, cfg: QuantizerConfig, tau: float,
                       dq: np.ndarray, dprobs: np.ndarray | None = None):
-    """Backward through quantize. `dq` is the gradient at the quantized
-    vectors; `dprobs` (optional) is extra gradient arriving directly at the
-    selection probabilities (the diversity objective injects one).
+    """Backward through quantize, given the forward call's parameters and
+    temperature. `dq` is the gradient at the quantized vectors; `dprobs`
+    (optional) is extra gradient arriving directly at the selection
+    probabilities (the diversity objective injects one).
 
     In hard mode the codebook gradient uses the argmax one-hot (the forward
     selection) while the path to the logits follows the soft probabilities.
     Returns (dlatent, grads dict over quant/* keys).
     """
     latent, probs, sel, concat = output.cache
-    cfg = state.config
-    p = state.params
     f = latent.shape[0]
-    dconcat, dw_out, db_out = linear_backward(concat, p["quant/proj_out/W"], dq)
+    dconcat, dw_out, db_out = linear_backward(concat, params["quant/proj_out/W"], dq)
     dentries = dconcat.reshape(f, cfg.num_codebooks, cfg.entry_dim)
     dcodebook = np.einsum("fgv,fgd->gvd", sel, dentries)
-    dsel = np.einsum("fgd,gvd->fgv", dentries, p["quant/codebook"])
+    dsel = np.einsum("fgd,gvd->fgv", dentries, params["quant/codebook"])
     dprobs_total = dsel if dprobs is None else dsel + dprobs
-    dlogits = softmax_backward(probs, dprobs_total) / state.tau
+    dlogits = softmax_backward(probs, dprobs_total) / tau
     dlogits_flat = dlogits.reshape(f, cfg.num_codebooks * cfg.num_entries)
-    dlatent, dw_in, db_in = linear_backward(latent, p["quant/proj_in/W"], dlogits_flat)
+    dlatent, dw_in, db_in = linear_backward(latent, params["quant/proj_in/W"], dlogits_flat)
     grads = {
         "quant/proj_in/W": dw_in,
         "quant/proj_in/b": db_in,

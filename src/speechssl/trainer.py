@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ from .numerics import FlatArrays, adam_step, derive_seed, retain_freed_memory
 from .pseudolabel import PseudoLabelSequence
 from .quantizer import (
     QuantizerConfig,
-    QuantizerState,
     gumbel_noise,
     init_quantizer_params,
     quantize,
@@ -56,7 +55,7 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v3"
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v4"
 
 # once per process: a warm train step reuses the memory the last one freed
 retain_freed_memory()
@@ -94,7 +93,6 @@ class TrainConfig:
     mix_probability: float = 0.2
     gain_snr_low: float = -5.0
     gain_snr_high: float = 5.0
-    quantizer_hard: bool = True
     speaker_loss: bool = True             # ablation: False trains on content only
     checkpoint_every: int = 0             # 0 = only final
     seeds: Seeds = field(default_factory=Seeds)
@@ -116,10 +114,6 @@ class TrainConfig:
                 raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(self, key)}")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
-        if self.quantizer.latent_dim != self.encoder.model_dim:
-            raise ValueError("quantizer latent_dim must equal encoder model_dim")
-        if self.quantizer.out_dim != self.encoder.model_dim:
-            raise ValueError("quantizer out_dim must equal encoder model_dim")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,16 +155,19 @@ class TrainState:
     last_usage: np.ndarray | None = None  # batch-averaged codebook usage
 
 
-def _initial_params(config: TrainConfig) -> dict:
-    params = init_encoder_params(config.encoder, derive_seed(config.seeds.model, "encoder"))
-    params.update(
-        init_quantizer_params(config.quantizer, derive_seed(config.seeds.model, "quantizer"))
-    )
+def _initial_params(config: TrainConfig, encoder_seed: int, quantizer_seed: int) -> dict:
+    """The encoder reads `mfcc.dim` features; the quantizer reads and
+    returns tap rows of the encoder's model width."""
+    params = init_encoder_params(config.encoder, config.mfcc.dim, encoder_seed)
+    params.update(init_quantizer_params(config.quantizer, config.encoder.model_dim,
+                                        quantizer_seed))
     return params
 
 
 def init_state(config: TrainConfig) -> TrainState:
-    params = FlatArrays.copy_of(_initial_params(config))
+    model_seed = config.seeds.model
+    params = FlatArrays.copy_of(_initial_params(
+        config, derive_seed(model_seed, "encoder"), derive_seed(model_seed, "quantizer")))
     shapes = {k: v.shape for k, v in params.items()}
     return TrainState(config, params, FlatArrays(shapes), FlatArrays(shapes))
 
@@ -191,21 +188,21 @@ class ObjectiveResult:
 
 def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
               noise_seeds: list, negatives_seed: int, tau: float, config: TrainConfig,
-              grads: bool) -> ObjectiveResult:
+              grads: bool, hard: bool = True) -> ObjectiveResult:
     """The combined loss of a (B, T, D) feature batch and its mask: encoder
     forward -> quantize the tap rows at the batch's masked steps in one call
     -> contrastive, diversity and content terms, and with grads=True the
     manual backward into every parameter (FlatArrays). `noise_seeds` holds
     one quantizer-noise seed per utterance; `negatives_seed` seeds the
     batch's negative sampling. Training and the finite-difference check
-    both evaluate this one function."""
+    both evaluate this one function; training quantizes with hard
+    (straight-through) selection, the check with soft (hard=False)."""
     enc_cfg = config.encoder
     out = forward(features, mask, params, enc_cfg)
     if config.speaker_loss:
-        qstate = QuantizerState(config.quantizer, params, tau)
         latent = out.tap.reshape(-1, enc_cfg.model_dim)[mask.rows]
         noise = gumbel_noise(noise_seeds, mask.counts, config.quantizer)
-        qout = quantize(latent, qstate, noise, hard=config.quantizer_hard)
+        qout = quantize(latent, params, config.quantizer, tau, noise, hard=hard)
         usage = usage_stats(qout)
         div_value, dp_bar = diversity_loss(usage)
         contr = contrastive_loss(out.tap, qout.q, mask, config.weights, seed=negatives_seed)
@@ -225,7 +222,8 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
     dtap = None
     if config.speaker_loss:
         dprobs = np.broadcast_to(config.weights.alpha * dp_bar / len(mask), qout.probs.shape)
-        dlatent, qgrads = quantize_backward(qout, qstate, contr.dq, dprobs)
+        dlatent, qgrads = quantize_backward(qout, params, config.quantizer, tau,
+                                           contr.dq, dprobs)
         for key, grad in qgrads.items():
             param_grads[key] += grad
         dtap = np.zeros(out.tap.shape)
@@ -432,7 +430,8 @@ def load_checkpoint(stem) -> TrainState:
     if not isinstance(meta, dict):
         raise ValueError(f"{stem}.json is not a JSON object")
     if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {stem}")
+        raise ValueError(f"unrecognized checkpoint format {meta.get('format')!r} in "
+                         f"{stem}.json; this version reads {CHECKPOINT_FORMAT!r}")
     raw = stem.with_suffix(".bin").read_bytes()
     if (len(raw) != meta.get("blob_bytes")
             or hashlib.sha256(raw).hexdigest() != meta.get("blob_sha256")):
@@ -477,17 +476,14 @@ def tiny_config(seed: int = 0) -> TrainConfig:
         batch_size=3,
         utterance_length=400,
         mix_probability=0.0,
-        quantizer_hard=False,
         weights=LossWeights(alpha=0.1, beta=1.0, kappa=0.1, num_negatives=4),
         encoder=EncoderConfig(
-            input_dim=6, model_dim=16, num_layers=2, num_heads=2, ffn_dim=24,
+            model_dim=16, num_layers=2, num_heads=2, ffn_dim=24,
             num_classes=4, tap_layer=1, mask_span=2, mask_start_prob=0.3,
         ),
-        quantizer=QuantizerConfig(
-            num_codebooks=2, num_entries=4, entry_dim=8, latent_dim=16, out_dim=16,
-        ),
-        seeds=Seeds(*(derive_seed(seed, name) for name in
-                      ("data", "model", "mixing", "masking", "negatives", "noise"))),
+        quantizer=QuantizerConfig(num_codebooks=2, num_entries=4, entry_dim=8),
+        mfcc=MfccConfig(num_ceps=2),    # 6 features with deltas
+        seeds=Seeds(*(derive_seed(seed, f.name) for f in fields(Seeds))),
     )
 
 
@@ -499,15 +495,14 @@ def grad_check(
     groups: list[str] | None = None,
 ) -> GradCheckReport:
     """Analytic gradients of the full combined loss vs central finite
-    differences, sampled across every parameter group (soft quantizer mode)."""
+    differences, sampled across every parameter group, with soft quantizer
+    selection: the hard argmax is not differentiable."""
     config = config or tiny_config(seed)
-    if config.quantizer_hard:
-        config = replace(config, quantizer_hard=False)
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
     num_frames = 8
     enc = config.encoder
     features = np.stack([
-        rng.standard_normal((num_frames, enc.input_dim)) for _ in range(config.batch_size)
+        rng.standard_normal((num_frames, config.mfcc.dim)) for _ in range(config.batch_size)
     ])
     labels = [
         PseudoLabelSequence(rng.integers(0, enc.num_classes, num_frames), enc.num_classes)
@@ -520,15 +515,15 @@ def grad_check(
     noise_seeds = [derive_seed(seed, "noise", b) for b in range(config.batch_size)]
     negatives_seed, tau = derive_seed(seed, "neg"), 1.0
 
-    params = init_encoder_params(enc, derive_seed(seed, "enc-params"))
-    params.update(init_quantizer_params(config.quantizer, derive_seed(seed, "q-params")))
+    params = _initial_params(config, derive_seed(seed, "enc-params"),
+                             derive_seed(seed, "q-params"))
 
     def loss() -> float:
         return objective(params, features, labels, mask, noise_seeds, negatives_seed, tau,
-                         config, grads=False).breakdown.total
+                         config, grads=False, hard=False).breakdown.total
 
     analytic = objective(params, features, labels, mask, noise_seeds, negatives_seed, tau,
-                         config, grads=True).grads
+                         config, grads=True, hard=False).grads
 
     keys = sorted(params) if groups is None else [
         k for k in sorted(params) if any(k.startswith(g) for g in groups)

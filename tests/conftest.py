@@ -21,11 +21,11 @@ def fast_config(steps=8, seed=0, **overrides) -> TrainConfig:
         seeds=Seeds(seed, seed + 1, seed + 2, seed + 3, seed + 4, seed + 5),
         weights=LossWeights(num_negatives=10),
         encoder=EncoderConfig(
-            input_dim=39, model_dim=32, num_layers=2, num_heads=4, ffn_dim=48,
+            model_dim=32, num_layers=2, num_heads=4, ffn_dim=48,
             num_classes=6, tap_layer=1, mask_span=4, mask_start_prob=0.15,
         ),
         quantizer=QuantizerConfig(
-            num_codebooks=2, num_entries=8, entry_dim=16, latent_dim=32, out_dim=32,
+            num_codebooks=2, num_entries=8, entry_dim=16,
         ),
     )
     base.update(overrides)

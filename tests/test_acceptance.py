@@ -27,7 +27,6 @@ from speechssl.pseudolabel import kmeans_fit
 from speechssl.probe import masked_prediction_accuracy
 from speechssl.quantizer import (
     QuantizerConfig,
-    QuantizerState,
     gumbel_noise,
     gumbel_probs,
     init_quantizer_params,
@@ -265,12 +264,11 @@ class TestCriterion7MixingSweep:
 
 class TestCriterion8QuantizerBehavior:
     def test_quantizer_contracts(self):
-        cfg = QuantizerConfig(num_codebooks=2, num_entries=8, entry_dim=4,
-                              latent_dim=8, out_dim=8)
-        params = init_quantizer_params(cfg, seed=1)
+        cfg = QuantizerConfig(num_codebooks=2, num_entries=8, entry_dim=4)
+        params = init_quantizer_params(cfg, 8, seed=1)
         rng = np.random.default_rng(3)
         latent = rng.standard_normal((6, 8))
-        out = quantize(latent, QuantizerState(cfg, params, 0.7),
+        out = quantize(latent, params, cfg, 0.7,
                        gumbel_noise([5], [len(latent)], cfg), hard=True)
         row_err = float(np.max(np.abs(out.probs.sum(axis=-1) - 1.0)))
 

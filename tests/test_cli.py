@@ -8,6 +8,7 @@ import pytest
 
 import speechssl
 from speechssl.cli import main
+from speechssl.trainer import load_checkpoint
 
 TINY_MODEL_SETS = [
     "--set", "batch_size=3",
@@ -17,8 +18,6 @@ TINY_MODEL_SETS = [
     "--set", "encoder.num_heads=4",
     "--set", "encoder.ffn_dim=48",
     "--set", "encoder.tap_layer=1",
-    "--set", "quantizer.latent_dim=32",
-    "--set", "quantizer.out_dim=32",
     "--set", "quantizer.entry_dim=16",
     "--set", "quantizer.num_entries=8",
     "--set", "weights.num_negatives=8",
@@ -125,12 +124,17 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"batch_size": 0}, "config key 'batch_size' must be >= 1, got 0", 1),
     ({"batch_size": -2}, "config key 'batch_size' must be >= 1, got -2", 1),
     ({"checkpoint_every": -1}, "config key 'checkpoint_every' must be >= 0, got -1", 1),
+    ({"encoder": {"input_dim": 39}}, "unknown config key: 'encoder.input_dim'", 2),
+    ({"quantizer": {"latent_dim": 64}}, "unknown config key: 'quantizer.latent_dim'", 2),
+    ({"quantizer": {"out_dim": 64}}, "unknown config key: 'quantizer.out_dim'", 2),
+    ({"quantizer_hard": False}, "unknown config key: 'quantizer_hard'", 2),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
         "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
         "infinite-learning-rate", "nan-nested", "mix-probability-above-1",
         "negative-warmup-frac", "zero-batch-size", "negative-batch-size",
-        "negative-checkpoint-every"])
+        "negative-checkpoint-every", "removed-input-dim", "removed-latent-dim",
+        "removed-out-dim", "removed-quantizer-hard"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
@@ -138,6 +142,17 @@ def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
                  "--out", str(tmp_path / "run"), "--config", str(config)]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["encoder.input_dim", "quantizer.latent_dim",
+                                 "quantizer.out_dim", "quantizer_hard"])
+def test_set_removed_width_key_is_usage_error(tmp_path, capsys, key):
+    # the encoder input width is mfcc.dim and both quantizer widths are
+    # encoder.model_dim; soft quantization is the gradient check's mode
+    assert main(["pretrain", "--manifest", "whatever.jsonl", "--labels", "whatever.jsonl",
+                 "--out", str(tmp_path / "run"), "--set", f"{key}=1"]) == 2
+    assert f"unknown config key: {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -203,6 +218,19 @@ def test_pipeline_pretrain_artifacts(pipeline):
     metrics = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
     assert len(metrics) == 2
     assert all(np.isfinite(m["total"]) for m in metrics)
+    # encoder.model_dim=32 is the only width TINY_MODEL_SETS gives
+    params = load_checkpoint(run_dir / "checkpoint_final").params
+    assert params["proj/W"].shape == (39, 32)
+    assert params["quant/proj_in/W"].shape == (32, 16)
+    assert params["quant/proj_out/W"].shape == (32, 32)
+
+
+def test_pretrain_without_deltas_reads_13_features(pipeline, tmp_path):
+    run = tmp_path / "run"
+    assert main(["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                 "--labels", str(pipeline / "cluster/labels.jsonl"), "--out", str(run),
+                 "--steps", "2", *TINY_MODEL_SETS, "--set", "mfcc.deltas=false"]) == 0
+    assert load_checkpoint(run / "checkpoint_final").params["proj/W"].shape == (13, 32)
 
 
 def test_pipeline_feature_sidecars(pipeline):
@@ -402,8 +430,10 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
     stem.with_suffix(".bin").write_bytes(source.with_suffix(".bin").read_bytes())
     floats = json.loads(source.with_suffix(".json").read_text())["blob_bytes"] // 8
     edits = {
-        "unrecognized checkpoint format": lambda meta: meta.update(
+        "unrecognized checkpoint format 'speechssl-checkpoint-v2'": lambda meta: meta.update(
             format="speechssl-checkpoint-v2"),
+        "unrecognized checkpoint format 'speechssl-checkpoint-v3'": lambda meta: meta.update(
+            format="speechssl-checkpoint-v3"),
         f"holds {floats} floats": lambda meta: meta["config"]["encoder"].update(
             ffn_dim=meta["config"]["encoder"]["ffn_dim"] + 1),
         "section 'encoder' must be an object": lambda meta: meta["config"].update(encoder=3),
@@ -417,6 +447,29 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
     stem.with_suffix(".json").write_text("[]")
     assert main(probe) == 1
     assert "not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("mix", "--batch-size", "0"),
+    ("mix", "--batch-size", "-1"),
+    ("mix", "--length", "0"),
+    ("mix", "--length", "-1"),
+    ("gradcheck", "--coords", "0"),
+    ("gradcheck", "--coords", "-3"),
+    ("probe", "--probe-steps", "-1"),
+])
+def test_count_flag_below_minimum_is_usage_error(pipeline, tmp_path, capsys,
+                                                 command, flag, value):
+    inputs = {"mix": ["--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                      "--out", str(tmp_path / "out")],
+              "probe": ["--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                        "--checkpoint", str(pipeline / "run/checkpoint_final"),
+                        "--out", str(tmp_path / "out")],
+              "gradcheck": []}
+    assert main([command, *inputs[command], flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be >= " in captured.err and "PASS" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_mix_rows(tmp_path, capsys):

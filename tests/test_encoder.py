@@ -18,7 +18,8 @@ from speechssl.encoder import (
     zero_grads,
 )
 
-TINY = EncoderConfig(input_dim=6, model_dim=8, num_layers=2, num_heads=2,
+INPUT_DIM = 6
+TINY = EncoderConfig(model_dim=8, num_layers=2, num_heads=2,
                      ffn_dim=12, num_classes=5, tap_layer=1, mask_span=2,
                      mask_start_prob=0.3)
 
@@ -158,7 +159,7 @@ class TestCorrupt:
     @pytest.mark.parametrize("indices", [[[], []], [[], [3]], [list(range(5))] * 2],
                              ids=["empty", "one-row", "all-rows"])
     def test_forward_writes_mask_emb_at_masked_rows(self, indices):
-        params = init_encoder_params(TINY, seed=4)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=4)
         frames = np.stack([tiny_features(seed=s).frames for s in (1, 2)])
         mask = BatchMask.from_indices(indices, 5)
         out = forward(frames, mask, params, TINY)
@@ -176,9 +177,9 @@ class TestCorrupt:
 
 class TestForward:
     def test_degenerate_zero_layers_tap_is_projection(self):
-        cfg = EncoderConfig(input_dim=6, model_dim=8, num_layers=0, num_heads=2,
+        cfg = EncoderConfig(model_dim=8, num_layers=0, num_heads=2,
                             ffn_dim=12, num_classes=5, tap_layer=0)
-        params = init_encoder_params(cfg, seed=0)
+        params = init_encoder_params(cfg, INPUT_DIM, seed=0)
         feats = tiny_features()
         mask = BatchMask.from_indices([[1]], feats.num_frames)
         out = forward(feats.frames[None], mask, params, cfg)
@@ -187,9 +188,9 @@ class TestForward:
         assert np.array_equal(out.tap[0], expected)
 
     def test_masking_locality_zero_layers(self):
-        cfg = EncoderConfig(input_dim=6, model_dim=8, num_layers=0, num_heads=2,
+        cfg = EncoderConfig(model_dim=8, num_layers=0, num_heads=2,
                             ffn_dim=12, num_classes=5, tap_layer=0)
-        params = init_encoder_params(cfg, seed=0)
+        params = init_encoder_params(cfg, INPUT_DIM, seed=0)
         feats = tiny_features()
         mask = BatchMask.from_indices([[2]], feats.num_frames)
         out1 = forward(feats.frames[None], mask, params, cfg)
@@ -200,7 +201,7 @@ class TestForward:
         assert not np.array_equal(out1.final[0, 2], out2.final[0, 2])
 
     def test_shapes(self):
-        params = init_encoder_params(TINY, seed=1)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=1)
         feats = tiny_features(t=7)
         out = forward(feats.frames[None], BatchMask.from_indices([[]], 7), params, TINY)
         assert out.tap.shape == (1, 7, 8)
@@ -210,7 +211,7 @@ class TestForward:
         assert out.num_frames == 7
 
     def test_deterministic(self):
-        params = init_encoder_params(TINY, seed=1)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=1)
         feats = tiny_features(t=6, seed=3)
         mask = BatchMask.from_indices([sample_mask(6, TINY, seed=2)], 6)
         a = forward(feats.frames[None], mask, params, TINY)
@@ -219,7 +220,7 @@ class TestForward:
         assert np.array_equal(a.tap, b.tap)
 
     def test_batch_order_irrelevant(self):
-        params = init_encoder_params(TINY, seed=1)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=1)
         batch = [tiny_features(t=5, seed=s) for s in range(3)]
         mask = BatchMask.from_indices([[]], 5)
         solo = [forward(f.frames[None], mask, params, TINY).content_logits for f in batch]
@@ -229,7 +230,7 @@ class TestForward:
                 assert np.array_equal(again, solo[idx])
 
     def test_matches_reference_implementation(self):
-        params = init_encoder_params(TINY, seed=4)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=4)
         feats = tiny_features(t=5, seed=9)
         mask = BatchMask.from_indices([[1, 2]], 5)
         out = forward(feats.frames[None], mask, params, TINY)
@@ -240,13 +241,13 @@ class TestForward:
             assert np.max(np.abs(mine[0] - ref)) < 1e-10
 
     def test_dim_mismatch(self):
-        params = init_encoder_params(TINY, seed=0)
-        with pytest.raises(ValueError, match="input_dim"):
+        params = init_encoder_params(TINY, INPUT_DIM, seed=0)
+        with pytest.raises(ValueError, match="projection's input width 6"):
             forward(tiny_features(dim=4).frames[None], BatchMask.from_indices([[]], 5),
                     params, TINY)
 
     def test_mask_frame_count_mismatch(self):
-        params = init_encoder_params(TINY, seed=0)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=0)
         with pytest.raises(ValueError, match="frames"):
             forward(tiny_features(t=5).frames[None], BatchMask.from_indices([[]], 9), params, TINY)
 
@@ -268,7 +269,7 @@ class TestBackward:
 
     def test_gradients_match_finite_differences(self):
         cfg = TINY
-        params = init_encoder_params(cfg, seed=6)
+        params = init_encoder_params(cfg, INPUT_DIM, seed=6)
         single = ([tiny_features(t=5, seed=2)], [[0, 3]])
         # B=3, a different mask per utterance, one of them empty
         batched = ([tiny_features(t=5, seed=s) for s in (2, 7, 8)], [[0, 3], [1, 2, 4], []])
@@ -296,9 +297,9 @@ class TestBackward:
                     assert rel < 1e-4, f"B={len(feats)} {key}: analytic {an} vs fd {fd}"
 
     def test_tap_at_top_layer(self):
-        cfg = EncoderConfig(input_dim=6, model_dim=8, num_layers=2, num_heads=2,
+        cfg = EncoderConfig(model_dim=8, num_layers=2, num_heads=2,
                             ffn_dim=12, num_classes=5, tap_layer=2)
-        params = init_encoder_params(cfg, seed=3)
+        params = init_encoder_params(cfg, INPUT_DIM, seed=3)
         feats = tiny_features(t=4, seed=5)
         mask = BatchMask.from_indices([[1]], 4)
         out = forward(feats.frames[None], mask, params, cfg)
@@ -307,7 +308,7 @@ class TestBackward:
         assert any(np.any(g != 0) for g in grads.values())
 
     def test_grads_zero_without_upstream(self):
-        params = init_encoder_params(TINY, seed=3)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=3)
         out = forward(tiny_features().frames[None], BatchMask.from_indices([[]], 5), params, TINY)
         grads = backward(out, params, TINY, np.zeros_like(out.content_logits), None,
                          zero_grads(params))
@@ -322,7 +323,7 @@ class TestBatch:
 
     def batch(self, seed=0):
         rng = np.random.default_rng(seed)
-        frames = rng.standard_normal((len(self.MASKS), self.T, TINY.input_dim))
+        frames = rng.standard_normal((len(self.MASKS), self.T, INPUT_DIM))
         return frames, BatchMask.from_indices(self.MASKS, self.T)
 
     @staticmethod
@@ -330,7 +331,7 @@ class TestBatch:
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
     def test_matches_single_utterance_calls(self):
-        params = init_encoder_params(TINY, seed=11)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=11)
         frames, masks = self.batch()
         out = forward(frames, masks, params, TINY)
         assert out.num_frames == len(self.MASKS) * self.T
@@ -351,7 +352,7 @@ class TestBatch:
             assert self.rel(grads[key], summed[key]) < 1e-12, key
 
     def test_perturbing_one_utterance_leaves_others_bit_identical(self):
-        params = init_encoder_params(TINY, seed=12)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=12)
         frames, masks = self.batch(seed=3)
         before = forward(frames, masks, params, TINY)
         frames[1] += np.random.default_rng(4).standard_normal(frames[1].shape)
@@ -363,7 +364,7 @@ class TestBatch:
                 assert np.array_equal(x[b], y[b])
 
     def test_non_finite_activation_names_block_and_row(self):
-        params = init_encoder_params(TINY, seed=0)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=0)
         frames, masks = self.batch()
         frames[2, 3, 0] = np.nan
         with pytest.raises(NonFiniteActivations, match=r"block 0 .* row\(s\) \[2\]") as err:
@@ -372,7 +373,7 @@ class TestBatch:
         assert isinstance(err.value, FloatingPointError)
 
     def test_one_mask_per_utterance(self):
-        params = init_encoder_params(TINY, seed=0)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=0)
         frames, _ = self.batch()
         with pytest.raises(ValueError, match="masks"):
             forward(frames, BatchMask.from_indices(self.MASKS[:-1], self.T), params, TINY)
@@ -381,7 +382,7 @@ class TestBatch:
     # test_one_mask_per_utterance and TestForward.test_mask_frame_count_mismatch
     @pytest.mark.parametrize("batch_size, num_frames", [(5, 6), (4, 5)])
     def test_mask_shape_must_match_frames(self, batch_size, num_frames):
-        params = init_encoder_params(TINY, seed=0)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=0)
         frames, _ = self.batch()
         with pytest.raises(ValueError, match="but the batch holds 4 utterances of 6 frames"):
             forward(frames, BatchMask.from_indices([[]] * batch_size, num_frames), params, TINY)

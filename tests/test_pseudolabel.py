@@ -368,13 +368,15 @@ class TestDumps:
 
 @pytest.fixture(scope="module")
 def checkpoint():
+    from speechssl.dsp import MfccConfig
     from speechssl.encoder import EncoderConfig
     from speechssl.trainer import init_state, tiny_config
 
     config = tiny_config(seed=5)
     # real MFCC dims for this test, tiny model otherwise
+    config.mfcc = MfccConfig()
     config.encoder = EncoderConfig(
-        input_dim=39, model_dim=16, num_layers=2, num_heads=2, ffn_dim=24,
+        model_dim=16, num_layers=2, num_heads=2, ffn_dim=24,
         num_classes=4, tap_layer=1,
     )
     return init_state(config)

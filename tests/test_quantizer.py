@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from speechssl.quantizer import (
     QuantizerConfig,
     QuantizeOutput,
-    QuantizerState,
     gumbel_noise,
     gumbel_probs,
     init_quantizer_params,
@@ -17,12 +16,10 @@ from speechssl.quantizer import (
 )
 
 
-def make_state(tau=1.0, seed=0, **kwargs):
-    cfg = QuantizerConfig(**{
-        "num_codebooks": 2, "num_entries": 4, "entry_dim": 3,
-        "latent_dim": 6, "out_dim": 6, **kwargs,
-    })
-    return QuantizerState(cfg, init_quantizer_params(cfg, seed), tau)
+def make_quantizer(seed=0, **kwargs):
+    """(params, cfg) of a quantizer over 6-wide latent rows."""
+    cfg = QuantizerConfig(**{"num_codebooks": 2, "num_entries": 4, "entry_dim": 3, **kwargs})
+    return init_quantizer_params(cfg, 6, seed), cfg
 
 
 def noise(seed, latent, cfg):
@@ -75,46 +72,43 @@ class TestGumbelProbs:
 
 class TestQuantize:
     def test_single_entry_forced(self):
-        state = make_state(num_entries=1)
+        params, cfg = make_quantizer(num_entries=1)
         rng = np.random.default_rng(0)
-        a = quantize(rng.standard_normal((4, 6)), state, gumbel_noise([1], [4], state.config))
-        b = quantize(rng.standard_normal((4, 6)), state, gumbel_noise([2], [4], state.config))
+        a = quantize(rng.standard_normal((4, 6)), params, cfg, 1.0, gumbel_noise([1], [4], cfg))
+        b = quantize(rng.standard_normal((4, 6)), params, cfg, 1.0, gumbel_noise([2], [4], cfg))
         assert np.array_equal(a.q[0], b.q[0])  # independent of logits
         assert np.all(a.hard_indices == 0)
 
     def test_tau_to_zero_approaches_one_hot(self):
-        cfg = QuantizerConfig(num_codebooks=1, num_entries=5, entry_dim=2,
-                              latent_dim=4, out_dim=4)
-        params = init_quantizer_params(cfg, 3)
+        cfg = QuantizerConfig(num_codebooks=1, num_entries=5, entry_dim=2)
+        params = init_quantizer_params(cfg, 4, 3)
         latent = np.random.default_rng(5).standard_normal((3, 4))
         max_probs = []
         for tau in (1.0, 0.1, 0.01):
-            out = quantize(latent, QuantizerState(cfg, params, tau), noise(11, latent, cfg))
+            out = quantize(latent, params, cfg, tau, noise(11, latent, cfg))
             max_probs.append(out.probs.max(axis=-1).min())
         assert max_probs[0] < max_probs[1] < max_probs[2]
         assert max_probs[2] > 0.999
 
     def test_run_twice_identical(self):
-        state = make_state()
+        params, cfg = make_quantizer()
         latent = np.random.default_rng(2).standard_normal((5, 6))
-        a = quantize(latent, state, noise(9, latent, state.config))
-        b = quantize(latent, state, noise(9, latent, state.config))
+        a = quantize(latent, params, cfg, 1.0, noise(9, latent, cfg))
+        b = quantize(latent, params, cfg, 1.0, noise(9, latent, cfg))
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.hard_indices, b.hard_indices)
 
     def test_hard_forward_uses_argmax_entries(self):
-        state = make_state()
+        params, cfg = make_quantizer()
         latent = np.random.default_rng(4).standard_normal((3, 6))
-        out = quantize(latent, state, noise(7, latent, state.config), hard=True)
-        codebook = state.params["quant/codebook"]
+        out = quantize(latent, params, cfg, 1.0, noise(7, latent, cfg), hard=True)
+        codebook = params["quant/codebook"]
         for f in range(3):
             picked = np.concatenate([
                 codebook[g, out.hard_indices[f, g]] for g in range(2)
             ])
-            expected = picked @ state.params["quant/proj_out/W"] + state.params[
-                "quant/proj_out/b"
-            ]
+            expected = picked @ params["quant/proj_out/W"] + params["quant/proj_out/b"]
             assert np.allclose(out.q[f], expected, atol=1e-15)
         assert np.array_equal(out.hard_indices, np.argmax(out.probs, axis=-1))
 
@@ -130,51 +124,59 @@ class TestQuantize:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            state = make_state()
-            quantize(np.zeros((2, 5)), state, gumbel_noise([0], [2], state.config))
+            params, cfg = make_quantizer()
+            quantize(np.zeros((2, 5)), params, cfg, 1.0, gumbel_noise([0], [2], cfg))
+
+    def test_refuses_non_finite_params_or_non_positive_tau(self):
+        params, cfg = make_quantizer()
+        latent = np.zeros((2, 6))
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            quantize(latent, params, cfg, 0.0, gumbel_noise([0], [2], cfg))
+        params["quant/codebook"][0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="'quant/codebook' is not finite"):
+            quantize(latent, params, cfg, 1.0, gumbel_noise([0], [2], cfg))
 
     def test_soft_mode_gradients_match_finite_differences(self):
-        state = make_state(tau=0.7, seed=6)
+        params, cfg = make_quantizer(seed=6)
         rng = np.random.default_rng(8)
         latent = rng.standard_normal((4, 6))
         target = rng.standard_normal((4, 6))
 
         def loss(params):
-            out = quantize(latent, QuantizerState(state.config, params, 0.7),
-                           noise(13, latent, state.config), hard=False)
+            out = quantize(latent, params, cfg, 0.7, noise(13, latent, cfg), hard=False)
             return 0.5 * float(np.sum((out.q - target) ** 2)) + float(
                 np.sum(out.probs**2)
             )
 
-        out = quantize(latent, state, noise(13, latent, state.config), hard=False)
+        out = quantize(latent, params, cfg, 0.7, noise(13, latent, cfg), hard=False)
         dq = out.q - target
         dprobs = 2.0 * out.probs
-        _, grads = quantize_backward(out, state, dq, dprobs)
+        _, grads = quantize_backward(out, params, cfg, 0.7, dq, dprobs)
         h = 1e-6
         for key, grad in grads.items():
-            flat = state.params[key].reshape(-1)
+            flat = params[key].reshape(-1)
             for c in np.random.default_rng(3).choice(flat.size, 5, replace=False):
                 orig = flat[c]
                 flat[c] = orig + h
-                up = loss(state.params)
+                up = loss(params)
                 flat[c] = orig - h
-                down = loss(state.params)
+                down = loss(params)
                 flat[c] = orig
                 fd = (up - down) / (2 * h)
                 an = grad.reshape(-1)[c]
                 assert abs(an - fd) / max(abs(an) + abs(fd), 1e-8) < 1e-5, key
 
     def test_latent_gradient_matches_finite_differences(self):
-        state = make_state(tau=0.9, seed=2)
+        params, cfg = make_quantizer(seed=2)
         rng = np.random.default_rng(14)
         latent = rng.standard_normal((3, 6))
 
         def loss(lat):
-            out = quantize(lat, state, noise(4, lat, state.config), hard=False)
+            out = quantize(lat, params, cfg, 0.9, noise(4, lat, cfg), hard=False)
             return float(np.sum(out.q**2))
 
-        out = quantize(latent, state, noise(4, latent, state.config), hard=False)
-        dlatent, _ = quantize_backward(out, state, 2.0 * out.q)
+        out = quantize(latent, params, cfg, 0.9, noise(4, latent, cfg), hard=False)
+        dlatent, _ = quantize_backward(out, params, cfg, 0.9, 2.0 * out.q)
         h = 1e-6
         for c in range(latent.size):
             flat = latent.reshape(-1)
@@ -202,14 +204,14 @@ class TestBatchedQuantize:
     @pytest.mark.parametrize("hard", [True, False], ids=["hard", "soft"])
     @pytest.mark.parametrize("counts", [(3, 7, 2, 5), (3, 7, 1, 5)], ids=["rows", "one-row"])
     def test_equals_per_utterance_calls(self, hard, counts):
-        state = make_state(tau=0.8, seed=5)
+        params, cfg = make_quantizer(seed=5)
         rng = np.random.default_rng(31)
         latents = [rng.standard_normal((n, 6)) for n in counts]
         dqs = [rng.standard_normal((n, 6)) for n in counts]
         dprobs = [rng.standard_normal((n, 2, 4)) for n in counts]
-        batched = quantize(np.concatenate(latents), state,
-                           gumbel_noise(self.SEEDS, counts, state.config), hard=hard)
-        solo = [quantize(lat, state, noise(seed, lat, state.config), hard=hard)
+        batched = quantize(np.concatenate(latents), params, cfg, 0.8,
+                           gumbel_noise(self.SEEDS, counts, cfg), hard=hard)
+        solo = [quantize(lat, params, cfg, 0.8, noise(seed, lat, cfg), hard=hard)
                 for lat, seed in zip(latents, self.SEEDS)]
         for field in ("q", "probs", "hard_indices"):
             got = getattr(batched, field)
@@ -221,12 +223,12 @@ class TestBatchedQuantize:
             else:
                 assert np.array_equal(got, want), field
 
-        dlatent, grads = quantize_backward(batched, state, np.concatenate(dqs),
+        dlatent, grads = quantize_backward(batched, params, cfg, 0.8, np.concatenate(dqs),
                                            np.concatenate(dprobs))
         summed = {key: np.zeros_like(value) for key, value in grads.items()}
         solo_dlatent = []
         for out, dq, dp in zip(solo, dqs, dprobs):
-            dlat, solo_grads = quantize_backward(out, state, dq, dp)
+            dlat, solo_grads = quantize_backward(out, params, cfg, 0.8, dq, dp)
             solo_dlatent.append(dlat)
             for key, grad in solo_grads.items():
                 summed[key] += grad
@@ -237,9 +239,9 @@ class TestBatchedQuantize:
 
 class TestUsageStats:
     def test_single_frame_identity(self):
-        state = make_state()
+        params, cfg = make_quantizer()
         latent = np.random.default_rng(0).standard_normal((1, 6))
-        out = quantize(latent, state, noise(3, latent, state.config))
+        out = quantize(latent, params, cfg, 1.0, noise(3, latent, cfg))
         assert np.array_equal(usage_stats(out), out.probs[0])
 
     def test_mean_of_one_hots(self):
@@ -250,11 +252,11 @@ class TestUsageStats:
         assert np.allclose(usage_stats(out), [[0.5, 0.5]])
 
     def test_matches_naive_sum_oracle(self):
-        state = make_state()
+        params, cfg = make_quantizer()
         rng = np.random.default_rng(19)
         counts = (3, 5, 2)
         latent = np.concatenate([rng.standard_normal((n, 6)) for n in counts])
-        out = quantize(latent, state, gumbel_noise(counts, counts, state.config))
+        out = quantize(latent, params, cfg, 1.0, gumbel_noise(counts, counts, cfg))
         # straight-line oracle: accumulate frame by frame
         total = np.zeros((2, 4))
         count = 0

@@ -394,6 +394,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unrecognized checkpoint format"):
             load_checkpoint(stem)
 
+    def test_v3_checkpoint_rejected(self, two_checkpoints):
+        # v3 stored the encoder input and quantizer widths and quantizer_hard
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        meta["format"] = "speechssl-checkpoint-v3"
+        meta["config"]["quantizer_hard"] = True
+        meta["config"]["encoder"]["input_dim"] = 39
+        meta["config"]["quantizer"].update(latent_dim=32, out_dim=32)
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v3'"):
+            load_checkpoint(stem)
+
     @pytest.mark.parametrize("document", ["[]", "3", "\"checkpoint\""])
     def test_non_object_json_rejected(self, two_checkpoints, document):
         stem, _ = two_checkpoints
@@ -470,4 +482,4 @@ class TestGradCheck:
     def test_tiny_config_is_tiny(self):
         config = tiny_config()
         assert config.encoder.model_dim <= 16
-        assert not config.quantizer_hard
+        assert config.mfcc.dim == 6
