@@ -78,43 +78,23 @@ def write_run_manifest(args, config_dict: dict, seeds: dict, outputs: list,
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-# the JSON value types a key whose default has this type accepts: a float
-# key takes an int too, and a bool is never taken for a number
-_VALUE_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-                float: ((int, float), "a number")}
-
-
-def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
-    """Merge `extra` into `base`; a key `base` lacks, a value where `base`
-    has a section (or the reverse), or a value of another JSON type than the
-    default's is a UsageError."""
+def _merge(base: dict, extra: dict) -> dict:
+    """Merge `extra` into `base`, section by section; a value replaces what
+    `base` holds at its key. TrainConfig.from_dict checks the result."""
     for key, value in extra.items():
-        name = prefix + key
-        if key not in base:
-            raise UsageError(f"unknown config key: {name!r}")
-        if isinstance(base[key], dict) != isinstance(value, dict):
-            kind = "an object of keys" if isinstance(base[key], dict) else "a single value"
-            raise UsageError(f"config key {name!r} takes {kind}")
-        if isinstance(value, dict):
-            _deep_update(base[key], value, f"{name}.")
-            continue
-        types, kind = _VALUE_TYPES[type(base[key])]
-        if type(value) not in types:
-            raise UsageError(f"config key {name!r} takes {kind}, got {value!r}")
-        try:
-            base[key] = type(base[key])(value)  # so a later update sees the default's type
-        except OverflowError:
-            raise UsageError(f"config key {name!r} takes {kind}, got {value!r}") from None
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge(base[key], value)
+        else:
+            base[key] = value
     return base
 
 
 def build_train_config(args) -> TrainConfig:
-    data = TrainConfig().to_dict()
+    data = {}
     if args.config:
-        extra = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(extra, dict):
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
             raise UsageError(f"--config {args.config} must hold a JSON object")
-        _deep_update(data, extra)
     for item in args.set or []:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -125,8 +105,11 @@ def build_train_config(args) -> TrainConfig:
             override = raw
         for part in reversed(key.split(".")):
             override = {part: override}
-        _deep_update(data, override)
-    return TrainConfig.from_dict(data)
+        _merge(data, override)
+    try:
+        return TrainConfig.from_dict(data)
+    except TypeError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def load_corpus(manifest_path) -> list:
@@ -170,8 +153,6 @@ def cmd_mfcc(args):
 
 
 def cmd_cluster(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     feature_dir = Path(args.features)
     ids = sorted(p.stem for p in feature_dir.glob("*.json") if p.stem != "run_manifest")
     if not ids:
@@ -179,6 +160,8 @@ def cmd_cluster(args):
     frames = {uid: load_features(feature_dir, uid).frames for uid in ids}
     model, labels = fit_labels(frames, args.k, seed=args.seed, restarts=args.restarts,
                                max_iters=args.max_iters)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     labels_path = out / "labels.jsonl"
     save_labels(labels_path, labels)
     save_kmeans(out / "kmeans", model)
@@ -226,14 +209,14 @@ def cmd_pretrain(args):
 
 
 def cmd_recluster(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.manifest)
     layer = args.layer if args.layer is not None else ckpt.config.encoder.tap_layer
     k = args.k if args.k is not None else ckpt.config.encoder.num_classes
     model, labels = recluster_from_embeddings(ckpt, corpus, layer, k, seed=args.seed,
                                               restarts=args.restarts)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     labels_path = out / "labels.jsonl"
     save_labels(labels_path, labels)
     save_kmeans(out / "kmeans", model)
@@ -244,8 +227,6 @@ def cmd_recluster(args):
 
 
 def cmd_probe(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.manifest)
     weights, accuracy, separability = layer_profile(ckpt, corpus, steps=args.probe_steps,
@@ -256,6 +237,8 @@ def cmd_probe(args):
         "task_accuracy": accuracy,
         "separability": {str(k): v for k, v in separability.items()},
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "probe.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     print("layer-contribution profile (speaker task):")
@@ -286,9 +269,6 @@ def cmd_sweep_mix(args):
         raise UsageError(f"--p-grid {args.p_grid!r} is not a list of numbers") from None
     if not all(0.0 <= p <= 1.0 for p in grid) or len(set(grid)) < len(grid):
         raise UsageError(f"--p-grid {args.p_grid!r} must hold distinct values in [0, 1]")
-    if args.num_speakers < 2 or args.utts_per_speaker < 2:
-        raise UsageError("speaker separability needs --num-speakers >= 2 and "
-                         "--utts-per-speaker >= 2")
     base = build_train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -375,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic multi-speaker corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--num-speakers", type=int, default=8)
-    p.add_argument("--utts-per-speaker", type=int, default=16)
+    p.add_argument("--num-speakers", type=_int_at_least(1), default=8)
+    p.add_argument("--utts-per-speaker", type=_int_at_least(1), default=16)
     p.add_argument("--duration", type=float, default=0.5)
-    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--sample-rate", type=_int_at_least(1), default=16000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -391,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="fit k-means pseudo-labels on features")
     p.add_argument("--features", required=True, help="directory written by `mfcc`")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--k", type=_int_at_least(1), default=16)
+    p.add_argument("--max-iters", type=_int_at_least(0), default=100)
+    p.add_argument("--restarts", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cluster)
 
@@ -411,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="labels.jsonl from `cluster`")
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="checkpoint stem to resume from")
-    p.add_argument("--until-step", type=int, help="stop early at this step")
+    p.add_argument("--until-step", type=_int_at_least(1), help="stop early at this step")
     _add_train_config_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
@@ -420,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--layer", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--k", type=_int_at_least(1))
+    p.add_argument("--restarts", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_recluster)
 
@@ -442,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--p-grid", default="0.0,0.2,0.5")
     p.add_argument("--num-seeds", type=_int_at_least(1), default=3)
-    p.add_argument("--num-speakers", type=int, default=8)
-    p.add_argument("--utts-per-speaker", type=int, default=16)
+    # speaker separability needs two speakers and two utterances of each
+    p.add_argument("--num-speakers", type=_int_at_least(2), default=8)
+    p.add_argument("--utts-per-speaker", type=_int_at_least(2), default=16)
     p.add_argument("--corpus-seed", type=int, default=0)
     _add_train_config_flags(p)
     p.set_defaults(func=cmd_sweep_mix)

@@ -31,8 +31,9 @@ class MfccConfig:
     def __post_init__(self):
         if self.window > self.fft_size:
             raise ValueError("window must not exceed fft_size")
-        if self.hop < 1:
-            raise ValueError("hop must be >= 1")
+        for key in ("hop", "num_ceps"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.num_ceps > self.num_mel:
             raise ValueError("num_ceps must not exceed num_mel")
 

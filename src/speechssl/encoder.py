@@ -55,12 +55,11 @@ class EncoderConfig:
     def __post_init__(self):
         if not 0 <= self.tap_layer <= self.num_layers:
             raise ValueError("tap_layer must lie in [0, num_layers]")
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
+        for key in ("model_dim", "num_heads", "mask_span"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.model_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide model_dim")
-        if self.mask_span < 1:
-            raise ValueError("mask_span must be >= 1")
         if not 0.0 <= self.mask_start_prob <= 1.0:
             raise ValueError("mask_start_prob must lie in [0, 1]")
 

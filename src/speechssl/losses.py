@@ -33,12 +33,11 @@ class LossWeights:
     num_negatives: int = 100
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        for key in ("alpha", "beta", "num_negatives"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.num_negatives < 0:
-            raise ValueError("num_negatives must be >= 0")
 
 
 class NonFiniteLoss(ValueError):

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +71,42 @@ class Seeds:
     noise: int = 5
 
 
-def _float_leaves(doc: dict, prefix: str = ""):
-    """(dotted key, value) of every float in a nested config dict."""
+# the JSON value types a key whose default has this type takes: a float key
+# takes an int too, and a bool is never taken for a number
+_VALUE_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                float: ((int, float), "a number")}
+
+
+def _config_from_doc(cls, doc: dict, prefix: str = ""):
+    """Config dataclass `cls` from a JSON object; a key left out keeps its
+    default. A document error raises TypeError naming the dotted key: an
+    unknown key, a value where a section belongs or the reverse, a value of
+    another JSON type than the default's, or an int too large for a float.
+    A non-finite number, or a value a config check refuses, raises
+    ValueError."""
+    defaults, values = vars(cls()), {}
     for key, value in doc.items():
+        name = prefix + key
+        if key not in defaults:
+            raise TypeError(f"unknown config key: {name!r}")
+        default = defaults[key]
+        if is_dataclass(default) != isinstance(value, dict):
+            kind = "an object of keys" if is_dataclass(default) else "a single value"
+            raise TypeError(f"config key {name!r} takes {kind}")
         if isinstance(value, dict):
-            yield from _float_leaves(value, f"{prefix}{key}.")
-        elif isinstance(value, float):
-            yield prefix + key, value
+            values[key] = _config_from_doc(type(default), value, f"{name}.")
+            continue
+        types, kind = _VALUE_TYPES[type(default)]
+        refusal = TypeError(f"config key {name!r} takes {kind}, got {value!r}")
+        if type(value) not in types:
+            raise refusal
+        try:
+            values[key] = type(default)(value)
+        except OverflowError:
+            raise refusal from None
+        if not math.isfinite(values[key]):
+            raise ValueError(f"config key {name!r} must be finite, got {values[key]}")
+    return cls(**values)
 
 
 @dataclass
@@ -102,34 +131,19 @@ class TrainConfig:
     mfcc: MfccConfig = field(default_factory=MfccConfig)
 
     def __post_init__(self):
-        for key, value in _float_leaves(asdict(self)):
-            if not math.isfinite(value):
-                raise ValueError(f"config key {key!r} must be finite, got {value}")
         for key in ("warmup_frac", "mix_probability"):
             if not 0 <= getattr(self, key) <= 1:
                 raise ValueError(f"config key {key!r} must lie in [0, 1], "
                                  f"got {getattr(self, key)}")
-        for key, low in (("steps", 1), ("batch_size", 1), ("checkpoint_every", 0)):
+        for key, low in (("steps", 1), ("batch_size", 1), ("checkpoint_every", 0),
+                         ("learning_rate", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(self, key)}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        for key, sub in (("seeds", Seeds), ("weights", LossWeights),
-                         ("encoder", EncoderConfig), ("quantizer", QuantizerConfig),
-                         ("mfcc", MfccConfig)):
-            if key in data:
-                if not isinstance(data[key], dict):
-                    raise ValueError(f"config section {key!r} must be an object, "
-                                     f"got {data[key]!r}")
-                data[key] = sub(**data[key])
-        return cls(**data)
+    from_dict = classmethod(_config_from_doc)
 
 
 def learning_rate_at(step: int, cfg: TrainConfig) -> float:
@@ -336,9 +350,6 @@ def train(state: TrainState, corpus, labels_by_id: dict[str, PseudoLabelSequence
         raise ValueError(f"until_step must be >= 1, got {until_step}")
     _check_labels(corpus, labels_by_id, config)
     metrics = state.metrics
-    if [m["step"] for m in metrics] != list(range(1, state.step + 1)):
-        raise ValueError(f"state at step {state.step} does not carry the metrics of "
-                         f"steps 1..{state.step}; it cannot be resumed")
     last_step = config.steps if until_step is None else min(until_step, config.steps)
 
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -422,9 +433,9 @@ def save_checkpoint(stem, state: TrainState) -> None:
 
 
 def load_checkpoint(stem) -> TrainState:
-    """Load a checkpoint, refusing a blob that does not match the metadata's
-    length and digest, or whose size is not that of the parameters and two
-    Adam moments that the checkpoint's own config builds."""
+    """Load a checkpoint, checking the blob against the metadata's length
+    and digest and the config's parameter count, and each metadata entry as
+    it enters; a refusal raises ValueError naming the file and the entry."""
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
     if not isinstance(meta, dict):
@@ -436,13 +447,22 @@ def load_checkpoint(stem) -> TrainState:
     if (len(raw) != meta.get("blob_bytes")
             or hashlib.sha256(raw).hexdigest() != meta.get("blob_sha256")):
         raise ValueError(f"{stem}.bin does not match the length and digest in {stem}.json")
-    for entry in ("config", "step", "metrics"):
-        if entry not in meta:
-            raise ValueError(f"{stem}.json has no {entry!r} entry")
+    for entry, kind, what in (("config", dict, "an object"), ("step", int, "an integer"),
+                              ("metrics", list, "a list")):
+        if type(meta.get(entry)) is not kind:
+            raise ValueError(f"{stem}.json has no {entry!r} entry holding {what}, "
+                             f"got {meta.get(entry)!r}")
     try:
         config = TrainConfig.from_dict(meta["config"])
-    except TypeError as exc:
-        raise ValueError(f"the config in {stem}.json is not a TrainConfig: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"the config in {stem}.json: {exc}") from None
+    step, metrics = meta["step"], meta["metrics"]
+    if step < 0:
+        raise ValueError(f"the 'step' entry of {stem}.json must be >= 0, got {step}")
+    if ([row.get("step") if isinstance(row, dict) else None for row in metrics]
+            != list(range(1, step + 1))):
+        raise ValueError(f"the 'metrics' entry of {stem}.json does not hold the rows of "
+                         f"steps 1..{step}")
     state = init_state(config)
     n = state.params.flat.size
     if len(raw) != 3 * 8 * n:
@@ -451,7 +471,7 @@ def load_checkpoint(stem) -> TrainState:
     blob = np.frombuffer(raw, dtype="<f8")
     for i, group in enumerate((state.params, state.adam_m, state.adam_v)):
         group.flat[...] = blob[i * n : (i + 1) * n]
-    state.step, state.metrics = meta["step"], meta["metrics"]
+    state.step, state.metrics = step, metrics
     return state
 
 

@@ -128,13 +128,15 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"quantizer": {"latent_dim": 64}}, "unknown config key: 'quantizer.latent_dim'", 2),
     ({"quantizer": {"out_dim": 64}}, "unknown config key: 'quantizer.out_dim'", 2),
     ({"quantizer_hard": False}, "unknown config key: 'quantizer_hard'", 2),
+    ({"encoder": {"model_dim": 0}}, "model_dim must be >= 1, got 0", 1),
+    ({"mfcc": {"num_ceps": 0}}, "num_ceps must be >= 1, got 0", 1),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
         "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
         "infinite-learning-rate", "nan-nested", "mix-probability-above-1",
         "negative-warmup-frac", "zero-batch-size", "negative-batch-size",
         "negative-checkpoint-every", "removed-input-dim", "removed-latent-dim",
-        "removed-out-dim", "removed-quantizer-hard"])
+        "removed-out-dim", "removed-quantizer-hard", "zero-model-dim", "zero-num-ceps"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
@@ -246,18 +248,25 @@ def test_pipeline_labels_format(pipeline):
     assert all(0 <= l < 16 for l in first["labels"])
 
 
+# count flags are refused while parsing (exit 2); the ids are the cases'
+# names from when the library's own checks refused them (exit 1)
 @pytest.mark.parametrize("command, flags, named", [
-    ("cluster", ["--k", "0"], "k=0"),
-    ("cluster", ["--restarts", "0"], "restarts=0"),
-    ("recluster", ["--k", "0"], "k=0"),
-    ("cluster", ["--max-iters", "-1"], "max_iters=-1"),
+    pytest.param("cluster", ["--k", "0"], "argument --k: must be >= 1, got 0",
+                 id="cluster-flags0-k=0"),
+    pytest.param("cluster", ["--restarts", "0"], "argument --restarts: must be >= 1, got 0",
+                 id="cluster-flags1-restarts=0"),
+    pytest.param("recluster", ["--k", "0"], "argument --k: must be >= 1, got 0",
+                 id="recluster-flags2-k=0"),
+    pytest.param("cluster", ["--max-iters", "-1"], "argument --max-iters: must be >= 0, got -1",
+                 id="cluster-flags3-max_iters=-1"),
 ])
 def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, named):
     inputs = {"cluster": ["--features", str(pipeline / "features")],
               "recluster": ["--checkpoint", str(pipeline / "run/checkpoint_final"),
                             "--manifest", str(pipeline / "corpus/manifest.jsonl")]}
-    assert main([command, *inputs[command], "--out", str(tmp_path), *flags]) == 1
+    assert main([command, *inputs[command], "--out", str(tmp_path / "out"), *flags]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):
@@ -397,6 +406,7 @@ def test_unreadable_labels_or_features_exit_1(pipeline, tmp_path, capsys):
                  "--k", "2"]) == 1
     err = capsys.readouterr().err
     assert f"cannot read feature sidecar {sidecar}: KeyError('T')" in err
+    assert not (tmp_path / "cluster").exists()
 
 
 def test_mix_verify_failure_exits_1(pipeline, tmp_path, capsys, monkeypatch):
@@ -436,7 +446,8 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
             format="speechssl-checkpoint-v3"),
         f"holds {floats} floats": lambda meta: meta["config"]["encoder"].update(
             ffn_dim=meta["config"]["encoder"]["ffn_dim"] + 1),
-        "section 'encoder' must be an object": lambda meta: meta["config"].update(encoder=3),
+        "config key 'encoder' takes an object of keys": lambda meta: meta["config"].update(
+            encoder=3),
     }
     for expected, edit in edits.items():
         meta = json.loads(source.with_suffix(".json").read_text())
@@ -447,6 +458,39 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
     stem.with_suffix(".json").write_text("[]")
     assert main(probe) == 1
     assert "not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta: meta["config"].update(steps=3.5), "config key 'steps'"),
+    (lambda meta: meta["config"].update(speaker_loss="no"), "config key 'speaker_loss'"),
+    (lambda meta: meta["config"]["seeds"].update(data=0.5), "config key 'seeds.data'"),
+    (lambda meta: meta["config"].update(batch_size=3.0), "config key 'batch_size'"),
+    (lambda meta: meta["config"]["encoder"].update(tap_layer=1.0),
+     "config key 'encoder.tap_layer'"),
+    (lambda meta: meta.update(step="1"), "'step' entry"),
+    (lambda meta: meta.update(step=1.0), "'step' entry"),
+    (lambda meta: meta.update(metrics={}), "'metrics' entry"),
+    (lambda meta: meta.update(metrics=[1]), "'metrics' entry"),
+], ids=["float-steps", "string-speaker-loss", "float-seed", "float-batch-size",
+        "float-tap-layer", "string-step", "float-step", "object-metrics", "metrics-not-rows"])
+def test_hand_edited_checkpoint_exits_1(pipeline, tmp_path, capsys, edit, named):
+    # the digest covers the blob only, so each edit leaves it valid
+    source = pipeline / "run/checkpoint_final"
+    stem = tmp_path / "checkpoint"
+    stem.with_suffix(".bin").write_bytes(source.with_suffix(".bin").read_bytes())
+    meta = json.loads(source.with_suffix(".json").read_text())
+    edit(meta)
+    stem.with_suffix(".json").write_text(json.dumps(meta))
+    manifest = ["--manifest", str(pipeline / "corpus/manifest.jsonl")]
+    for command in (["pretrain", "--labels", str(pipeline / "cluster/labels.jsonl"),
+                     "--resume", str(stem)],
+                    ["probe", "--checkpoint", str(stem)],
+                    ["recluster", "--checkpoint", str(stem)]):
+        assert main([*command, *manifest, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{stem}.json" in err and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -489,8 +533,10 @@ def test_sweep_mix_rows(tmp_path, capsys):
     (["--p-grid", "0.2,x"], "list of numbers"),
     (["--p-grid", "1.5"], "distinct values in [0, 1]"),
     (["--p-grid", "0.2,0.2"], "distinct values in [0, 1]"),
-    (["--num-speakers", "1"], "--num-speakers >= 2"),
-    (["--utts-per-speaker", "1"], "--utts-per-speaker >= 2"),
+    pytest.param(["--num-speakers", "1"], "argument --num-speakers: must be >= 2, got 1",
+                 id="flags4---num-speakers >= 2"),
+    pytest.param(["--utts-per-speaker", "1"], "argument --utts-per-speaker: must be >= 2, got 1",
+                 id="flags5---utts-per-speaker >= 2"),
 ])
 def test_sweep_mix_bad_input_is_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "sweep"

@@ -302,12 +302,14 @@ class TestTrain:
                   until_step=until_step)
         assert not (tmp_path / "run").exists()
 
-    def test_resume_without_metrics_history_rejected(self, small_setup):
+    def test_resume_without_metrics_history_rejected(self, small_setup, tmp_path):
+        # a state past step 0 comes from load_checkpoint, which checks the rows
         config, corpus, labels = small_setup
         state = init_state(config)
-        ckpt = TrainState(config, state.params, state.adam_m, state.adam_v, 3, [])
-        with pytest.raises(ValueError, match="metrics"):
-            train(ckpt, corpus, labels)
+        save_checkpoint(tmp_path / "ck",
+                        TrainState(config, state.params, state.adam_m, state.adam_v, 3, []))
+        with pytest.raises(ValueError, match="'metrics' entry .* steps 1..3"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_loss_descends_on_longer_run(self, small_setup):
         config, corpus, labels = small_setup
@@ -419,17 +421,36 @@ class TestCheckpoint:
         (lambda meta: meta.pop("config"), "no 'config' entry"),
         (lambda meta: meta["config"].update(bogus_key=1), "bogus_key"),
         (lambda meta: meta["config"]["encoder"].update(bogus_key=1), "bogus_key"),
-        (lambda meta: meta["config"].update(encoder=3), "section 'encoder' must be an object"),
+        (lambda meta: meta["config"].update(encoder=3),
+         "config key 'encoder' takes an object of keys"),
         (lambda meta: meta["config"]["encoder"].update(num_heads=0), "num_heads must be >= 1"),
+        (lambda meta: meta["config"].update(steps=3.5), "config key 'steps' takes an integer"),
+        (lambda meta: meta["config"].update(speaker_loss="no"),
+         "config key 'speaker_loss' takes true or false"),
+        (lambda meta: meta["config"]["seeds"].update(data=0.5),
+         "config key 'seeds.data' takes an integer"),
+        (lambda meta: meta["config"].update(batch_size=3.0),
+         "config key 'batch_size' takes an integer"),
+        (lambda meta: meta["config"]["encoder"].update(tap_layer=1.0),
+         "config key 'encoder.tap_layer' takes an integer"),
+        (lambda meta: meta.update(step="1"), "no 'step' entry holding an integer"),
+        (lambda meta: meta.update(step=1.0), "no 'step' entry holding an integer"),
+        (lambda meta: meta.update(step=-1), "'step' entry .* must be >= 0"),
+        (lambda meta: meta.update(metrics={}), "no 'metrics' entry holding a list"),
+        (lambda meta: meta.update(metrics=[1]), "'metrics' entry .* steps 1..1"),
+        (lambda meta: meta.update(step=2), "'metrics' entry .* steps 1..2"),
     ], ids=["no-step", "no-metrics", "no-config", "unknown-key", "unknown-nested-key",
-            "scalar-section", "zero-heads"])
+            "scalar-section", "zero-heads", "float-steps", "string-speaker-loss",
+            "float-seed", "float-batch-size", "float-tap-layer", "string-step", "float-step",
+            "negative-step", "object-metrics", "metrics-not-rows", "step-past-rows"])
     def test_bad_metadata_rejected(self, two_checkpoints, edit, expected):
-        stem, _ = two_checkpoints
+        stem, _ = two_checkpoints               # at step 1 of 2
         meta = json.loads(stem.with_suffix(".json").read_text())
         edit(meta)
         stem.with_suffix(".json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=expected):
+        with pytest.raises(ValueError, match=expected) as refused:
             load_checkpoint(stem)
+        assert f"{stem}.json" in str(refused.value)
 
     def test_config_round_trip(self):
         config = fast_config(steps=5)
