@@ -19,6 +19,8 @@ import numpy as np
 
 from .corpus import Batch, Utterance, Waveform
 
+SNR_DB = (-5.0, 5.0)    # UniSpeech-SAT's range for a mixed-in chunk's SNR
+
 
 @dataclass
 class MixSpec:
@@ -57,11 +59,11 @@ class MixedBatch:
     clean: Batch
 
 
-def _chunk_gain(snr_db, target_region, source_chunk, rng) -> float:
-    """Gain that puts the chunk at an SNR (dB) drawn uniformly from
-    `snr_db` = (low, high) against the target region's energy; unit gain
-    when the target region or the chunk is silent."""
-    snr = rng.uniform(*snr_db)
+def _chunk_gain(target_region, source_chunk, rng) -> float:
+    """Gain that puts the chunk at an SNR (dB) drawn uniformly from SNR_DB
+    against the target region's energy; unit gain when the target region or
+    the chunk is silent."""
+    snr = rng.uniform(*SNR_DB)
     target_energy = float(np.sum(target_region**2))
     chunk_energy = float(np.sum(source_chunk**2))
     if target_energy == 0.0 or chunk_energy == 0.0:
@@ -69,7 +71,7 @@ def _chunk_gain(snr_db, target_region, source_chunk, rng) -> float:
     return float(np.sqrt(target_energy / chunk_energy) * 10.0 ** (-snr / 20.0))
 
 
-def mix_batch(batch: Batch, p: float, snr_db=(-5.0, 5.0), seed: int = 0) -> MixedBatch:
+def mix_batch(batch: Batch, p: float, seed: int = 0) -> MixedBatch:
     """Overlay a random chunk of a random batch member onto each selected
     utterance. Mixed-in chunks always come from the clean batch, so results
     do not depend on the order the selected utterances are processed."""
@@ -91,7 +93,7 @@ def mix_batch(batch: Batch, p: float, snr_db=(-5.0, 5.0), seed: int = 0) -> Mixe
         s = int(rng.integers(1, length - l + 1))
         s_b = int(rng.integers(1, length - l + 1))
         chunk = clean[source][s_b - 1 : s_b - 1 + l]
-        gain = _chunk_gain(snr_db, clean[target][s - 1 : s - 1 + l], chunk, rng)
+        gain = _chunk_gain(clean[target][s - 1 : s - 1 + l], chunk, rng)
         mixed[target, s - 1 : s - 1 + l] += gain * chunk
         specs.append(MixSpec(int(target), source, l, s, s_b, gain))
 

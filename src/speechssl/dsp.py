@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+PREEMPHASIS, LOG_FLOOR = 0.97, 1e-10   # the log floors mel energies at LOG_FLOOR
+
 
 @dataclass
 class MfccConfig:
@@ -24,14 +26,12 @@ class MfccConfig:
     num_mel: int = 26
     num_ceps: int = 13
     fft_size: int = 512
-    preemphasis: float = 0.97
-    floor: float = 1e-10
     deltas: bool = True
 
     def __post_init__(self):
         if self.window > self.fft_size:
             raise ValueError("window must not exceed fft_size")
-        for key in ("hop", "num_ceps"):
+        for key in ("window", "hop", "num_ceps"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.num_ceps > self.num_mel:
@@ -142,13 +142,13 @@ def _log_mel(waveforms, cfg: MfccConfig) -> np.ndarray:
     for waveform, out in zip(waveforms, mel):
         x = waveform.samples
         pre[0] = x[0]
-        np.multiply(x[:-1], cfg.preemphasis, out=pre[1:])
+        np.multiply(x[:-1], PREEMPHASIS, out=pre[1:])
         np.subtract(x[1:], pre[1:], out=pre[1:])
         np.multiply(framed, window, out=frames)
         np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=-1), out=power)
         power *= power
         np.matmul(power, fb.T, out=out)
-    np.maximum(mel, cfg.floor, out=mel)
+    np.maximum(mel, LOG_FLOOR, out=mel)
     return np.log(mel, out=mel)
 
 

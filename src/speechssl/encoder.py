@@ -55,7 +55,7 @@ class EncoderConfig:
     def __post_init__(self):
         if not 0 <= self.tap_layer <= self.num_layers:
             raise ValueError("tap_layer must lie in [0, num_layers]")
-        for key in ("model_dim", "num_heads", "mask_span"):
+        for key in ("model_dim", "num_heads", "ffn_dim", "num_classes", "mask_span"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.model_dim % self.num_heads != 0:

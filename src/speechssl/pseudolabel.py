@@ -20,6 +20,7 @@ from .numerics import rng_from
 from .probe import encode_corpus
 
 FIT_CHUNK = 512   # rows per block of _nearest; bounds its temporaries
+SAMPLE_CAP = 100_000  # kmeans_fit fits a seeded uniform subsample of larger pools
 
 
 @dataclass
@@ -187,11 +188,10 @@ def kmeans_fit(
     max_iters: int = 100,
     seed: int = 0,
     restarts: int = 1,
-    sample_cap: int = 100_000,
 ) -> KmeansModel:
     """Fit k-means on pooled frames; best of `restarts` seeded runs.
 
-    Fitting subsamples to at most `sample_cap` frames (seeded, uniform).
+    Fitting subsamples to at most SAMPLE_CAP frames (seeded, uniform).
     """
     points = np.asarray(frames, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
@@ -203,8 +203,8 @@ def kmeans_fit(
                          f"restarts={restarts}, max_iters={max_iters}")
     if points.shape[0] < k:
         raise ValueError(f"need at least k={k} frames, got {points.shape[0]}")
-    if sample_cap and points.shape[0] > sample_cap:
-        keep = rng_from(seed, "subsample").choice(points.shape[0], sample_cap, replace=False)
+    if points.shape[0] > SAMPLE_CAP:
+        keep = rng_from(seed, "subsample").choice(points.shape[0], SAMPLE_CAP, replace=False)
         points = points[np.sort(keep)]
     best: KmeansModel | None = None
     for r in range(restarts):

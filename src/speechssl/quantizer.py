@@ -15,6 +15,9 @@ import numpy as np
 from .numerics import linear_backward, one_hot, softmax, softmax_backward
 
 ROW_SUM_TOL = 1e-6
+# desk-scale anneal floor: at a few hundred steps, stopping at 0.5 leaves
+# code selection noisy enough to jitter the contrastive anchors
+TAU_START, TAU_END = 2.0, 0.1
 
 
 @dataclass
@@ -22,16 +25,10 @@ class QuantizerConfig:
     num_codebooks: int = 2
     num_entries: int = 32
     entry_dim: int = 32
-    # desk-scale anneal floor: at a few hundred steps, stopping at 0.5 leaves
-    # code selection noisy enough to jitter the contrastive anchors
-    tau_start: float = 2.0
-    tau_end: float = 0.1
 
     def __post_init__(self):
         if min(self.num_codebooks, self.num_entries, self.entry_dim) < 1:
             raise ValueError("all quantizer dimensions must be >= 1")
-        if self.tau_start <= 0 or self.tau_end <= 0:
-            raise ValueError("temperatures must be positive")
 
 
 PARAM_KEYS = (
@@ -63,10 +60,10 @@ def init_quantizer_params(cfg: QuantizerConfig, dim: int, seed: int) -> dict:
     }
 
 
-def tau_at(step: int, total_steps: int, start: float = 2.0, end: float = 0.1) -> float:
-    """Geometric anneal from `start` to `end` across the run."""
+def tau_at(step: int, total_steps: int) -> float:
+    """Geometric anneal from TAU_START to TAU_END across the run."""
     frac = min(max(step / total_steps, 0.0), 1.0)
-    return float(start * (end / start) ** frac)
+    return float(TAU_START * (TAU_END / TAU_START) ** frac)
 
 
 def gumbel_noise(seeds, counts, cfg: QuantizerConfig) -> np.ndarray:

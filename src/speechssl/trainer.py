@@ -55,7 +55,9 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v4"
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v5"
+# HuBERT's Adam (arXiv 2106.07447)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-6
 
 # once per process: a warm train step reuses the memory the last one freed
 retain_freed_memory()
@@ -116,12 +118,7 @@ class TrainConfig:
     utterance_length: int = 8000
     learning_rate: float = 4e-3
     warmup_frac: float = 0.08
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-6
     mix_probability: float = 0.2
-    gain_snr_low: float = -5.0
-    gain_snr_high: float = 5.0
     speaker_loss: bool = True             # ablation: False trains on content only
     checkpoint_every: int = 0             # 0 = only final
     seeds: Seeds = field(default_factory=Seeds)
@@ -136,7 +133,7 @@ class TrainConfig:
                 raise ValueError(f"config key {key!r} must lie in [0, 1], "
                                  f"got {getattr(self, key)}")
         for key, low in (("steps", 1), ("batch_size", 1), ("checkpoint_every", 0),
-                         ("learning_rate", 0)):
+                         ("learning_rate", 0), ("utterance_length", self.mfcc.window)):
             if getattr(self, key) < low:
                 raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(self, key)}")
 
@@ -186,11 +183,11 @@ def init_state(config: TrainConfig) -> TrainState:
     return TrainState(config, params, FlatArrays(shapes), FlatArrays(shapes))
 
 
-def adam_update(state: TrainState, grads: FlatArrays, lr: float, cfg: TrainConfig) -> None:
+def adam_update(state: TrainState, grads: FlatArrays, lr: float) -> None:
     """In-place Adam step on the flat parameter, moment and gradient
     vectors: one pass over every parameter at once."""
     adam_step(state.params.flat, state.adam_m.flat, state.adam_v.flat, grads.flat,
-              state.step, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+              state.step, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
 
 @dataclass
@@ -255,10 +252,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     step = state.step + 1
     seeds = config.seeds
 
-    mixed = mix_batch(
-        batch, config.mix_probability, (config.gain_snr_low, config.gain_snr_high),
-        seed=derive_seed(seeds.mixing, "mix", step),
-    )
+    mixed = mix_batch(batch, config.mix_probability, derive_seed(seeds.mixing, "mix", step))
     features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc)
     ids = [u.id for u in mixed.batch.utterances]
     del mixed                           # the mixed audio is not needed past its features
@@ -270,7 +264,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
         for b in range(len(ids))
     ], num_frames)
     noise_seeds = [derive_seed(seeds.noise, "noise", step, b) for b in range(len(ids))]
-    tau = tau_at(step, config.steps, config.quantizer.tau_start, config.quantizer.tau_end)
+    tau = tau_at(step, config.steps)
     try:
         result = objective(state.params, features, labels, mask, noise_seeds,
                            derive_seed(seeds.negatives, "neg", step), tau, config, grads=True)
@@ -284,7 +278,7 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
         state.last_usage = result.usage
 
     state.step = step
-    adam_update(state, result.grads, learning_rate_at(step, config), config)
+    adam_update(state, result.grads, learning_rate_at(step, config))
     return state, breakdown
 
 
@@ -463,6 +457,11 @@ def load_checkpoint(stem) -> TrainState:
             != list(range(1, step + 1))):
         raise ValueError(f"the 'metrics' entry of {stem}.json does not hold the rows of "
                          f"steps 1..{step}")
+    row_keys = sorted({"step", "lr", *(f.name for f in fields(LossBreakdown))})
+    for row in metrics:
+        if sorted(row) != row_keys or any(type(v) not in (int, float) for v in row.values()):
+            raise ValueError(f"the metrics row of step {row['step']} in {stem}.json must map "
+                             f"each of {row_keys} to a number, got {row}")
     state = init_state(config)
     n = state.params.flat.size
     if len(raw) != 3 * 8 * n:
@@ -511,7 +510,6 @@ def grad_check(
     config: TrainConfig | None = None,
     seed: int = 0,
     num_coords: int = 240,
-    step_size: float = 1e-4,
     groups: list[str] | None = None,
 ) -> GradCheckReport:
     """Analytic gradients of the full combined loss vs central finite
@@ -534,6 +532,7 @@ def grad_check(
     ], num_frames)
     noise_seeds = [derive_seed(seed, "noise", b) for b in range(config.batch_size)]
     negatives_seed, tau = derive_seed(seed, "neg"), 1.0
+    step_size = 1e-4                    # central-difference step
 
     params = _initial_params(config, derive_seed(seed, "enc-params"),
                              derive_seed(seed, "q-params"))

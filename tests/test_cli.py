@@ -130,13 +130,30 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"quantizer_hard": False}, "unknown config key: 'quantizer_hard'", 2),
     ({"encoder": {"model_dim": 0}}, "model_dim must be >= 1, got 0", 1),
     ({"mfcc": {"num_ceps": 0}}, "num_ceps must be >= 1, got 0", 1),
+    ({"adam_beta1": 1.5}, "unknown config key: 'adam_beta1'", 2),
+    ({"adam_beta2": 1}, "unknown config key: 'adam_beta2'", 2),
+    ({"adam_eps": 0}, "unknown config key: 'adam_eps'", 2),
+    ({"gain_snr_low": 5}, "unknown config key: 'gain_snr_low'", 2),
+    ({"gain_snr_high": 5}, "unknown config key: 'gain_snr_high'", 2),
+    ({"quantizer": {"tau_start": 2.0}}, "unknown config key: 'quantizer.tau_start'", 2),
+    ({"quantizer": {"tau_end": 1e-300}}, "unknown config key: 'quantizer.tau_end'", 2),
+    ({"mfcc": {"preemphasis": 1e300}}, "unknown config key: 'mfcc.preemphasis'", 2),
+    ({"mfcc": {"floor": -1}}, "unknown config key: 'mfcc.floor'", 2),
+    ({"encoder": {"ffn_dim": 0}}, "ffn_dim must be >= 1, got 0", 1),
+    ({"encoder": {"num_classes": 0}}, "num_classes must be >= 1, got 0", 1),
+    ({"mfcc": {"window": 0}}, "window must be >= 1, got 0", 1),
+    ({"utterance_length": 100}, "config key 'utterance_length' must be >= 400, got 100", 1),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
         "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
         "infinite-learning-rate", "nan-nested", "mix-probability-above-1",
         "negative-warmup-frac", "zero-batch-size", "negative-batch-size",
         "negative-checkpoint-every", "removed-input-dim", "removed-latent-dim",
-        "removed-out-dim", "removed-quantizer-hard", "zero-model-dim", "zero-num-ceps"])
+        "removed-out-dim", "removed-quantizer-hard", "zero-model-dim", "zero-num-ceps",
+        "removed-adam-beta1", "removed-adam-beta2", "removed-adam-eps",
+        "removed-gain-snr-low", "removed-gain-snr-high", "removed-tau-start",
+        "removed-tau-end", "removed-preemphasis", "removed-floor", "zero-ffn-dim",
+        "zero-num-classes", "zero-window", "utterance-shorter-than-window"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
@@ -148,7 +165,11 @@ def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
 
 
 @pytest.mark.parametrize("key", ["encoder.input_dim", "quantizer.latent_dim",
-                                 "quantizer.out_dim", "quantizer_hard"])
+                                 "quantizer.out_dim", "quantizer_hard",
+                                 # constants of trainer, augment, quantizer and dsp
+                                 "adam_beta1", "adam_beta2", "adam_eps", "gain_snr_low",
+                                 "gain_snr_high", "quantizer.tau_start", "quantizer.tau_end",
+                                 "mfcc.preemphasis", "mfcc.floor"])
 def test_set_removed_width_key_is_usage_error(tmp_path, capsys, key):
     # the encoder input width is mfcc.dim and both quantizer widths are
     # encoder.model_dim; soft quantization is the gradient check's mode
@@ -287,6 +308,11 @@ def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):
     assert main([*pretrain, "--out", str(tmp_path / "run2")]) == 1  # features at hop 160
     assert "labels must come from the clean audio" in capsys.readouterr().err
     assert not (tmp_path / "run2").exists()
+    assert main(["mfcc", "--manifest", manifest, "--out", str(tmp_path / "window0"),
+                 "--set", "mfcc.window=0"]) == 1
+    err = capsys.readouterr().err
+    assert "window must be >= 1, got 0" in err and "Traceback" not in err
+    assert not (tmp_path / "window0").exists()
 
 
 def test_pipeline_recluster(pipeline, tmp_path):
@@ -471,8 +497,10 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
     (lambda meta: meta.update(step=1.0), "'step' entry"),
     (lambda meta: meta.update(metrics={}), "'metrics' entry"),
     (lambda meta: meta.update(metrics=[1]), "'metrics' entry"),
+    (lambda meta: [row.pop("total") for row in meta["metrics"]], "metrics row of step 1"),
 ], ids=["float-steps", "string-speaker-loss", "float-seed", "float-batch-size",
-        "float-tap-layer", "string-step", "float-step", "object-metrics", "metrics-not-rows"])
+        "float-tap-layer", "string-step", "float-step", "object-metrics", "metrics-not-rows",
+        "row-without-total"])
 def test_hand_edited_checkpoint_exits_1(pipeline, tmp_path, capsys, edit, named):
     # the digest covers the blob only, so each edit leaves it valid
     source = pipeline / "run/checkpoint_final"

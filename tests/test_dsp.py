@@ -4,6 +4,8 @@ import pytest
 from speechssl import dsp
 from speechssl.corpus import Waveform
 from speechssl.dsp import (
+    LOG_FLOOR,
+    PREEMPHASIS,
     FeatureSequence,
     MfccConfig,
     dct_matrix,
@@ -105,7 +107,7 @@ class TestMfcc:
         cfg = MfccConfig(deltas=False)
         base = dsp._log_mel([wav], cfg)[0]
         shifted = dsp._log_mel([scaled], cfg)[0]
-        assert base.min() > np.log(cfg.floor)  # above floor so the shift is exact
+        assert base.min() > np.log(LOG_FLOOR)  # above floor so the shift is exact
         assert np.max(np.abs(shifted - base - np.log(c**2))) < 1e-8
         f0 = mfcc(wav, cfg).frames
         f1 = mfcc(scaled, cfg).frames
@@ -148,13 +150,13 @@ def reference_mfcc(samples, sample_rate, cfg):
     batched one."""
     pre = np.empty_like(samples)
     pre[0] = samples[0]
-    pre[1:] = samples[1:] - cfg.preemphasis * samples[:-1]
+    pre[1:] = samples[1:] - PREEMPHASIS * samples[:-1]
     t = frame_count(samples.size, cfg.window, cfg.hop)
     idx = np.arange(cfg.window)[None, :] + cfg.hop * np.arange(t)[:, None]
     frames = pre[idx] * np.hanning(cfg.window)[None, :]
     power = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1)) ** 2
     fb = mel_filterbank(cfg.num_mel, cfg.fft_size, sample_rate)
-    ceps = np.log(np.maximum(power @ fb.T, cfg.floor)) @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
+    ceps = np.log(np.maximum(power @ fb.T, LOG_FLOOR)) @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
 
     def deltas(c, width=2):
         padded = np.concatenate([c[:1].repeat(width, axis=0), c, c[-1:].repeat(width, axis=0)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechssl import pseudolabel
 from speechssl.corpus import synth_corpus
 from speechssl.dsp import FeatureSequence
 from speechssl.numerics import rng_from
@@ -343,6 +344,32 @@ class TestFitLabels:
             want = assign(oracle, frames[uid], source="embedding:layer1")
             assert np.array_equal(seq.labels, want.labels)
             assert (seq.k, seq.source) == (want.k, want.source)
+
+
+class TestSubsample:
+    """Pools above pseudolabel.SAMPLE_CAP frames are fitted on a seeded
+    subsample; the desk pool is far below the real cap, so it is lowered."""
+
+    def test_fit_equals_fit_on_hand_taken_subsample(self, monkeypatch):
+        points = np.random.default_rng(5).standard_normal((300, 3))
+        monkeypatch.setattr(pseudolabel, "SAMPLE_CAP", 120)
+        model = kmeans_fit(points, 4, seed=7, restarts=2)
+        keep = np.sort(rng_from(7, "subsample").choice(300, 120, replace=False))
+        oracle = kmeans_fit(points[keep], 4, seed=7, restarts=2)
+        assert np.array_equal(model.centers, oracle.centers)
+        assert model.inertia_history == oracle.inertia_history
+        assert model.inertia != kmeans_fit(points[:120], 4, seed=7, restarts=2).inertia
+
+    def test_fit_labels_labels_every_frame(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        frames = {f"u{i}": rng.standard_normal((40 + i, 4)) for i in range(6)}
+        monkeypatch.setattr(pseudolabel, "SAMPLE_CAP", 50)
+        model, labels = fit_labels(frames, 5, seed=3, restarts=2)
+        assert np.array_equal(model.centers, kmeans_fit(
+            np.concatenate(list(frames.values())), 5, seed=3, restarts=2).centers)
+        for uid, seq in labels.items():
+            assert len(seq) == len(frames[uid])
+            assert np.array_equal(seq.labels, assign(model, frames[uid]).labels)
 
 
 class TestDumps:

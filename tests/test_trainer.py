@@ -112,10 +112,10 @@ class TestWarmStep:
         assert np.median(faults[2:]) <= 64, faults     # warm steps 3-10
 
 
-def loop_adam(params, adam_m, adam_v, grads, step, lr, cfg):
+def loop_adam(params, adam_m, adam_v, grads, step, lr):
     """The per-array Adam update in sorted key order: the oracle for the
     flat one."""
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS
     for name in sorted(params):
         g, m, v = grads[name], adam_m[name], adam_v[name]
         m *= b1
@@ -143,8 +143,8 @@ class TestAdam:
             grads.flat[...] = rng.standard_normal(grads.flat.size)
             expected_grads = {k: v.copy() for k, v in grads.items()}
             state.step = step
-            adam_update(state, grads, 3e-3, config)
-            loop_adam(oracle["p"], oracle["m"], oracle["v"], expected_grads, step, 3e-3, config)
+            adam_update(state, grads, 3e-3)
+            loop_adam(oracle["p"], oracle["m"], oracle["v"], expected_grads, step, 3e-3)
             for name, group in (("p", state.params), ("m", state.adam_m), ("v", state.adam_v)):
                 for key in group:
                     assert np.array_equal(group[key], oracle[name][key]), (name, key)
@@ -408,6 +408,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v3'"):
             load_checkpoint(stem)
 
+    def test_v4_checkpoint_rejected(self, two_checkpoints):
+        # v4 stored the Adam, mixing-SNR, anneal and MFCC constants as keys
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        meta["format"] = "speechssl-checkpoint-v4"
+        meta["config"].update(adam_beta1=0.9, adam_beta2=0.98, adam_eps=1e-6,
+                              gain_snr_low=-5.0, gain_snr_high=5.0)
+        meta["config"]["quantizer"].update(tau_start=2.0, tau_end=0.1)
+        meta["config"]["mfcc"].update(preemphasis=0.97, floor=1e-10)
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v4'"):
+            load_checkpoint(stem)
+
     @pytest.mark.parametrize("document", ["[]", "3", "\"checkpoint\""])
     def test_non_object_json_rejected(self, two_checkpoints, document):
         stem, _ = two_checkpoints
@@ -439,10 +452,13 @@ class TestCheckpoint:
         (lambda meta: meta.update(metrics={}), "no 'metrics' entry holding a list"),
         (lambda meta: meta.update(metrics=[1]), "'metrics' entry .* steps 1..1"),
         (lambda meta: meta.update(step=2), "'metrics' entry .* steps 1..2"),
+        (lambda meta: meta["metrics"][0].pop("total"), "metrics row of step 1 .*'total'"),
+        (lambda meta: meta["metrics"][0].update(total="x"), "metrics row of step 1 .* number"),
     ], ids=["no-step", "no-metrics", "no-config", "unknown-key", "unknown-nested-key",
             "scalar-section", "zero-heads", "float-steps", "string-speaker-loss",
             "float-seed", "float-batch-size", "float-tap-layer", "string-step", "float-step",
-            "negative-step", "object-metrics", "metrics-not-rows", "step-past-rows"])
+            "negative-step", "object-metrics", "metrics-not-rows", "step-past-rows",
+            "row-without-total", "string-total"])
     def test_bad_metadata_rejected(self, two_checkpoints, edit, expected):
         stem, _ = two_checkpoints               # at step 1 of 2
         meta = json.loads(stem.with_suffix(".json").read_text())
