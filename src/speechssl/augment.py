@@ -106,9 +106,9 @@ def mix_batch(batch: Batch, p: float, seed: int = 0) -> MixedBatch:
 
 
 def verify_spec(mixed: MixedBatch) -> list[str]:
-    """Re-derive the mixed batch from clean audio + specs and confirm
-    bit-equality, plus every MixSpec bound (notably l <= L/2). Returns the
-    problems found; empty means the batch verifies."""
+    """Re-derive each mixed utterance from clean audio + specs, one at a
+    time, and confirm bit-equality, plus every MixSpec bound (notably
+    l <= L/2). Returns the problems found; empty means the batch verifies."""
     batch, clean = mixed.batch, mixed.clean
     problems: list[str] = []
     for idx, spec in enumerate(mixed.specs):
@@ -117,22 +117,16 @@ def verify_spec(mixed: MixedBatch) -> list[str]:
     if problems:
         return problems
 
-    clean_samples = np.stack([u.waveform.samples for u in clean.utterances])
-    rebuilt = clean_samples.copy()
-    for spec in mixed.specs:
-        s, s_b, l = spec.target_start - 1, spec.source_start - 1, spec.mix_length
-        rebuilt[spec.target_index, s : s + l] += (
-            spec.gain * clean_samples[spec.source_index, s_b : s_b + l]
-        )
-    actual = np.stack([u.waveform.samples for u in batch.utterances])
-    mixed_targets = {spec.target_index for spec in mixed.specs}
-    for i in range(batch.size):
-        if not np.array_equal(rebuilt[i], actual[i]):
-            where = "mixed region" if i in mixed_targets else "untouched utterance"
-            owner = next(
-                (f"spec {j}" for j, spec in enumerate(mixed.specs) if spec.target_index == i),
-                "no spec",
-            )
+    for i, utt in enumerate(batch.utterances):
+        owned = [j for j, spec in enumerate(mixed.specs) if spec.target_index == i]
+        rebuilt = clean.utterances[i].waveform.samples.copy()
+        for spec in (mixed.specs[j] for j in owned):
+            s, s_b, l = spec.target_start - 1, spec.source_start - 1, spec.mix_length
+            source = clean.utterances[spec.source_index].waveform.samples
+            rebuilt[s : s + l] += spec.gain * source[s_b : s_b + l]
+        if not np.array_equal(rebuilt, utt.waveform.samples):
+            where = "mixed region" if owned else "untouched utterance"
+            owner = f"spec {owned[0]}" if owned else "no spec"
             problems.append(f"utterance {i}: {where} differs from reconstruction ({owner})")
     return problems
 

@@ -30,12 +30,12 @@ class MfccConfig:
 
     def __post_init__(self):
         if self.window > self.fft_size:
-            raise ValueError("window must not exceed fft_size")
+            raise ValueError(f"window {self.window} must not exceed fft_size {self.fft_size}")
         for key in ("window", "hop", "num_ceps"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.num_ceps > self.num_mel:
-            raise ValueError("num_ceps must not exceed num_mel")
+            raise ValueError(f"num_ceps {self.num_ceps} must not exceed num_mel {self.num_mel}")
 
     @property
     def dim(self) -> int:

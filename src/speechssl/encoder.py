@@ -54,14 +54,14 @@ class EncoderConfig:
 
     def __post_init__(self):
         if not 0 <= self.tap_layer <= self.num_layers:
-            raise ValueError("tap_layer must lie in [0, num_layers]")
+            raise ValueError(f"tap_layer must be in [0, {self.num_layers}], got {self.tap_layer}")
         for key in ("model_dim", "num_heads", "ffn_dim", "num_classes", "mask_span"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.model_dim % self.num_heads != 0:
-            raise ValueError("num_heads must divide model_dim")
+            raise ValueError(f"num_heads {self.num_heads} must divide model_dim {self.model_dim}")
         if not 0.0 <= self.mask_start_prob <= 1.0:
-            raise ValueError("mask_start_prob must lie in [0, 1]")
+            raise ValueError(f"mask_start_prob must lie in [0, 1], got {self.mask_start_prob}")
 
 
 @dataclass

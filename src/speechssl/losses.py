@@ -37,7 +37,7 @@ class LossWeights:
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            raise ValueError(f"kappa must be > 0, got {self.kappa}")
 
 
 class NonFiniteLoss(ValueError):

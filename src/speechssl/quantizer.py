@@ -27,8 +27,9 @@ class QuantizerConfig:
     entry_dim: int = 32
 
     def __post_init__(self):
-        if min(self.num_codebooks, self.num_entries, self.entry_dim) < 1:
-            raise ValueError("all quantizer dimensions must be >= 1")
+        for key in ("num_codebooks", "num_entries", "entry_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 PARAM_KEYS = (

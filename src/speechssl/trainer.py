@@ -85,7 +85,7 @@ def _config_from_doc(cls, doc: dict, prefix: str = ""):
     unknown key, a value where a section belongs or the reverse, a value of
     another JSON type than the default's, or an int too large for a float.
     A non-finite number, or a value a config check refuses, raises
-    ValueError."""
+    ValueError naming the dotted key too."""
     defaults, values = vars(cls()), {}
     for key, value in doc.items():
         name = prefix + key
@@ -108,7 +108,12 @@ def _config_from_doc(cls, doc: dict, prefix: str = ""):
             raise refusal from None
         if not math.isfinite(values[key]):
             raise ValueError(f"config key {name!r} must be finite, got {values[key]}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:   # a section's check names its bare field first
+        if not prefix:
+            raise
+        raise ValueError(f"config key {prefix}{exc}") from None
 
 
 @dataclass

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from speechssl.augment import MixSpec, mix_batch, save_mixspecs, verify_spec
+from speechssl.augment import MixedBatch, MixSpec, mix_batch, save_mixspecs, verify_spec
 from speechssl.corpus import Batch, Utterance, Waveform
 
 
@@ -118,6 +120,74 @@ class TestVerifySpec:
         samples[spec.target_start - 1] += 1e-9
         problems = verify_spec(mixed)
         assert any(f"utterance {spec.target_index}" in p for p in problems)
+
+    def test_tampered_untouched_utterance_named(self):
+        mixed = mix_batch(toy_batch(b=6, length=64, seed=5), 0.5, seed=3)
+        targets = {spec.target_index for spec in mixed.specs}
+        untouched = min(set(range(6)) - targets)
+        assert targets and untouched < max(targets)
+        mixed.batch.utterances[untouched].waveform.samples[-1] += 1e-9
+        assert verify_spec(mixed) == [
+            f"utterance {untouched}: untouched utterance differs from reconstruction (no spec)"]
+
+    @staticmethod
+    def hand_mixed(clean, specs):
+        """The mixed batch `specs` make of `clean`, applied in list order,
+        each chunk read from the clean audio."""
+        rows = [u.waveform.samples.copy() for u in clean.utterances]
+        for spec in specs:
+            s, s_b, l = spec.target_start - 1, spec.source_start - 1, spec.mix_length
+            chunk = clean.utterances[spec.source_index].waveform.samples[s_b : s_b + l]
+            rows[spec.target_index][s : s + l] += spec.gain * chunk
+        utts = [Utterance(u.id, Waveform(r, u.waveform.sample_rate))
+                for u, r in zip(clean.utterances, rows)]
+        return MixedBatch(Batch(utts, clean.length), list(specs), clean)
+
+    def test_tampered_mixed_region_names_first_spec_on_target(self):
+        clean = toy_batch(b=3, length=64, seed=8)
+        specs = [MixSpec(1, 2, 8, 3, 5, 0.7), MixSpec(0, 1, 16, 10, 1, 1.3),
+                 MixSpec(0, 2, 20, 20, 30, -0.4)]
+        mixed = self.hand_mixed(clean, specs)
+        assert verify_spec(mixed) == []
+        mixed.batch.utterances[0].waveform.samples[25] += 1e-9
+        assert verify_spec(mixed) == [
+            "utterance 0: mixed region differs from reconstruction (spec 1)"]
+
+    def test_two_specs_on_one_target_apply_in_list_order(self):
+        # overlapping chunks on one target: the sums round differently when
+        # the order is swapped, and only the list order verifies
+        clean = toy_batch(b=3, length=64, seed=2)
+        specs = [MixSpec(0, 1, 30, 1, 3, 0.3), MixSpec(0, 2, 30, 5, 20, 1.7)]
+        assert verify_spec(self.hand_mixed(clean, specs)) == []
+        swapped = self.hand_mixed(clean, specs[::-1])
+        swapped.specs = specs
+        assert verify_spec(swapped) == [
+            "utterance 0: mixed region differs from reconstruction (spec 0)"]
+
+    def test_source_that_is_itself_mixed_is_read_clean(self):
+        # utterance 1 takes its chunk from utterance 0, itself a target
+        clean = toy_batch(b=3, length=64, seed=4)
+        specs = [MixSpec(0, 2, 16, 1, 1, 0.9), MixSpec(1, 0, 16, 1, 1, 1.1)]
+        mixed = self.hand_mixed(clean, specs)
+        assert verify_spec(mixed) == []
+        from_mixed = mixed.batch.utterances[0].waveform.samples[:16]
+        mixed.batch.utterances[1].waveform.samples[:16] = (
+            clean.utterances[1].waveform.samples[:16] + 1.1 * from_mixed)
+        assert verify_spec(mixed) == [
+            "utterance 1: mixed region differs from reconstruction (spec 1)"]
+
+    def test_peak_memory_below_four_rows(self):
+        # the reconstruction holds one utterance at a time, never the batch
+        # (tracemalloc tracks NumPy's buffers)
+        length = 8000
+        mixed = mix_batch(toy_batch(b=128, length=length, seed=0), 0.5, seed=0)
+        tracemalloc.start()
+        try:
+            assert verify_spec(mixed) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * length * 8
 
 
 class TestStatistics:

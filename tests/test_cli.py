@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_mix_command_writes_specs(tmp_path):
     assert len(list((out / "mixed").glob("*.wav"))) == 4
 
 
+def test_mix_peak_memory_is_corpus_plus_mixed_copy(tmp_path):
+    # mix holds the loaded corpus and its mixed copy; verification rebuilds
+    # one utterance at a time (tracemalloc tracks NumPy's buffers)
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus_dir), "--num-speakers", "8",
+                 "--utts-per-speaker", "16", "--duration", "0.5", "--seed", "0"]) == 0
+    corpus_bytes = 8 * 16 * 8000 * 8            # float64 samples at 16 kHz
+    tracemalloc.start()
+    try:
+        assert main(["mix", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                     "--out", str(tmp_path / "mixed"), "--p", "0.5", "--seed", "0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * corpus_bytes
+
+
 def test_set_unknown_key_rejected(tmp_path):
     corpus_dir = tmp_path / "corpus"
     main(["synth", "--out", str(corpus_dir), "--num-speakers", "2",
@@ -143,6 +161,18 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"encoder": {"num_classes": 0}}, "num_classes must be >= 1, got 0", 1),
     ({"mfcc": {"window": 0}}, "window must be >= 1, got 0", 1),
     ({"utterance_length": 100}, "config key 'utterance_length' must be >= 400, got 100", 1),
+    # a section's range check names the dotted key and the value
+    ({"quantizer": {"num_entries": 0}},
+     "config key quantizer.num_entries must be >= 1, got 0", 1),
+    ({"encoder": {"tap_layer": 9}}, "config key encoder.tap_layer must be in [0, 4], got 9", 1),
+    ({"weights": {"kappa": -1.0}}, "config key weights.kappa must be > 0, got -1.0", 1),
+    ({"weights": {"alpha": -1}}, "config key weights.alpha must be >= 0, got -1.0", 1),
+    ({"encoder": {"num_heads": 3}}, "config key encoder.num_heads 3 must divide model_dim 64", 1),
+    ({"encoder": {"mask_start_prob": 1.5}},
+     "config key encoder.mask_start_prob must lie in [0, 1], got 1.5", 1),
+    ({"mfcc": {"window": 600}}, "config key mfcc.window 600 must not exceed fft_size 512", 1),
+    ({"mfcc": {"num_ceps": 40}}, "config key mfcc.num_ceps 40 must not exceed num_mel 26", 1),
+    ({"mfcc": {"window": 0}}, "config key mfcc.window must be >= 1, got 0", 1),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
         "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
@@ -153,7 +183,10 @@ def test_set_unknown_key_rejected(tmp_path):
         "removed-adam-beta1", "removed-adam-beta2", "removed-adam-eps",
         "removed-gain-snr-low", "removed-gain-snr-high", "removed-tau-start",
         "removed-tau-end", "removed-preemphasis", "removed-floor", "zero-ffn-dim",
-        "zero-num-classes", "zero-window", "utterance-shorter-than-window"])
+        "zero-num-classes", "zero-window", "utterance-shorter-than-window",
+        "zero-num-entries", "tap-layer-above-num-layers", "negative-kappa", "negative-alpha",
+        "heads-not-dividing-width", "mask-start-prob-above-1", "window-above-fft-size",
+        "num-ceps-above-num-mel", "zero-window-dotted-key"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
