@@ -170,9 +170,10 @@ def init_encoder_params(cfg: EncoderConfig, input_dim: int, seed: int) -> dict:
         params[f"block{i}/ln1/g"] = np.ones(d)
         params[f"block{i}/ln1/b"] = np.zeros(d)
         # attention projections carry no biases: a key bias is provably inert
-        # under softmax and would defeat finite-difference verification
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[f"block{i}/attn/{name}"] = xavier(d, d)
+        # under softmax and would defeat finite-difference verification. Wqkv
+        # holds the q, k and v projections side by side, each drawn as (d, d)
+        params[f"block{i}/attn/Wqkv"] = np.concatenate([xavier(d, d) for _ in "qkv"], axis=1)
+        params[f"block{i}/attn/Wo"] = xavier(d, d)
         params[f"block{i}/ln2/g"] = np.ones(d)
         params[f"block{i}/ln2/b"] = np.zeros(d)
         params[f"block{i}/ffn/W1"] = xavier(d, cfg.ffn_dim)
@@ -196,12 +197,6 @@ def zero_grads(params: dict) -> FlatArrays:
 # the batch axis.
 
 
-def _qkv_weights(params, prefix):
-    """Wq, Wk and Wv side by side: one (d, 3d) projection whose output rows
-    split into the q, k and v heads."""
-    return np.concatenate([params[f"{prefix}/W{c}"] for c in "qkv"], axis=1)
-
-
 def _attention_context(attn, vh):
     """attn @ v per head, laid out as (B*T, d) rows with the heads side by side."""
     batch, num_heads, t, dh = vh.shape
@@ -215,7 +210,7 @@ def _attention_forward(x, params, prefix, num_heads, batch):
     n, d = x.shape
     t = n // batch
     dh = d // num_heads
-    qkv = x @ _qkv_weights(params, prefix)
+    qkv = x @ params[f"{prefix}/Wqkv"]
     qh, kh, vh = qkv.reshape(batch, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
     scores = qh @ kh.transpose(0, 1, 3, 2)
     scores /= np.sqrt(dh)
@@ -228,7 +223,6 @@ def _attention_forward(x, params, prefix, num_heads, batch):
 def _attention_backward(cache, x, dout, params, prefix, num_heads, grads):
     """`x` is the attention input, recomputed by the caller rather than cached."""
     qh, kh, vh, attn = cache
-    n, d = x.shape
     batch, _, t, dh = qh.shape
     grads[f"{prefix}/Wo"] += _attention_context(attn, vh).T @ dout
     dctx_h = dout @ params[f"{prefix}/Wo"].T
@@ -239,16 +233,14 @@ def _attention_backward(cache, x, dout, params, prefix, num_heads, grads):
     dscores = softmax_backward(attn, dattn)
     del dattn
     dscores /= np.sqrt(dh)
-    dqkv = np.empty((n, 3 * d))                         # rows laid out as qkv
+    dqkv = np.empty((batch * t, 3 * num_heads * dh))    # columns laid out as Wqkv's
     dqh, dkh, dvh = dqkv.reshape(batch, t, 3, num_heads, dh).transpose(2, 0, 3, 1, 4)
     np.matmul(attn.transpose(0, 1, 3, 2), dctx_h, out=dvh)
     np.matmul(dscores, kh, out=dqh)
     np.matmul(dscores.transpose(0, 1, 3, 2), qh, out=dkh)
     del dscores, dctx_h
-    dw = x.T @ dqkv
-    for j, name in enumerate(("Wq", "Wk", "Wv")):
-        grads[f"{prefix}/{name}"] += dw[:, j * d:(j + 1) * d]
-    return dqkv @ _qkv_weights(params, prefix).T
+    grads[f"{prefix}/Wqkv"] += x.T @ dqkv
+    return dqkv @ params[f"{prefix}/Wqkv"].T
 
 
 def _block_forward(x, params, i, cfg, batch):

@@ -32,15 +32,6 @@ class QuantizerConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
-PARAM_KEYS = (
-    "quant/proj_in/W",
-    "quant/proj_in/b",
-    "quant/codebook",
-    "quant/proj_out/W",
-    "quant/proj_out/b",
-)
-
-
 def init_quantizer_params(cfg: QuantizerConfig, dim: int, seed: int) -> dict:
     """The quant/* parameters for latent rows of width `dim` (the encoder's
     model width), quantized back to vectors of the same width."""
@@ -112,8 +103,8 @@ def quantize(latent: np.ndarray, params: dict, cfg: QuantizerConfig, tau: float,
     interact, so the masked rows of a whole batch go through in one call,
     each with its own utterance's draw. Non-finite parameters and a
     non-positive `tau` (gumbel_probs) are refused."""
-    for key in PARAM_KEYS:
-        if not np.all(np.isfinite(params[key])):
+    for key, value in params.items():
+        if key.startswith("quant/") and not np.all(np.isfinite(value)):
             raise ValueError(f"quantizer parameter {key!r} is not finite")
     latent = np.asarray(latent, dtype=np.float64)
     dim = params["quant/proj_in/W"].shape[0]

@@ -55,7 +55,8 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v5"
+# v6 joins each block's Wq, Wk, Wv into one attn/Wqkv: a v5 blob has as many floats
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v6"
 # HuBERT's Adam (arXiv 2106.07447)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-6
 
@@ -137,10 +138,14 @@ class TrainConfig:
             if not 0 <= getattr(self, key) <= 1:
                 raise ValueError(f"config key {key!r} must lie in [0, 1], "
                                  f"got {getattr(self, key)}")
+        # mixing draws a chunk of up to half the crop, so a crop holds >= 2 samples
         for key, low in (("steps", 1), ("batch_size", 1), ("checkpoint_every", 0),
-                         ("learning_rate", 0), ("utterance_length", self.mfcc.window)):
+                         ("learning_rate", 0), ("utterance_length", max(2, self.mfcc.window))):
             if getattr(self, key) < low:
                 raise ValueError(f"config key {key!r} must be >= {low}, got {getattr(self, key)}")
+        if self.speaker_loss and self.weights.num_negatives and self.batch_size < 2:
+            raise ValueError("config key 'batch_size' must be >= 2 while the speaker loss "
+                             f"draws negatives from other utterances, got {self.batch_size}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -338,15 +343,18 @@ def _check_labels(corpus, labels_by_id: dict, config: TrainConfig) -> None:
 def train(state: TrainState, corpus, labels_by_id: dict[str, PseudoLabelSequence],
           out_dir=None, until_step: int | None = None) -> TrainState:
     """Run `state` (init_state(config) or load_checkpoint(stem)) to its
-    config's last step, or to `until_step`, and return it. Every corpus
-    utterance's labels are checked before anything is written. With out_dir
-    set, metrics stream to metrics.jsonl and checkpoints are written on the
-    checkpoint_every schedule plus at the end. A checkpoint carries the
-    metrics rows of every step up to it, so a resumed run's metrics,
-    metrics.jsonl and summary.json equal the uninterrupted run's."""
+    config's last step, or to `until_step`, and return it. The batch size
+    and every utterance's labels are checked before anything is written.
+    With out_dir set, metrics stream to metrics.jsonl and checkpoints are
+    written on the checkpoint_every schedule plus at the end. A checkpoint
+    carries the metrics rows of every step up to it, so a resumed run's
+    metrics, metrics.jsonl and summary.json equal the uninterrupted run's."""
     config = state.config
     if until_step is not None and until_step < 1:
         raise ValueError(f"until_step must be >= 1, got {until_step}")
+    if config.batch_size > len(corpus):
+        raise ValueError(f"config key 'batch_size' is {config.batch_size}, but the corpus "
+                         f"holds {len(corpus)} utterances")
     _check_labels(corpus, labels_by_id, config)
     metrics = state.metrics
     last_step = config.steps if until_step is None else min(until_step, config.steps)

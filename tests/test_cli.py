@@ -173,6 +173,11 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"mfcc": {"window": 600}}, "config key mfcc.window 600 must not exceed fft_size 512", 1),
     ({"mfcc": {"num_ceps": 40}}, "config key mfcc.num_ceps 40 must not exceed num_mel 26", 1),
     ({"mfcc": {"window": 0}}, "config key mfcc.window must be >= 1, got 0", 1),
+    # runs that could not take step 1
+    ({"batch_size": 1}, "config key 'batch_size' must be >= 2 while the speaker loss draws "
+                        "negatives from other utterances, got 1", 1),
+    ({"utterance_length": 1, "mfcc": {"window": 1}},
+     "config key 'utterance_length' must be >= 2, got 1", 1),
 ], ids=["unknown-top-level", "unknown-nested", "scalar-section", "object-value", "not-object",
         "string-for-int", "null-for-float", "string-batch-size", "bool-for-int",
         "bool-for-float", "int-for-bool", "huge-int-for-float", "zero-heads",
@@ -186,7 +191,8 @@ def test_set_unknown_key_rejected(tmp_path):
         "zero-num-classes", "zero-window", "utterance-shorter-than-window",
         "zero-num-entries", "tap-layer-above-num-layers", "negative-kappa", "negative-alpha",
         "heads-not-dividing-width", "mask-start-prob-above-1", "window-above-fft-size",
-        "num-ceps-above-num-mel", "zero-window-dotted-key"])
+        "num-ceps-above-num-mel", "zero-window-dotted-key",
+        "single-utterance-batch-with-negatives", "crop-too-short-to-mix"])
 def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
@@ -382,6 +388,17 @@ def test_pipeline_pretrain_deterministic(pipeline, tmp_path):
         tmp_path / "y/checkpoint_final.bin").read_bytes()
 
 
+def test_batch_larger_than_corpus_exits_1_before_writing(pipeline, tmp_path, capsys):
+    assert main(["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                 "--labels", str(pipeline / "cluster/labels.jsonl"),
+                 "--out", str(tmp_path / "run"), "--steps", "2", *TINY_MODEL_SETS,
+                 "--set", "batch_size=10"]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'batch_size' is 10, but the corpus holds 9 utterances" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_pipeline_resume_matches(pipeline, tmp_path):
     inputs = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
               "--labels", str(pipeline / "cluster/labels.jsonl")]
@@ -517,6 +534,26 @@ def test_probe_refuses_v2_or_misfit_checkpoint(pipeline, tmp_path, capsys):
     stem.with_suffix(".json").write_text("[]")
     assert main(probe) == 1
     assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_v5_checkpoint_exits_1(pipeline, tmp_path, capsys):
+    # a v5 blob holds the float count a v6 config needs, with Wq, Wk and Wv
+    # apart, so the format alone refuses it
+    source = pipeline / "run/checkpoint_final"
+    stem = tmp_path / "checkpoint"
+    stem.with_suffix(".bin").write_bytes(source.with_suffix(".bin").read_bytes())
+    meta = json.loads(source.with_suffix(".json").read_text())
+    meta["format"] = "speechssl-checkpoint-v5"
+    stem.with_suffix(".json").write_text(json.dumps(meta))
+    manifest = ["--manifest", str(pipeline / "corpus/manifest.jsonl")]
+    for command in (["pretrain", "--labels", str(pipeline / "cluster/labels.jsonl"),
+                     "--resume", str(stem)],
+                    ["probe", "--checkpoint", str(stem)]):
+        assert main([*command, *manifest, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert (f"unrecognized checkpoint format 'speechssl-checkpoint-v5' in {stem}.json; "
+                "this version reads 'speechssl-checkpoint-v6'") in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -76,9 +76,11 @@ def reference_forward(feats, mask_indices, params, cfg):
                 ref_layer_norm(h[i], params[f"block{b}/ln1/g"], params[f"block{b}/ln1/b"])
                 for i in range(t)
             ])
-            q = n1 @ params[f"block{b}/attn/Wq"]
-            k = n1 @ params[f"block{b}/attn/Wk"]
-            v = n1 @ params[f"block{b}/attn/Wv"]
+            # Wqkv's columns are the q, k and v projections, in that order
+            wqkv = params[f"block{b}/attn/Wqkv"]
+            q = n1 @ wqkv[:, :d]
+            k = n1 @ wqkv[:, d:2 * d]
+            v = n1 @ wqkv[:, 2 * d:]
             ctx = np.zeros((t, d))
             for head in range(heads):
                 sl = slice(head * dh, (head + 1) * dh)
@@ -262,6 +264,39 @@ class TestConfig:
             EncoderConfig(num_layers=4, tap_layer=5)
 
 
+class TestParams:
+    def test_wqkv_is_three_xavier_draws_side_by_side(self):
+        # separate (d, d) Wq, Wk, Wv and Wo drawn in turn from the same seed:
+        # Wqkv holds the first three side by side, and every draw stays put
+        cfg, seed, d = TINY, 9, TINY.model_dim
+        rng = np.random.default_rng(seed)
+
+        def xavier(n_in, n_out):
+            limit = math.sqrt(6.0 / (n_in + n_out))
+            return rng.uniform(-limit, limit, (n_in, n_out))
+
+        separate = {"proj/W": xavier(INPUT_DIM, d), "mask_emb": rng.normal(0.0, 0.1, d)}
+        for i in range(cfg.num_layers):
+            for name in ("Wq", "Wk", "Wv", "Wo", "W1", "W2"):
+                shape = {"W1": (d, cfg.ffn_dim), "W2": (cfg.ffn_dim, d)}.get(name, (d, d))
+                separate[f"block{i}/{name}"] = xavier(*shape)
+        separate["head/W"] = xavier(d, cfg.num_classes)
+
+        params = init_encoder_params(cfg, INPUT_DIM, seed)
+        assert sorted(k for k in params if "/attn/" in k) == [
+            f"block{i}/attn/{name}" for i in range(cfg.num_layers) for name in ("Wo", "Wqkv")]
+        for i in range(cfg.num_layers):
+            prefix = f"block{i}/"
+            assert params[prefix + "attn/Wqkv"].shape == (d, 3 * d)
+            assert np.array_equal(params[prefix + "attn/Wqkv"], np.concatenate(
+                [separate[prefix + name] for name in ("Wq", "Wk", "Wv")], axis=1))
+            assert np.array_equal(params[prefix + "attn/Wo"], separate[prefix + "Wo"])
+            for name in ("W1", "W2"):
+                assert np.array_equal(params[prefix + "ffn/" + name], separate[prefix + name])
+        for key in ("proj/W", "mask_emb", "head/W"):
+            assert np.array_equal(params[key], separate[key])
+
+
 class TestBackward:
     def scalar_loss(self, params, frames, masks, cfg):
         out = forward(frames, masks, params, cfg)
@@ -282,9 +317,10 @@ class TestBackward:
             dtap = 2.0 * out.tap
             grads = backward(out, params, cfg, dlogits, dtap, zero_grads(params))
             rng = np.random.default_rng(0)
+            # 12 per key, so the (d, 3d) Wqkv gets about 4 per q, k and v projection
             for key in sorted(params):
                 flat = params[key].reshape(-1)
-                for c in rng.choice(flat.size, min(4, flat.size), replace=False):
+                for c in rng.choice(flat.size, min(12, flat.size), replace=False):
                     orig = flat[c]
                     flat[c] = orig + h
                     up = self.scalar_loss(params, frames, masks, cfg)

@@ -10,6 +10,7 @@ from speechssl.ablate import desk_setup
 from speechssl.corpus import make_batch
 from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward
+from speechssl.losses import LossWeights
 from speechssl.numerics import derive_seed
 from speechssl.pseudolabel import PseudoLabelSequence
 from speechssl.trainer import (
@@ -468,6 +469,18 @@ class TestCheckpoint:
             load_checkpoint(stem)
         assert f"{stem}.json" in str(refused.value)
 
+    def test_v5_checkpoint_rejected(self, two_checkpoints):
+        # v5 stored Wq, Wk and Wv apart: the same float count, laid out otherwise
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        meta["format"] = "speechssl-checkpoint-v5"
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        assert meta["blob_bytes"] == 3 * 8 * init_state(
+            TrainConfig.from_dict(meta["config"])).params.flat.size
+        with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v5' in .*; this "
+                                             "version reads 'speechssl-checkpoint-v6'"):
+            load_checkpoint(stem)
+
     def test_config_round_trip(self):
         config = fast_config(steps=5)
         back = TrainConfig.from_dict(json.loads(json.dumps(config.to_dict())))
@@ -478,6 +491,14 @@ class TestCheckpoint:
         (tmp_path / "x.bin").write_bytes(b"")
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(tmp_path / "x")
+
+
+class TestConfigChecks:
+    # test_cli's test_config_file_bad_key_rejected covers the refusal itself
+    @pytest.mark.parametrize("overrides", [
+        dict(speaker_loss=False), dict(weights=LossWeights(num_negatives=0))])
+    def test_single_utterance_batch_without_negatives_accepted(self, overrides):
+        assert fast_config(batch_size=1, **overrides).batch_size == 1
 
 
 class TestLearningRateSchedule:
@@ -511,6 +532,17 @@ class TestGradCheck:
         report = grad_check(seed=2, num_coords=40, groups=["head/"])
         assert set(report.per_group) == {"head/W", "head/b"}
         assert report.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tap_at_projection_output(self, seed):
+        # tap_layer 0: the tap gradient joins below the first block
+        config = tiny_config(seed)
+        config = dataclasses.replace(config, encoder=dataclasses.replace(config.encoder,
+                                                                         tap_layer=0))
+        assert config.speaker_loss
+        report = grad_check(config=config, seed=seed, num_coords=210)
+        assert report.num_coords >= 200
+        assert report.max_rel_error < 1e-4
 
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError, match="group"):
