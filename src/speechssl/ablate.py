@@ -8,7 +8,7 @@ from functools import cached_property
 
 from .corpus import synth_corpus
 from .dsp import mfcc
-from .probe import overlapped_corpus, speaker_separability
+from .probe import loo_nearest_centroid_accuracy, overlapped_corpus, utterance_means
 from .pseudolabel import fit_labels
 from .trainer import Seeds, TrainConfig, TrainState, init_state, train
 
@@ -32,13 +32,13 @@ class DeskRun:
 
     @cached_property
     def separability_clean(self) -> float:
-        return speaker_separability(self.state, self.setup.corpus,
-                                    self.setup.config.encoder.tap_layer)
+        means, tags = utterance_means(self.state, self.setup.corpus)
+        return loo_nearest_centroid_accuracy(means[self.setup.config.encoder.tap_layer], tags)
 
     @cached_property
     def separability_overlap(self) -> float:
-        return speaker_separability(self.state, self.setup.overlap,
-                                    self.setup.config.encoder.tap_layer)
+        means, tags = utterance_means(self.state, self.setup.overlap)
+        return loo_nearest_centroid_accuracy(means[self.setup.config.encoder.tap_layer], tags)
 
 
 def desk_setup(config: TrainConfig, num_speakers: int = 8, utts_per_speaker: int = 16,

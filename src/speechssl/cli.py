@@ -36,7 +36,7 @@ from .pseudolabel import (
     save_kmeans,
     save_labels,
 )
-from .probe import ascii_bar_chart, layer_profile
+from .probe import ascii_bar_chart, layer_profile, utterance_means
 from .trainer import (
     Seeds,
     TrainConfig,
@@ -229,8 +229,8 @@ def cmd_recluster(args):
 def cmd_probe(args):
     ckpt = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.manifest)
-    weights, accuracy, separability = layer_profile(ckpt, corpus, steps=args.probe_steps,
-                                                    seed=args.seed)
+    weights, accuracy, separability = layer_profile(*utterance_means(ckpt, corpus),
+                                                    steps=args.probe_steps, seed=args.seed)
     profile = {str(layer): float(w) for layer, w in enumerate(weights)}
     report = {
         "layer_weights": profile,
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--p", type=float, default=0.2)
     p.add_argument("--batch-size", type=_int_at_least(1))
-    p.add_argument("--length", type=_int_at_least(1))
+    p.add_argument("--length", type=_int_at_least(2))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mix)
 

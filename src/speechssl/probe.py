@@ -1,12 +1,13 @@
 """Frozen-representation diagnostics.
 
 encode_corpus is the one loop that runs a frozen checkpoint over a corpus;
-probing and re-clustering both read its outputs. speaker_separability
-scores how well utterance-mean embeddings at a chosen layer cluster by
-speaker, via leave-one-out nearest-centroid accuracy: a parameter-free
-stand-in for a trained speaker classifier. fit_layer_weights learns a
-softmax-weighted combination of layer outputs plus a linear head, exposing
-which depths carry the probed information.
+probing and re-clustering both read its outputs. utterance_means is the one
+pass that speaker scores read: every layer's utterance-mean embeddings of a
+speaker-tagged corpus. loo_nearest_centroid_accuracy scores how well one
+layer's means cluster by speaker: a parameter-free stand-in for a trained
+speaker classifier. fit_layer_weights learns a softmax-weighted combination
+of layer outputs plus a linear head, exposing which depths carry the probed
+information.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ import numpy as np
 from .corpus import Utterance, Waveform
 from .dsp import mfcc
 from .encoder import BatchMask, forward, sample_mask
-from .numerics import (adam_step, derive_seed, log_softmax, rng_from, softmax,
-                       softmax_backward)
+from .numerics import (FlatArrays, adam_step, derive_seed, log_softmax, rng_from,
+                       softmax, softmax_backward)
 
 
 def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
@@ -37,9 +38,16 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
         yield utt, forward(feats.frames[None], mask, checkpoint.params, cfg), mask
 
 
-def _utterance_means(checkpoint, corpus):
+def utterance_means(checkpoint, corpus):
     """Clean-audio utterance-mean embeddings at every layer, stacked as
-    (num_layers + 1, n, d), plus the speaker tags in corpus order."""
+    (num_layers + 1, n, d), plus the speaker tags in corpus order. Refuses,
+    before encoding anything, an untagged utterance (naming it) and a corpus
+    of fewer than 2 speakers."""
+    for utt in corpus:
+        if utt.speaker is None:
+            raise ValueError(f"utterance {utt.id!r} carries no speaker tag")
+    if len({utt.speaker for utt in corpus}) < 2:
+        raise ValueError("corpus must carry at least 2 distinct speaker tags")
     means, tags = [], []
     for utt, out, _ in encode_corpus(checkpoint, corpus):
         means.append([layer[0].mean(axis=0) for layer in out.layer_outputs])
@@ -78,19 +86,6 @@ def loo_nearest_centroid_accuracy(embeddings: np.ndarray, classes) -> float:
     return correct / embeddings.shape[0]
 
 
-def speaker_separability(checkpoint, corpus, layer: int) -> float:
-    """Leave-one-out nearest-centroid speaker accuracy of utterance-mean
-    embeddings at `layer` for a speaker-tagged corpus."""
-    cfg = checkpoint.config.encoder
-    if not 0 <= layer <= cfg.num_layers:
-        raise ValueError(f"layer {layer} invalid for a {cfg.num_layers}-layer encoder")
-    speakers = {u.speaker for u in corpus}
-    if None in speakers or len(speakers) < 2:
-        raise ValueError("corpus must carry at least 2 distinct speaker tags")
-    means, tags = _utterance_means(checkpoint, corpus)
-    return loo_nearest_centroid_accuracy(means[layer], tags)
-
-
 def fit_layer_weights(
     per_layer_outputs: np.ndarray,
     targets,
@@ -116,12 +111,10 @@ def fit_layer_weights(
     num_layers, n, d = outputs.shape
     k = int(classes.max()) + 1
     rng = np.random.default_rng(seed)
-    theta = np.zeros(num_layers)
-    w = rng.standard_normal((d, k)) * 0.01
-    b = np.zeros(k)
-
-    moments = {name: [np.zeros_like(p), np.zeros_like(p)]
-               for name, p in (("theta", theta), ("w", w), ("b", b))}
+    shapes = {"theta": (num_layers,), "w": (d, k), "b": (k,)}
+    params, grads, m, v = (FlatArrays(shapes) for _ in range(4))
+    theta, w, b = params["theta"], params["w"], params["b"]
+    w[...] = rng.standard_normal((d, k)) * 0.01
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for t in range(1, steps + 1):
         lw = softmax(theta)
@@ -129,32 +122,29 @@ def fit_layer_weights(
         dlogits = np.exp(log_softmax(rep @ w + b))
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
-        grad_w = rep.T @ dlogits
-        grad_b = dlogits.sum(axis=0)
+        grads["w"][...] = rep.T @ dlogits
+        grads["b"][...] = dlogits.sum(axis=0)
         drep = dlogits @ w.T
         dlw = np.einsum("nd,lnd->l", drep, outputs)
-        grad_theta = softmax_backward(lw, dlw)
-        for name, p, g in (("theta", theta, grad_theta), ("w", w, grad_w), ("b", b, grad_b)):
-            adam_step(p, *moments[name], g, t, lr, beta1, beta2, eps)
+        grads["theta"][...] = softmax_backward(lw, dlw)
+        adam_step(params.flat, m.flat, v.flat, grads.flat, t, lr, beta1, beta2, eps)
     lw = softmax(theta)
     rep = np.einsum("l,lnd->nd", lw, outputs)
     accuracy = float(np.mean(np.argmax(rep @ w + b, axis=1) == y))
     return lw, accuracy
 
 
-def layer_profile(checkpoint, corpus, steps: int = 200, lr: float = 0.1, seed: int = 0):
-    """Layer-contribution profile for the speaker task on a tagged corpus.
+def layer_profile(means, tags, steps: int = 200, seed: int = 0):
+    """Layer-contribution profile for the speaker task from utterance_means'
+    (num_layers + 1, n, d) means and speaker tags.
 
     Returns (softmax layer weights, accuracy, per-layer separability dict).
     """
-    stacked, tags = _utterance_means(checkpoint, corpus)
     index = {s: i for i, s in enumerate(sorted(set(tags)))}
     targets = np.array([index[t] for t in tags])
-    weights, accuracy = fit_layer_weights(stacked, targets, steps=steps, lr=lr, seed=seed)
-    separability = {
-        layer: loo_nearest_centroid_accuracy(stacked[layer], tags)
-        for layer in range(stacked.shape[0])
-    }
+    weights, accuracy = fit_layer_weights(means, targets, steps=steps, seed=seed)
+    separability = {layer: loo_nearest_centroid_accuracy(means[layer], tags)
+                    for layer in range(means.shape[0])}
     return weights, accuracy, separability
 
 

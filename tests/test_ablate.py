@@ -5,7 +5,7 @@ import numpy as np
 from speechssl.ablate import desk_setup, run_grid, run_seeds
 from speechssl.corpus import synth_corpus
 from speechssl.dsp import mfcc
-from speechssl.probe import overlapped_corpus, speaker_separability
+from speechssl.probe import loo_nearest_centroid_accuracy, overlapped_corpus, utterance_means
 from speechssl.pseudolabel import fit_labels
 from speechssl.trainer import Seeds, init_state, train
 
@@ -37,8 +37,10 @@ def test_run_grid_matches_separate_train_and_score_calls():
         state = train(init_state(config), setup.corpus, setup.labels)
         assert run.state.config == config and run.metrics == state.metrics
         assert np.array_equal(run.state.params.flat, state.params.flat)
-        assert run.separability_clean == speaker_separability(state, setup.corpus, tap)
-        assert run.separability_overlap == speaker_separability(state, setup.overlap, tap)
+        for score, corpus in ((run.separability_clean, setup.corpus),
+                              (run.separability_overlap, setup.overlap)):
+            means, tags = utterance_means(state, corpus)
+            assert score == loo_nearest_centroid_accuracy(means[tap], tags)
 
 
 def test_run_seeds_rule():

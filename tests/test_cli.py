@@ -376,6 +376,20 @@ def test_pipeline_probe(pipeline, tmp_path, capsys):
     assert "layer" in printed and "#" in printed
 
 
+def test_probe_refuses_untagged_utterance(pipeline, tmp_path, capsys):
+    rows = [json.loads(l) for l in (pipeline / "corpus/manifest.jsonl").read_text().splitlines()]
+    del rows[0]["speaker"]
+    for row in rows:
+        row["audio_path"] = str(pipeline / "corpus" / row["audio_path"])
+    manifest = tmp_path / "untagged.jsonl"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["probe", "--checkpoint", str(pipeline / "run/checkpoint_final"),
+                 "--manifest", str(manifest), "--out", str(tmp_path / "probe")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: utterance 'spk00_utt000' carries no speaker tag\n"
+    assert not (tmp_path / "probe").exists()
+
+
 def test_pipeline_pretrain_deterministic(pipeline, tmp_path):
     for name in ("x", "y"):
         assert main(["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
@@ -596,6 +610,7 @@ def test_hand_edited_checkpoint_exits_1(pipeline, tmp_path, capsys, edit, named)
     ("mix", "--batch-size", "-1"),
     ("mix", "--length", "0"),
     ("mix", "--length", "-1"),
+    ("mix", "--length", "1"),
     ("gradcheck", "--coords", "0"),
     ("gradcheck", "--coords", "-3"),
     ("probe", "--probe-steps", "-1"),

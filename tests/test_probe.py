@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from speechssl import probe
 from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward, sample_mask
 from speechssl.numerics import derive_seed
@@ -12,7 +13,7 @@ from speechssl.probe import (
     fit_layer_weights,
     layer_profile,
     loo_nearest_centroid_accuracy,
-    speaker_separability,
+    utterance_means,
 )
 
 
@@ -119,21 +120,38 @@ class TestSpeakerSeparability:
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
         ckpt = train(init_state(config), corpus, labels)
-        score = speaker_separability(ckpt, corpus, layer=config.encoder.tap_layer)
+        means, tags = utterance_means(ckpt, corpus)
+        assert means.shape == (config.encoder.num_layers + 1, len(corpus),
+                               config.encoder.model_dim)
+        assert tags == [u.speaker for u in corpus]
+        score = loo_nearest_centroid_accuracy(means[config.encoder.tap_layer], tags)
         assert 0.0 <= score <= 1.0
 
     def test_requires_speaker_tags(self, small_setup):
-        import dataclasses
-
         from speechssl.corpus import Utterance
-        from speechssl.trainer import init_state, train
+        from speechssl.trainer import init_state
 
-        config, corpus, labels = small_setup
-        config = dataclasses.replace(config, steps=1)
-        ckpt = train(init_state(config), corpus, labels)
+        config, corpus, _ = small_setup
         untagged = [Utterance(u.id, u.waveform, None) for u in corpus]
         with pytest.raises(ValueError, match="speaker"):
-            speaker_separability(ckpt, untagged, layer=0)
+            utterance_means(init_state(config), untagged)
+
+    @pytest.mark.parametrize("retag, message", [
+        (lambda i, u: None if i == 2 else u.speaker, "utterance 'spk00_utt002' carries no"),
+        (lambda i, u: "spk00", "at least 2 distinct speaker tags"),
+    ], ids=["one-untagged", "one-speaker"])
+    def test_refuses_before_encoding(self, small_setup, monkeypatch, retag, message):
+        from speechssl.corpus import Utterance
+        from speechssl.trainer import init_state
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encode_corpus called")
+
+        config, corpus, _ = small_setup
+        monkeypatch.setattr(probe, "encode_corpus", no_encoding)
+        tagged = [Utterance(u.id, u.waveform, retag(i, u)) for i, u in enumerate(corpus)]
+        with pytest.raises(ValueError, match=message):
+            utterance_means(init_state(config), tagged)
 
 
 class TestFitLayerWeights:
@@ -176,10 +194,12 @@ class TestLayerProfile:
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, steps=2)
         ckpt = train(init_state(config), corpus, labels)
-        weights, accuracy, separability = layer_profile(ckpt, corpus, steps=50)
+        means, tags = utterance_means(ckpt, corpus)
+        weights, accuracy, separability = layer_profile(means, tags, steps=50)
         assert len(weights) == config.encoder.num_layers + 1
         assert abs(weights.sum() - 1.0) < 1e-8
-        assert set(separability) == set(range(config.encoder.num_layers + 1))
+        assert separability == {layer: loo_nearest_centroid_accuracy(m, tags)
+                                for layer, m in enumerate(means)}
         assert 0.0 <= accuracy <= 1.0
 
 
