@@ -153,25 +153,21 @@ def sample_negatives(mask, num_negatives: int, seed: int):
                 "no negatives available: batch has a single utterance; "
                 "set num_negatives=0 or use a batch of >= 2 utterances"
             )
-        rows = []
-        for _ in range(f):
-            if others.size >= num_negatives:
-                rows.append(others[rng.choice(others.size, num_negatives, replace=False)])
-            else:
-                with_replacement = True
-                rows.append(others[rng.choice(others.size, num_negatives, replace=True)])
-        picks[b] = np.stack(rows)
+        replace = bool(others.size < num_negatives)
+        with_replacement |= replace
+        picks[b] = np.stack([others[rng.choice(others.size, num_negatives, replace=replace)]
+                             for _ in range(f)])
     if with_replacement:
         log.info("negative sampling fell back to replacement (pool smaller than K)")
     return picks, pool, with_replacement
 
 
-def contrastive_loss(taps, q, mask, weights: LossWeights,
-                     seed: int = 0) -> ContrastiveResult:
+def contrastive_loss(taps, q, mask, weights: LossWeights, negatives) -> ContrastiveResult:
     """Utterance-wise contrastive loss over the masked steps of a batch.
 
     taps: (B, T, d) latents at the tap layer (or B arrays of T x d).
     q: (P, d) quantized vectors, one per masked row of `mask`, in its order.
+    negatives: sample_negatives(mask, K, seed), drawn once by the caller.
     Positive term -log(sigmoid(sim/kappa)); negative term -log(sigmoid(-sim/kappa)).
     Positive and negative terms are averaged separately and the two class
     means averaged, so the positive pairs keep half the weight at any K (a
@@ -196,11 +192,10 @@ def contrastive_loss(taps, q, mask, weights: LossWeights,
         raise ValueError(
             f"masked tap rows {anchors.shape} and quantized rows {q_all.shape} differ"
         )
-    picks, _, with_replacement = sample_negatives(mask, weights.num_negatives, seed)
+    picks, _, with_replacement = negatives
     # anchors and positives follow the mask's rows, as does the pool the
     # negatives index
     neg_idx = np.concatenate([picks[b] for b in range(mask.batch_size)], axis=0)
-    del picks
     num_pos, k_neg = neg_idx.shape
 
     norm_a = np.maximum(np.linalg.norm(anchors, axis=1), NORM_FLOOR)

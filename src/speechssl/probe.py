@@ -10,32 +10,44 @@ of layer outputs plus a linear head, exposing which depths carry the probed
 information.
 """
 
+from dataclasses import replace
+from itertools import groupby
+
 import numpy as np
 
 from .corpus import Utterance, Waveform
-from .dsp import mfcc
+from .dsp import mfcc_batch
 from .encoder import BatchMask, forward, sample_mask
 from .numerics import (FlatArrays, adam_step, derive_seed, log_softmax, rng_from,
                        softmax, softmax_backward)
 
 
-def encode_corpus(checkpoint, corpus, mask_seed: int | None = None):
-    """Run a frozen checkpoint over a corpus, one utterance (B=1) at a time.
-
-    For each utterance: MFCC of the clean audio with the checkpoint's MFCC
-    config, then one encoder forward. Yields (utterance, EncoderOutput,
-    BatchMask of that one utterance). The mask is empty unless `mask_seed`
-    is set; then utterance b gets the evaluation mask drawn from
-    derive_seed(mask_seed, "eval-mask", b). A generator, so only the current
-    utterance's output (which holds every block's caches) is kept alive.
-    """
-    cfg = checkpoint.config.encoder
-    for b, utt in enumerate(corpus):
-        feats = mfcc(utt.waveform, checkpoint.config.mfcc, meta=utt.id)
-        indices = [] if mask_seed is None else sample_mask(
-            feats.num_frames, cfg, derive_seed(mask_seed, "eval-mask", b))
-        mask = BatchMask.from_indices([indices], feats.num_frames)
-        yield utt, forward(feats.frames[None], mask, checkpoint.params, cfg), mask
+def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
+                  num_layers: int | None = None):
+    """Run a frozen checkpoint over a corpus in chunks of at most its
+    `batch_size` consecutive utterances of one length and sample rate: per
+    chunk, one clean-audio MFCC batch and one encoder forward through the
+    first `num_layers` blocks (default all; the tap layer clipped to them).
+    Yields (utterances, EncoderOutput, BatchMask); output row i is the B=1
+    forward of utterances[i] bit for bit. Masks are empty unless `mask_seed`
+    is set; then corpus index b's mask is drawn from derive_seed(mask_seed,
+    "eval-mask", b). Backward caches are emptied before each yield, so a
+    caller still holding the previous chunk holds only its outputs."""
+    config, cfg = checkpoint.config, checkpoint.config.encoder
+    if num_layers is not None:
+        cfg = replace(cfg, num_layers=num_layers, tap_layer=min(cfg.tap_layer, num_layers))
+    for _, run in groupby(enumerate(corpus), key=lambda item: (
+            len(item[1].waveform), item[1].waveform.sample_rate)):
+        run = list(run)
+        for lo in range(0, len(run), config.batch_size):
+            indices, chunk = zip(*run[lo : lo + config.batch_size])
+            features = mfcc_batch([utt.waveform for utt in chunk], config.mfcc)
+            t = features.shape[1]
+            mask = BatchMask.from_indices([[] if mask_seed is None else sample_mask(
+                t, cfg, derive_seed(mask_seed, "eval-mask", b)) for b in indices], t)
+            out = forward(features, mask, checkpoint.params, cfg)
+            out.cache.clear()
+            yield list(chunk), out, mask
 
 
 def utterance_means(checkpoint, corpus):
@@ -48,11 +60,9 @@ def utterance_means(checkpoint, corpus):
             raise ValueError(f"utterance {utt.id!r} carries no speaker tag")
     if len({utt.speaker for utt in corpus}) < 2:
         raise ValueError("corpus must carry at least 2 distinct speaker tags")
-    means, tags = [], []
-    for utt, out, _ in encode_corpus(checkpoint, corpus):
-        means.append([layer[0].mean(axis=0) for layer in out.layer_outputs])
-        tags.append(utt.speaker)
-    return np.stack([np.stack(rows) for rows in means], axis=1), tags
+    means = [np.stack([layer.mean(axis=1) for layer in out.layer_outputs])
+             for _, out, _ in encode_corpus(checkpoint, corpus)]
+    return np.concatenate(means, axis=1), [utt.speaker for utt in corpus]
 
 
 def loo_nearest_centroid_accuracy(embeddings: np.ndarray, classes) -> float:
@@ -72,18 +82,15 @@ def loo_nearest_centroid_accuracy(embeddings: np.ndarray, classes) -> float:
     if counts.min() < 2:
         small = names[int(np.argmin(counts))]
         raise ValueError(f"class {small!r} has fewer than 2 members")
+    n = embeddings.shape[0]
     sums = np.zeros((len(names), embeddings.shape[1]))
     np.add.at(sums, y, embeddings)
-    correct = 0
-    for i, x in enumerate(embeddings):
-        centroids = sums.copy()
-        centroids[y[i]] -= x
-        sizes = counts.copy().astype(np.float64)
-        sizes[y[i]] -= 1
-        centroids /= sizes[:, None]
-        d2 = np.sum((centroids - x) ** 2, axis=1)
-        correct += int(np.argmin(d2) == y[i])
-    return correct / embeddings.shape[0]
+    # every held-out point at once: row i holds the centroids without point i
+    centroids = np.repeat(sums[None], n, axis=0)
+    centroids[np.arange(n), y] -= embeddings
+    centroids /= (counts - np.eye(len(names), dtype=np.int64)[y])[:, :, None]
+    d2 = np.sum((centroids - embeddings[:, None]) ** 2, axis=2)
+    return int(np.sum(np.argmin(d2, axis=1) == y)) / n
 
 
 def fit_layer_weights(
@@ -151,13 +158,13 @@ def layer_profile(means, tags, steps: int = 200, seed: int = 0):
 def masked_prediction_accuracy(checkpoint, corpus, labels_by_id, seed: int = 0) -> float:
     """Fraction of masked frames whose argmax content logit matches the
     pseudo-label, with fresh evaluation masks. Chance level is 1/k."""
-    correct = 0
-    total = 0
-    for utt, out, mask in encode_corpus(checkpoint, corpus, mask_seed=seed):
-        # one utterance: its mask rows are its frame indices
-        predicted = np.argmax(out.content_logits[0, mask.rows], axis=1)
-        target = labels_by_id[utt.id].labels[mask.rows]
-        correct += int(np.sum(predicted == target))
+    correct = total = 0
+    for chunk, out, mask in encode_corpus(checkpoint, corpus, mask_seed=seed):
+        rows = np.split(mask.rows, np.cumsum(mask.counts)[:-1])
+        for i, utt in enumerate(chunk):
+            frames = rows[i] - i * mask.num_frames
+            predicted = np.argmax(out.content_logits[i, frames], axis=1)
+            correct += int(np.sum(predicted == labels_by_id[utt.id].labels[frames]))
         total += len(mask)
     return correct / total
 

@@ -251,16 +251,17 @@ def recluster_from_embeddings(
     seed: int = 0,
     restarts: int = 1,
 ):
-    """Second-iteration labels: run the frozen encoder over clean features,
-    pool the chosen layer's frame outputs, re-fit k-means and re-assign.
+    """Second-iteration labels: run the frozen encoder's blocks up to the
+    chosen layer over clean features, pool its frames, re-fit and re-assign.
 
     Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
     """
     cfg = checkpoint.config.encoder
     if not 0 <= tap_layer <= cfg.num_layers:
         raise ValueError(f"tap_layer {tap_layer} invalid for a {cfg.num_layers}-layer encoder")
-    frames = {utt.id: out.layer_outputs[tap_layer][0]
-              for utt, out, _ in encode_corpus(checkpoint, corpus)}
+    frames = {utt.id: out.layer_outputs[tap_layer][i]
+              for chunk, out, _ in encode_corpus(checkpoint, corpus, num_layers=tap_layer)
+              for i, utt in enumerate(chunk)}
     return fit_labels(frames, k, seed=seed, restarts=restarts,
                       source=f"embedding:layer{tap_layer}")
 

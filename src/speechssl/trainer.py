@@ -41,6 +41,7 @@ from .losses import (
     content_loss_batch,
     contrastive_loss,
     diversity_loss,
+    sample_negatives,
 )
 from .numerics import FlatArrays, adam_step, derive_seed, retain_freed_memory
 from .pseudolabel import PseudoLabelSequence
@@ -207,26 +208,37 @@ class ObjectiveResult:
     usage: np.ndarray | None            # batch-averaged codebook usage (speaker loss)
 
 
+def _speaker_draws(mask: BatchMask, config: TrainConfig, noise_seed, negatives_seed, *key):
+    """The batch's Gumbel noise (utterance b's rows from derive_seed(noise_seed,
+    "noise", *key, b)) and negatives (at derive_seed(negatives_seed, "neg",
+    *key)), or (None, None) when the speaker loss is off."""
+    if not config.speaker_loss:
+        return None, None
+    seeds = [derive_seed(noise_seed, "noise", *key, b) for b in range(mask.batch_size)]
+    return (gumbel_noise(seeds, mask.counts, config.quantizer),
+            sample_negatives(mask, config.weights.num_negatives,
+                             derive_seed(negatives_seed, "neg", *key)))
+
+
 def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
-              noise_seeds: list, negatives_seed: int, tau: float, config: TrainConfig,
+              noise, negatives, tau: float, config: TrainConfig,
               grads: bool, hard: bool = True) -> ObjectiveResult:
     """The combined loss of a (B, T, D) feature batch and its mask: encoder
     forward -> quantize the tap rows at the batch's masked steps in one call
     -> contrastive, diversity and content terms, and with grads=True the
-    manual backward into every parameter (FlatArrays). `noise_seeds` holds
-    one quantizer-noise seed per utterance; `negatives_seed` seeds the
-    batch's negative sampling. Training and the finite-difference check
-    both evaluate this one function; training quantizes with hard
+    manual backward into every parameter (FlatArrays). `noise` and
+    `negatives` are the batch's draws from _speaker_draws, unused when the
+    speaker loss is off. Training and the finite-difference check both
+    evaluate this one function; training quantizes with hard
     (straight-through) selection, the check with soft (hard=False)."""
     enc_cfg = config.encoder
     out = forward(features, mask, params, enc_cfg)
     if config.speaker_loss:
         latent = out.tap.reshape(-1, enc_cfg.model_dim)[mask.rows]
-        noise = gumbel_noise(noise_seeds, mask.counts, config.quantizer)
         qout = quantize(latent, params, config.quantizer, tau, noise, hard=hard)
         usage = usage_stats(qout)
         div_value, dp_bar = diversity_loss(usage)
-        contr = contrastive_loss(out.tap, qout.q, mask, config.weights, seed=negatives_seed)
+        contr = contrastive_loss(out.tap, qout.q, mask, config.weights, negatives)
         contrastive_value = contr.value
         num_pos, num_neg = contr.num_positives, contr.num_negatives
     else:
@@ -273,11 +285,11 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
                     derive_seed(seeds.masking, "mask", step, b))
         for b in range(len(ids))
     ], num_frames)
-    noise_seeds = [derive_seed(seeds.noise, "noise", step, b) for b in range(len(ids))]
+    noise, negatives = _speaker_draws(mask, config, seeds.noise, seeds.negatives, step)
     tau = tau_at(step, config.steps)
     try:
-        result = objective(state.params, features, labels, mask, noise_seeds,
-                           derive_seed(seeds.negatives, "neg", step), tau, config, grads=True)
+        result = objective(state.params, features, labels, mask, noise, negatives, tau,
+                           config, grads=True)
     except NonFiniteActivations as exc:
         bad = [ids[row] for row in exc.rows]
         raise FloatingPointError(f"step {step}, utterance(s) {bad}: {exc}") from exc
@@ -543,18 +555,17 @@ def grad_check(
         sample_mask(num_frames, enc, derive_seed(seed, "mask", b))
         for b in range(config.batch_size)
     ], num_frames)
-    noise_seeds = [derive_seed(seed, "noise", b) for b in range(config.batch_size)]
-    negatives_seed, tau = derive_seed(seed, "neg"), 1.0
-    step_size = 1e-4                    # central-difference step
+    noise, negatives = _speaker_draws(mask, config, seed, seed)
+    tau, step_size = 1.0, 1e-4          # step_size: the central-difference step
 
     params = _initial_params(config, derive_seed(seed, "enc-params"),
                              derive_seed(seed, "q-params"))
 
     def loss() -> float:
-        return objective(params, features, labels, mask, noise_seeds, negatives_seed, tau,
+        return objective(params, features, labels, mask, noise, negatives, tau,
                          config, grads=False, hard=False).breakdown.total
 
-    analytic = objective(params, features, labels, mask, noise_seeds, negatives_seed, tau,
+    analytic = objective(params, features, labels, mask, noise, negatives, tau,
                          config, grads=True, hard=False).grads
 
     keys = sorted(params) if groups is None else [

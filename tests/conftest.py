@@ -32,6 +32,18 @@ def fast_config(steps=8, seed=0, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def count_calls(monkeypatch, module, *names) -> dict:
+    """Wrap each named function of `module` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_setup():
     setup = desk_setup(fast_config(), num_speakers=3, utts_per_speaker=4, restarts=2)

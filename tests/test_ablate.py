@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 
+from speechssl import probe
 from speechssl.ablate import desk_setup, run_grid, run_seeds
 from speechssl.corpus import synth_corpus
 from speechssl.dsp import mfcc
@@ -9,7 +10,7 @@ from speechssl.probe import loo_nearest_centroid_accuracy, overlapped_corpus, ut
 from speechssl.pseudolabel import fit_labels
 from speechssl.trainer import Seeds, init_state, train
 
-from conftest import fast_config
+from conftest import count_calls, fast_config
 
 SETUP = dict(num_speakers=3, utts_per_speaker=3, seed=5, restarts=1)
 
@@ -41,6 +42,16 @@ def test_run_grid_matches_separate_train_and_score_calls():
                               (run.separability_overlap, setup.overlap)):
             means, tags = utterance_means(state, corpus)
             assert score == loo_nearest_centroid_accuracy(means[tap], tags)
+
+
+def test_second_score_read_encodes_nothing(monkeypatch):
+    setup = desk_setup(fast_config(steps=1), **SETUP)
+    run = run_grid(setup, [(0.0, True)], [0])[(0.0, True, 0)]
+    calls = count_calls(monkeypatch, probe, "forward")
+    first = (run.separability_clean, run.separability_overlap)
+    assert calls["forward"] == 6        # two corpora of 9 utterances, batch_size 3
+    assert (run.separability_clean, run.separability_overlap) == first
+    assert calls["forward"] == 6
 
 
 def test_run_seeds_rule():

@@ -71,8 +71,9 @@ class TestCriterion1LossValueOracles:
 
         taps = [np.array([[1.0, 0.0]])]
         q = np.array([[0.0, 1.0]])
-        contr = contrastive_loss(taps, q, BatchMask.from_indices([[0]], 1),
-                                 LossWeights(kappa=1.0, num_negatives=0), seed=0)
+        mask = BatchMask.from_indices([[0]], 1)
+        contr = contrastive_loss(taps, q, mask, LossWeights(kappa=1.0, num_negatives=0),
+                                 sample_negatives(mask, 0, 0))
         contr_err = abs(contr.value - math.log(2.0))
 
         worst = max(content_err, uniform_err, abs(onehot_div), contr_err)
@@ -92,9 +93,10 @@ class TestCriterion2BruteForce:
         qs = [rng.standard_normal((len(m), d)) for m in masks]
         mask = BatchMask.from_indices(masks, t)
         weights = LossWeights(kappa=0.1, num_negatives=5)
-        got = contrastive_loss(taps, np.concatenate(qs), mask, weights, seed=9)
+        picks, pool, with_replacement = sample_negatives(mask, weights.num_negatives, 9)
+        got = contrastive_loss(taps, np.concatenate(qs), mask, weights,
+                               (picks, pool, with_replacement))
 
-        picks, pool, _ = sample_negatives(mask, weights.num_negatives, 9)
         pos_sum = neg_sum = 0.0
         n_pos = n_neg = 0
         for bi in range(b):

@@ -135,7 +135,7 @@ class TestContrastiveLoss:
             (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
         ])
         weights = LossWeights(kappa=1.0, num_negatives=0)
-        res = contrastive_loss(taps, q, mask, weights, seed=0)
+        res = contrastive_loss(taps, q, mask, weights, sample_negatives(mask, 0, 0))
         assert abs(res.value - math.log(2.0)) < 1e-10
 
     def test_one_positive_one_negative_closed_form(self):
@@ -146,7 +146,7 @@ class TestContrastiveLoss:
             (np.array([[1.0, 1.0]]), np.array([[0.5, 0.0]])),
         ])
         weights = LossWeights(kappa=1.0, num_negatives=1)
-        res = contrastive_loss(taps, q, mask, weights, seed=0)
+        res = contrastive_loss(taps, q, mask, weights, sample_negatives(mask, 1, 0))
         # positives: (b0: sim 1), (b1: sim(l=[1,1], q=[.5,0]) = 1/sqrt(2))
         # negatives: b0 vs q of b1 (sim 1), b1 vs q of b0 (sim cos45)
         s = 1.0 / math.sqrt(2.0)
@@ -174,11 +174,12 @@ class TestContrastiveLoss:
         mask = BatchMask.from_indices(masks, t)
         weights = LossWeights(kappa=0.3, num_negatives=3)
         seed = 77
-        res = contrastive_loss(taps, np.concatenate(qs), mask, weights, seed=seed)
+        picks, pool, with_replacement = sample_negatives(mask, weights.num_negatives, seed)
+        res = contrastive_loss(taps, np.concatenate(qs), mask, weights,
+                               (picks, pool, with_replacement))
 
         # Oracle: exhaustive loop over positives with the shared seeded draws;
         # positive and negative term means carry equal weight
-        picks, pool, _ = sample_negatives(mask, weights.num_negatives, seed)
         pos_sum, neg_sum = 0.0, 0.0
         n_pos, n_neg = 0, 0
 
@@ -202,7 +203,8 @@ class TestContrastiveLoss:
     def test_single_utterance_with_negatives_rejected(self):
         taps, q, mask = self.aligned([(np.ones((2, 3)), np.ones((2, 3)))])
         with pytest.raises(ValueError, match="single utterance"):
-            contrastive_loss(taps, q, mask, LossWeights(num_negatives=2), seed=0)
+            contrastive_loss(taps, q, mask, LossWeights(num_negatives=2),
+                             sample_negatives(mask, 2, 0))
 
     def test_rescaling_latent_invariance(self):
         rng = np.random.default_rng(4)
@@ -210,10 +212,11 @@ class TestContrastiveLoss:
         mask = BatchMask.from_indices([[0, 1, 2]] * 2, 3)
         q = np.concatenate([rng.standard_normal((3, 5)) for _ in range(2)])
         weights = LossWeights(kappa=0.5, num_negatives=2)
-        base = contrastive_loss(taps, q, mask, weights, seed=5).value
+        negatives = sample_negatives(mask, weights.num_negatives, 5)
+        base = contrastive_loss(taps, q, mask, weights, negatives).value
         taps[0] = taps[0].copy()
         taps[0][1] *= 37.5
-        scaled = contrastive_loss(taps, q, mask, weights, seed=5).value
+        scaled = contrastive_loss(taps, q, mask, weights, negatives).value
         assert abs(base - scaled) < 1e-10
 
     # K=5 exceeds either utterance's pool of other-utterance steps (3 and 2),
@@ -227,13 +230,14 @@ class TestContrastiveLoss:
         mask = BatchMask.from_indices(masks, t)
         qvals = [rng.standard_normal((len(m), d)) for m in masks]
         weights = LossWeights(kappa=0.4, num_negatives=num_negatives)
+        negatives = sample_negatives(mask, num_negatives, 3)
 
         def value(taps_, qvals_):
             return contrastive_loss(
-                taps_, np.concatenate(qvals_), mask, weights, seed=3
+                taps_, np.concatenate(qvals_), mask, weights, negatives
             ).value
 
-        res = contrastive_loss(taps, np.concatenate(qvals), mask, weights, seed=3)
+        res = contrastive_loss(taps, np.concatenate(qvals), mask, weights, negatives)
         # the gradient at the full tap matrices: the masked rows' gradients
         # scattered into zeros
         dtaps = np.zeros((b * t, d))
@@ -259,7 +263,8 @@ class TestContrastiveLoss:
         taps = [rng.standard_normal((2, 3)) for _ in range(2)]
         mask = BatchMask.from_indices([[0, 1]] * 2, 2)
         q = np.concatenate([rng.standard_normal((2, 3)) for _ in range(2)])
-        res = contrastive_loss(taps, q, mask, LossWeights(num_negatives=10), seed=0)
+        res = contrastive_loss(taps, q, mask, LossWeights(num_negatives=10),
+                               sample_negatives(mask, 10, 0))
         assert res.with_replacement
         assert res.num_negatives == 4 * 10
 
@@ -268,7 +273,8 @@ class TestContrastiveLoss:
         mask = BatchMask.from_indices([[], [0]], 2)
         q = np.concatenate([np.ones((0, 3)), np.ones((1, 3))])
         with pytest.raises(ValueError, match="non-empty"):
-            contrastive_loss(taps, q, mask, LossWeights(num_negatives=0), seed=0)
+            contrastive_loss(taps, q, mask, LossWeights(num_negatives=0),
+                             sample_negatives(mask, 0, 0))
 
 
 class TestDiversityLoss:

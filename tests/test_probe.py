@@ -16,6 +16,8 @@ from speechssl.probe import (
     utterance_means,
 )
 
+from conftest import count_calls, fast_config
+
 
 class TestEncodeCorpus:
     def direct(self, state, utt, mask=None):
@@ -23,12 +25,21 @@ class TestEncodeCorpus:
         mask = mask or BatchMask.from_indices([[]], feats.num_frames)
         return forward(feats.frames[None], mask, state.params, state.config.encoder)
 
-    def assert_same_output(self, got, want):
-        assert np.array_equal(got.content_logits, want.content_logits)
-        assert np.array_equal(got.final, want.final)
+    def assert_same_row(self, got, i, want):
+        """Row i of a chunk's output equals a B=1 output bit for bit."""
+        assert np.array_equal(got.content_logits[i], want.content_logits[0])
+        assert np.array_equal(got.final[i], want.final[0])
         assert len(got.layer_outputs) == len(want.layer_outputs)
         for a, b in zip(got.layer_outputs, want.layer_outputs):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a[i], b[0])
+
+    def chunks(self, state, corpus, **kwargs):
+        """encode_corpus' chunks, with each utterance's corpus index."""
+        out, b = [], 0
+        for chunk, enc, mask in encode_corpus(state, corpus, **kwargs):
+            out.append((list(range(b, b + len(chunk))), chunk, enc, mask))
+            b += len(chunk)
+        return out
 
     def test_is_a_generator(self, small_setup):
         from speechssl.trainer import init_state
@@ -41,23 +52,70 @@ class TestEncodeCorpus:
 
         config, corpus, _ = small_setup
         state = init_state(config)
-        yielded = list(encode_corpus(state, corpus))
-        assert [utt for utt, _, _ in yielded] == list(corpus)
-        for utt, out, mask in yielded:
-            assert len(mask) == 0
-            self.assert_same_output(out, self.direct(state, utt))
+        yielded = self.chunks(state, corpus)
+        assert [utt for _, chunk, _, _ in yielded for utt in chunk] == list(corpus)
+        assert [len(chunk) for _, chunk, _, _ in yielded] == [config.batch_size] * 4
+        for _, chunk, out, mask in yielded:
+            assert len(mask) == 0 and out.cache == {}
+            for i, utt in enumerate(chunk):
+                self.assert_same_row(out, i, self.direct(state, utt))
 
     def test_eval_masks(self, small_setup):
         from speechssl.trainer import init_state
 
         config, corpus, _ = small_setup
         state = init_state(config)
-        for b, (utt, out, mask) in enumerate(encode_corpus(state, corpus, mask_seed=7)):
-            want = sample_mask(out.num_frames, config.encoder, derive_seed(7, "eval-mask", b))
-            assert len(mask) > 0
-            assert np.array_equal(mask.rows, want)
-            self.assert_same_output(
-                out, self.direct(state, utt, BatchMask.from_indices([want], out.num_frames)))
+        for indices, chunk, out, mask in self.chunks(state, corpus, mask_seed=7):
+            t = mask.num_frames
+            want = [sample_mask(t, config.encoder, derive_seed(7, "eval-mask", b))
+                    for b in indices]
+            assert all(len(w) > 0 for w in want)
+            assert np.array_equal(mask.rows, BatchMask.from_indices(want, t).rows)
+            for i, utt in enumerate(chunk):
+                self.assert_same_row(
+                    out, i, self.direct(state, utt, BatchMask.from_indices([want[i]], t)))
+
+    def test_length_change_mid_chunk(self, small_setup):
+        from speechssl.corpus import Utterance, Waveform
+        from speechssl.trainer import init_state
+
+        config, corpus, _ = small_setup
+        state = init_state(config)
+        lengths = [1600, 1600, 1200, 1200, 1200, 1200, 1600, 1600]
+        mixed = [Utterance(u.id, Waveform(u.waveform.samples[:n], u.waveform.sample_rate),
+                           u.speaker) for u, n in zip(corpus, lengths)]
+        yielded = self.chunks(state, mixed, mask_seed=3)
+        assert [indices for indices, _, _, _ in yielded] == [[0, 1], [2, 3, 4], [5], [6, 7]]
+        for indices, chunk, out, mask in yielded:
+            t = mask.num_frames
+            for i, (b, utt) in enumerate(zip(indices, chunk)):
+                want = sample_mask(t, config.encoder, derive_seed(3, "eval-mask", b))
+                self.assert_same_row(
+                    out, i, self.direct(state, utt, BatchMask.from_indices([want], t)))
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_truncated_encode_keeps_its_layer(self, small_setup, layer):
+        from speechssl.trainer import init_state
+
+        config, corpus, _ = small_setup
+        state = init_state(config)
+        full = encode_corpus(state, corpus)
+        for (chunk, out, _), (_, whole, _) in zip(encode_corpus(state, corpus, num_layers=layer),
+                                                  full):
+            assert len(out.layer_outputs) == layer + 1
+            assert np.array_equal(out.layer_outputs[layer], whole.layer_outputs[layer])
+            assert np.array_equal(out.tap, whole.layer_outputs[min(layer, 1)])
+
+    def test_one_forward_per_chunk(self, monkeypatch):
+        from speechssl.corpus import synth_corpus
+        from speechssl.trainer import init_state
+
+        corpus = synth_corpus(8, 16, duration=0.1, seed=0)
+        state = init_state(fast_config(batch_size=8))
+        calls = count_calls(monkeypatch, probe, "forward")
+        means, _ = utterance_means(state, corpus)
+        assert means.shape[1] == 128
+        assert calls["forward"] == 16
 
 
 class TestLooNearestCentroid:
@@ -124,6 +182,10 @@ class TestSpeakerSeparability:
         assert means.shape == (config.encoder.num_layers + 1, len(corpus),
                                config.encoder.model_dim)
         assert tags == [u.speaker for u in corpus]
+        for j, utt in enumerate(corpus):
+            out = TestEncodeCorpus().direct(ckpt, utt)
+            for layer, outputs in enumerate(out.layer_outputs):
+                assert np.array_equal(means[layer, j], outputs[0].mean(axis=0))
         score = loo_nearest_centroid_accuracy(means[config.encoder.tap_layer], tags)
         assert 0.0 <= score <= 1.0
 

@@ -28,7 +28,7 @@ from speechssl.trainer import (
     train_step,
 )
 
-from conftest import fast_config
+from conftest import count_calls, fast_config
 
 
 def first_batch(config, corpus, labels):
@@ -38,6 +38,16 @@ def first_batch(config, corpus, labels):
 
 
 class TestTrainStep:
+    @pytest.mark.parametrize("speaker_loss", [True, False])
+    def test_draws_noise_and_negatives_only_for_the_speaker_loss(self, small_setup, monkeypatch,
+                                                                 speaker_loss):
+        config, corpus, labels = small_setup
+        config = dataclasses.replace(config, speaker_loss=speaker_loss)
+        calls = count_calls(monkeypatch, trainer, "gumbel_noise", "sample_negatives")
+        batch, batch_labels = first_batch(config, corpus, labels)
+        train_step(init_state(config), batch, batch_labels, config)
+        assert calls == dict.fromkeys(calls, int(speaker_loss))
+
     def test_zero_learning_rate_keeps_params(self, small_setup):
         config, corpus, labels = small_setup
         config = dataclasses.replace(config, learning_rate=0.0)
@@ -543,6 +553,12 @@ class TestGradCheck:
         report = grad_check(config=config, seed=seed, num_coords=210)
         assert report.num_coords >= 200
         assert report.max_rel_error < 1e-4
+
+    def test_draws_noise_and_negatives_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, trainer, "gumbel_noise", "sample_negatives")
+        report = grad_check(seed=0, num_coords=20)
+        assert report.num_coords >= 20
+        assert calls == {"gumbel_noise": 1, "sample_negatives": 1}
 
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError, match="group"):
