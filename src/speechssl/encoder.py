@@ -53,6 +53,8 @@ class EncoderConfig:
     mask_start_prob: float = 0.08
 
     def __post_init__(self):
+        if self.num_layers < 0:     # 0 is a block-free encoder
+            raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
         if not 0 <= self.tap_layer <= self.num_layers:
             raise ValueError(f"tap_layer must be in [0, {self.num_layers}], got {self.tap_layer}")
         for key in ("model_dim", "num_heads", "ffn_dim", "num_classes", "mask_span"):

@@ -126,28 +126,19 @@ class ContrastiveResult:
     dq: np.ndarray
     num_positives: int
     num_negatives: int
-    with_replacement: bool
 
 
 def sample_negatives(mask, num_negatives: int, seed: int):
-    """For every masked step (b, i), draw `num_negatives` candidates uniformly
-    from the masked steps of the other utterances. Returns
-    {b: array of (F_b, K) indices into the flattened candidate pool}, the
-    pool as a (P, 2) array of (utterance, row within the utterance) pairs,
-    and whether any draw fell back to replacement. The pool is the mask's
-    rows in order. Shared by the loss and its test oracle."""
-    counts = mask.counts
-    owner = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts              # pool index of each utterance's first row
-    pool = np.stack([owner, np.arange(owner.size) - first[owner]], axis=1)
+    """(picks, with_replacement): row j of the (P, K) int64 `picks` holds
+    `num_negatives` indices into the mask's rows, drawn uniformly from the
+    rows of utterances other than row j's (mask.rows[j] // mask.num_frames);
+    with_replacement is whether some utterance's pool was smaller than K."""
+    owner = mask.rows // mask.num_frames
+    picks = np.zeros((owner.size, num_negatives), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    picks: dict[int, np.ndarray] = {}
     with_replacement = False
-    for b, f in enumerate(counts):
+    for b in np.unique(owner) if num_negatives else ():
         others = np.flatnonzero(owner != b)
-        if num_negatives == 0 or f == 0:
-            picks[b] = np.zeros((f, 0), dtype=np.int64)
-            continue
         if others.size == 0:
             raise ValueError(
                 "no negatives available: batch has a single utterance; "
@@ -155,11 +146,11 @@ def sample_negatives(mask, num_negatives: int, seed: int):
             )
         replace = bool(others.size < num_negatives)
         with_replacement |= replace
-        picks[b] = np.stack([others[rng.choice(others.size, num_negatives, replace=replace)]
-                             for _ in range(f)])
+        for j in np.flatnonzero(owner == b):
+            picks[j] = others[rng.choice(others.size, num_negatives, replace=replace)]
     if with_replacement:
         log.info("negative sampling fell back to replacement (pool smaller than K)")
-    return picks, pool, with_replacement
+    return picks, with_replacement
 
 
 def contrastive_loss(taps, q, mask, weights: LossWeights, negatives) -> ContrastiveResult:
@@ -192,10 +183,7 @@ def contrastive_loss(taps, q, mask, weights: LossWeights, negatives) -> Contrast
         raise ValueError(
             f"masked tap rows {anchors.shape} and quantized rows {q_all.shape} differ"
         )
-    picks, _, with_replacement = negatives
-    # anchors and positives follow the mask's rows, as does the pool the
-    # negatives index
-    neg_idx = np.concatenate([picks[b] for b in range(mask.batch_size)], axis=0)
+    neg_idx, _ = negatives          # (P, K) indices into the P rows anchors and q hold
     num_pos, k_neg = neg_idx.shape
 
     norm_a = np.maximum(np.linalg.norm(anchors, axis=1), NORM_FLOOR)
@@ -230,8 +218,7 @@ def contrastive_loss(taps, q, mask, weights: LossWeights, negatives) -> Contrast
     danchors = (coeff @ unit_q - coeff_sim.sum(axis=1)[:, None] * unit_a) / norm_a[:, None]
     dq_all = (coeff.T @ unit_a - coeff_sim.sum(axis=0)[:, None] * unit_q) / norm_q[:, None]
 
-    return ContrastiveResult(float(value), danchors, dq_all, num_pos, num_neg,
-                             with_replacement)
+    return ContrastiveResult(float(value), danchors, dq_all, num_pos, num_neg)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
     `batch_size` consecutive utterances of one length and sample rate: per
     chunk, one clean-audio MFCC batch and one encoder forward through the
     first `num_layers` blocks (default all; the tap layer clipped to them).
-    Yields (utterances, EncoderOutput, BatchMask); output row i is the B=1
-    forward of utterances[i] bit for bit. Masks are empty unless `mask_seed`
+    Yields (utterances, EncoderOutput); output row i is the B=1 forward of
+    utterances[i] bit for bit. The output's mask is empty unless `mask_seed`
     is set; then corpus index b's mask is drawn from derive_seed(mask_seed,
     "eval-mask", b). Backward caches are emptied before each yield, so a
     caller still holding the previous chunk holds only its outputs."""
@@ -47,7 +47,7 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
                 t, cfg, derive_seed(mask_seed, "eval-mask", b)) for b in indices], t)
             out = forward(features, mask, checkpoint.params, cfg)
             out.cache.clear()
-            yield list(chunk), out, mask
+            yield list(chunk), out
 
 
 def utterance_means(checkpoint, corpus):
@@ -61,7 +61,7 @@ def utterance_means(checkpoint, corpus):
     if len({utt.speaker for utt in corpus}) < 2:
         raise ValueError("corpus must carry at least 2 distinct speaker tags")
     means = [np.stack([layer.mean(axis=1) for layer in out.layer_outputs])
-             for _, out, _ in encode_corpus(checkpoint, corpus)]
+             for _, out in encode_corpus(checkpoint, corpus)]
     return np.concatenate(means, axis=1), [utt.speaker for utt in corpus]
 
 
@@ -157,15 +157,18 @@ def layer_profile(means, tags, steps: int = 200, seed: int = 0):
 
 def masked_prediction_accuracy(checkpoint, corpus, labels_by_id, seed: int = 0) -> float:
     """Fraction of masked frames whose argmax content logit matches the
-    pseudo-label, with fresh evaluation masks. Chance level is 1/k."""
+    pseudo-label, with fresh evaluation masks. Chance level is 1/k. Refuses,
+    naming the utterance, labels of another length than its frame count."""
     correct = total = 0
-    for chunk, out, mask in encode_corpus(checkpoint, corpus, mask_seed=seed):
-        rows = np.split(mask.rows, np.cumsum(mask.counts)[:-1])
-        for i, utt in enumerate(chunk):
-            frames = rows[i] - i * mask.num_frames
-            predicted = np.argmax(out.content_logits[i, frames], axis=1)
-            correct += int(np.sum(predicted == labels_by_id[utt.id].labels[frames]))
-        total += len(mask)
+    for chunk, out in encode_corpus(checkpoint, corpus, mask_seed=seed):
+        labels = [labels_by_id[utt.id].labels for utt in chunk]
+        for utt, seq in zip(chunk, labels):
+            if seq.size != out.mask.num_frames:
+                raise ValueError(f"utterance {utt.id!r}: {seq.size} labels vs "
+                                 f"{out.mask.num_frames} frames")
+        logits = out.content_logits.reshape(-1, out.content_logits.shape[-1])[out.mask.rows]
+        correct += int(np.sum(np.argmax(logits, axis=1) == np.concatenate(labels)[out.mask.rows]))
+        total += len(out.mask)
     return correct / total
 
 

@@ -235,8 +235,14 @@ def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
     """Pool every utterance's (T, D) frames, fit k-means on the pool and
     label each utterance with its nearest centers.
 
-    Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
+    Refuses, naming both, an utterance whose frame width differs from the
+    first one's. Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
     """
+    widths = [(uid, frames.shape[1]) for uid, frames in frames_by_id.items()]
+    for uid, width in widths[1:]:
+        if width != widths[0][1]:
+            raise ValueError(f"utterance {uid!r} has frames {width} wide, but "
+                             f"{widths[0][0]!r} has frames {widths[0][1]} wide")
     pooled = np.concatenate(list(frames_by_id.values()), axis=0)
     model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts)
     labels = {uid: assign(model, frames, source=source) for uid, frames in frames_by_id.items()}
@@ -260,7 +266,7 @@ def recluster_from_embeddings(
     if not 0 <= tap_layer <= cfg.num_layers:
         raise ValueError(f"tap_layer {tap_layer} invalid for a {cfg.num_layers}-layer encoder")
     frames = {utt.id: out.layer_outputs[tap_layer][i]
-              for chunk, out, _ in encode_corpus(checkpoint, corpus, num_layers=tap_layer)
+              for chunk, out in encode_corpus(checkpoint, corpus, num_layers=tap_layer)
               for i, utt in enumerate(chunk)}
     return fit_labels(frames, k, seed=seed, restarts=restarts,
                       source=f"embedding:layer{tap_layer}")

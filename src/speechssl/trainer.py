@@ -208,14 +208,20 @@ class ObjectiveResult:
     usage: np.ndarray | None            # batch-averaged codebook usage (speaker loss)
 
 
-def _speaker_draws(mask: BatchMask, config: TrainConfig, noise_seed, negatives_seed, *key):
-    """The batch's Gumbel noise (utterance b's rows from derive_seed(noise_seed,
-    "noise", *key, b)) and negatives (at derive_seed(negatives_seed, "neg",
-    *key)), or (None, None) when the speaker loss is off."""
+def _draws(num_frames: int, batch: int, config: TrainConfig, mask_seed, noise_seed,
+           negatives_seed, *key):
+    """(mask, noise, negatives) of `batch` utterances of `num_frames` frames;
+    utterance b's mask and noise rows come from derive_seed(<seed>, "mask" or
+    "noise", *key, b), the negatives from derive_seed(negatives_seed, "neg",
+    *key). Noise and negatives are None when the speaker loss is off."""
+    mask = BatchMask.from_indices([
+        sample_mask(num_frames, config.encoder, derive_seed(mask_seed, "mask", *key, b))
+        for b in range(batch)
+    ], num_frames)
     if not config.speaker_loss:
-        return None, None
-    seeds = [derive_seed(noise_seed, "noise", *key, b) for b in range(mask.batch_size)]
-    return (gumbel_noise(seeds, mask.counts, config.quantizer),
+        return mask, None, None
+    seeds = [derive_seed(noise_seed, "noise", *key, b) for b in range(batch)]
+    return (mask, gumbel_noise(seeds, mask.counts, config.quantizer),
             sample_negatives(mask, config.weights.num_negatives,
                              derive_seed(negatives_seed, "neg", *key)))
 
@@ -227,7 +233,7 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
     forward -> quantize the tap rows at the batch's masked steps in one call
     -> contrastive, diversity and content terms, and with grads=True the
     manual backward into every parameter (FlatArrays). `noise` and
-    `negatives` are the batch's draws from _speaker_draws, unused when the
+    `negatives` are the batch's draws from _draws, unused when the
     speaker loss is off. Training and the finite-difference check both
     evaluate this one function; training quantizes with hard
     (straight-through) selection, the check with soft (hard=False)."""
@@ -278,14 +284,8 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc)
     ids = [u.id for u in mixed.batch.utterances]
     del mixed                           # the mixed audio is not needed past its features
-    num_frames = features.shape[1]
-
-    mask = BatchMask.from_indices([
-        sample_mask(num_frames, config.encoder,
-                    derive_seed(seeds.masking, "mask", step, b))
-        for b in range(len(ids))
-    ], num_frames)
-    noise, negatives = _speaker_draws(mask, config, seeds.noise, seeds.negatives, step)
+    mask, noise, negatives = _draws(features.shape[1], len(ids), config, seeds.masking,
+                                    seeds.noise, seeds.negatives, step)
     tau = tau_at(step, config.steps)
     try:
         result = objective(state.params, features, labels, mask, noise, negatives, tau,
@@ -551,11 +551,7 @@ def grad_check(
         PseudoLabelSequence(rng.integers(0, enc.num_classes, num_frames), enc.num_classes)
         for _ in range(config.batch_size)
     ]
-    mask = BatchMask.from_indices([
-        sample_mask(num_frames, enc, derive_seed(seed, "mask", b))
-        for b in range(config.batch_size)
-    ], num_frames)
-    noise, negatives = _speaker_draws(mask, config, seed, seed)
+    mask, noise, negatives = _draws(num_frames, config.batch_size, config, seed, seed, seed)
     tau, step_size = 1.0, 1e-4          # step_size: the central-difference step
 
     params = _initial_params(config, derive_seed(seed, "enc-params"),

@@ -93,12 +93,14 @@ class TestCriterion2BruteForce:
         qs = [rng.standard_normal((len(m), d)) for m in masks]
         mask = BatchMask.from_indices(masks, t)
         weights = LossWeights(kappa=0.1, num_negatives=5)
-        picks, pool, with_replacement = sample_negatives(mask, weights.num_negatives, 9)
-        got = contrastive_loss(taps, np.concatenate(qs), mask, weights,
-                               (picks, pool, with_replacement))
+        negatives = sample_negatives(mask, weights.num_negatives, 9)
+        picks, _ = negatives
+        q_all = np.concatenate(qs)
+        got = contrastive_loss(taps, q_all, mask, weights, negatives)
 
         pos_sum = neg_sum = 0.0
         n_pos = n_neg = 0
+        p = 0                           # running masked-row index
         for bi in range(b):
             anchors = taps[bi][masks[bi]]
             for i in range(anchors.shape[0]):
@@ -109,12 +111,12 @@ class TestCriterion2BruteForce:
                     1.0 / (1.0 + math.exp(-cos(anchors[i], qs[bi][i]) / weights.kappa))
                 )
                 n_pos += 1
-                for j in picks[bi][i]:
-                    ob, oi = pool[j]
+                for j in picks[p]:
                     neg_sum += -math.log(
-                        1.0 / (1.0 + math.exp(cos(anchors[i], qs[ob][oi]) / weights.kappa))
+                        1.0 / (1.0 + math.exp(cos(anchors[i], q_all[j]) / weights.kappa))
                     )
                     n_neg += 1
+                p += 1
         oracle = 0.5 * (pos_sum / n_pos) + 0.5 * (neg_sum / n_neg)
         err = abs(got.value - oracle)
         report("criterion 2a (contrastive brute force)", err < 1e-12,

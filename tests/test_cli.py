@@ -165,6 +165,7 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"quantizer": {"num_entries": 0}},
      "config key quantizer.num_entries must be >= 1, got 0", 1),
     ({"encoder": {"tap_layer": 9}}, "config key encoder.tap_layer must be in [0, 4], got 9", 1),
+    ({"encoder": {"num_layers": -1}}, "config key encoder.num_layers must be >= 0, got -1", 1),
     ({"weights": {"kappa": -1.0}}, "config key weights.kappa must be > 0, got -1.0", 1),
     ({"weights": {"alpha": -1}}, "config key weights.alpha must be >= 0, got -1.0", 1),
     ({"encoder": {"num_heads": 3}}, "config key encoder.num_heads 3 must divide model_dim 64", 1),
@@ -189,7 +190,8 @@ def test_set_unknown_key_rejected(tmp_path):
         "removed-gain-snr-low", "removed-gain-snr-high", "removed-tau-start",
         "removed-tau-end", "removed-preemphasis", "removed-floor", "zero-ffn-dim",
         "zero-num-classes", "zero-window", "utterance-shorter-than-window",
-        "zero-num-entries", "tap-layer-above-num-layers", "negative-kappa", "negative-alpha",
+        "zero-num-entries", "tap-layer-above-num-layers", "negative-num-layers",
+        "negative-kappa", "negative-alpha",
         "heads-not-dividing-width", "mask-start-prob-above-1", "window-above-fft-size",
         "num-ceps-above-num-mel", "zero-window-dotted-key",
         "single-utterance-batch-with-negatives", "crop-too-short-to-mix"])
@@ -496,6 +498,25 @@ def test_unreadable_labels_or_features_exit_1(pipeline, tmp_path, capsys):
                  "--k", "2"]) == 1
     err = capsys.readouterr().err
     assert f"cannot read feature sidecar {sidecar}: KeyError('T')" in err
+    assert not (tmp_path / "cluster").exists()
+
+
+def test_cluster_refuses_features_of_mixed_widths(pipeline, tmp_path, capsys):
+    # one utterance extracted without deltas: 13 features beside the others' 39
+    assert main(["mfcc", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                 "--out", str(tmp_path / "narrow"), "--set", "mfcc.deltas=false"]) == 0
+    features = tmp_path / "features"
+    features.mkdir()
+    for blob in (pipeline / "features").glob("spk*"):
+        (features / blob.name).write_bytes(blob.read_bytes())
+    for blob in (tmp_path / "narrow").glob("spk02_utt002.*"):
+        (features / blob.name).write_bytes(blob.read_bytes())
+    capsys.readouterr()
+    assert main(["cluster", "--features", str(features), "--out", str(tmp_path / "cluster"),
+                 "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "utterance 'spk02_utt002' has frames 13 wide, but 'spk00_utt000' has frames 39 wide" \
+        in err and "Traceback" not in err
     assert not (tmp_path / "cluster").exists()
 
 

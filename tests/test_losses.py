@@ -121,6 +121,37 @@ class TestContentLoss:
         assert abs(loss - total / 4) < 1e-12
 
 
+class TestSampleNegatives:
+    # each utterance masks a random subset of 5 frames; an empty utterance
+    # draws nothing and a lone non-empty one has no pool at all
+    @given(flags=st.lists(st.lists(st.booleans(), min_size=5, max_size=5),
+                          min_size=2, max_size=4),
+           k=st.integers(min_value=0, max_value=8),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_picks_index_other_utterances_rows(self, flags, k, seed):
+        mask = BatchMask.from_indices([np.flatnonzero(f) for f in flags], 5)
+        owner = mask.rows // mask.num_frames
+        pool = {b: int(np.sum(owner != b)) for b in np.unique(owner)}
+        if k and 0 in pool.values():
+            with pytest.raises(ValueError, match="single utterance"):
+                sample_negatives(mask, k, seed)
+            return
+        picks, with_replacement = sample_negatives(mask, k, seed)
+        assert picks.shape == (len(mask), k) and picks.dtype == np.int64
+        assert with_replacement == any(size < k for size in pool.values())
+        for j, row in enumerate(picks):
+            assert np.all((row >= 0) & (row < len(mask)))
+            assert np.all(owner[row] != owner[j])
+            if pool[owner[j]] >= k:
+                assert np.unique(row).size == k
+
+    def test_zero_negatives_is_an_empty_column(self):
+        mask = BatchMask.from_indices([[0, 2], [1]], 3)
+        picks, with_replacement = sample_negatives(mask, 0, 0)
+        assert picks.shape == (3, 0) and not with_replacement
+
+
 class TestContrastiveLoss:
     def aligned(self, vecs_list):
         """Build taps, quantized rows and the mask where every frame is masked."""
@@ -174,9 +205,10 @@ class TestContrastiveLoss:
         mask = BatchMask.from_indices(masks, t)
         weights = LossWeights(kappa=0.3, num_negatives=3)
         seed = 77
-        picks, pool, with_replacement = sample_negatives(mask, weights.num_negatives, seed)
-        res = contrastive_loss(taps, np.concatenate(qs), mask, weights,
-                               (picks, pool, with_replacement))
+        negatives = sample_negatives(mask, weights.num_negatives, seed)
+        picks, _ = negatives
+        q_all = np.concatenate(qs)
+        res = contrastive_loss(taps, q_all, mask, weights, negatives)
 
         # Oracle: exhaustive loop over positives with the shared seeded draws;
         # positive and negative term means carry equal weight
@@ -186,17 +218,18 @@ class TestContrastiveLoss:
         def cos(a, bvec):
             return float(a @ bvec) / (np.linalg.norm(a) * np.linalg.norm(bvec))
 
+        p = 0                           # running masked-row index
         for bi in range(b):
             anchor = taps[bi][masks[bi]]
             for i in range(anchor.shape[0]):
                 sim = cos(anchor[i], qs[bi][i])
                 pos_sum += -math.log(1.0 / (1.0 + math.exp(-sim / weights.kappa)))
                 n_pos += 1
-                for j in picks[bi][i]:
-                    ob, oi = pool[j]
-                    sim = cos(anchor[i], qs[ob][oi])
+                for j in picks[p]:
+                    sim = cos(anchor[i], q_all[j])
                     neg_sum += -math.log(1.0 / (1.0 + math.exp(sim / weights.kappa)))
                     n_neg += 1
+                p += 1
         expected = 0.5 * (pos_sum / n_pos) + 0.5 * (neg_sum / n_neg)
         assert abs(res.value - expected) < 1e-12
 
@@ -263,9 +296,9 @@ class TestContrastiveLoss:
         taps = [rng.standard_normal((2, 3)) for _ in range(2)]
         mask = BatchMask.from_indices([[0, 1]] * 2, 2)
         q = np.concatenate([rng.standard_normal((2, 3)) for _ in range(2)])
-        res = contrastive_loss(taps, q, mask, LossWeights(num_negatives=10),
-                               sample_negatives(mask, 10, 0))
-        assert res.with_replacement
+        negatives = sample_negatives(mask, 10, 0)
+        res = contrastive_loss(taps, q, mask, LossWeights(num_negatives=10), negatives)
+        assert negatives[1]
         assert res.num_negatives == 4 * 10
 
     def test_empty_mask_rejected(self):

@@ -13,6 +13,7 @@ from speechssl.probe import (
     fit_layer_weights,
     layer_profile,
     loo_nearest_centroid_accuracy,
+    masked_prediction_accuracy,
     utterance_means,
 )
 
@@ -36,8 +37,8 @@ class TestEncodeCorpus:
     def chunks(self, state, corpus, **kwargs):
         """encode_corpus' chunks, with each utterance's corpus index."""
         out, b = [], 0
-        for chunk, enc, mask in encode_corpus(state, corpus, **kwargs):
-            out.append((list(range(b, b + len(chunk))), chunk, enc, mask))
+        for chunk, enc in encode_corpus(state, corpus, **kwargs):
+            out.append((list(range(b, b + len(chunk))), chunk, enc, enc.mask))
             b += len(chunk)
         return out
 
@@ -100,8 +101,8 @@ class TestEncodeCorpus:
         config, corpus, _ = small_setup
         state = init_state(config)
         full = encode_corpus(state, corpus)
-        for (chunk, out, _), (_, whole, _) in zip(encode_corpus(state, corpus, num_layers=layer),
-                                                  full):
+        for (chunk, out), (_, whole) in zip(encode_corpus(state, corpus, num_layers=layer),
+                                            full):
             assert len(out.layer_outputs) == layer + 1
             assert np.array_equal(out.layer_outputs[layer], whole.layer_outputs[layer])
             assert np.array_equal(out.tap, whole.layer_outputs[min(layer, 1)])
@@ -214,6 +215,42 @@ class TestSpeakerSeparability:
         tagged = [Utterance(u.id, u.waveform, retag(i, u)) for i, u in enumerate(corpus)]
         with pytest.raises(ValueError, match=message):
             utterance_means(init_state(config), tagged)
+
+
+class TestMaskedPredictionAccuracy:
+    # 7 utterances at batch_size 3 encode as chunks of 3, 3 and 1
+    def test_equals_per_utterance_argmax_count(self, small_setup):
+        from speechssl.trainer import init_state, train
+
+        config, corpus, labels = small_setup
+        assert config.batch_size == 3
+        ckpt = train(init_state(config), corpus, labels)
+        corpus = corpus[:7]
+        correct = total = 0
+        for b, utt in enumerate(corpus):
+            feats = mfcc(utt.waveform, config.mfcc, meta=utt.id)
+            frames = sample_mask(feats.num_frames, config.encoder,
+                                 derive_seed(5, "eval-mask", b))
+            out = forward(feats.frames[None],
+                          BatchMask.from_indices([frames], feats.num_frames),
+                          ckpt.params, config.encoder)
+            predicted = np.argmax(out.content_logits[0, frames], axis=1)
+            correct += int(np.sum(predicted == labels[utt.id].labels[frames]))
+            total += frames.size
+        assert 0 < correct < total
+        assert masked_prediction_accuracy(ckpt, corpus, labels, seed=5) == correct / total
+
+    def test_refuses_labels_of_another_length(self, small_setup):
+        from speechssl.pseudolabel import PseudoLabelSequence
+        from speechssl.trainer import init_state
+
+        config, corpus, labels = small_setup
+        labels = dict(labels)
+        short = labels[corpus[4].id]
+        labels[corpus[4].id] = PseudoLabelSequence(short.labels[:-1], short.k, short.source)
+        with pytest.raises(ValueError, match=f"utterance '{corpus[4].id}': "
+                                             f"{len(short) - 1} labels vs {len(short)} frames"):
+            masked_prediction_accuracy(init_state(config), corpus[:7], labels)
 
 
 class TestFitLayerWeights:

@@ -346,6 +346,15 @@ class TestFitLabels:
             assert (seq.k, seq.source) == (want.k, want.source)
 
 
+    def test_refuses_frames_of_another_width(self):
+        rng = np.random.default_rng(2)
+        frames = {"a": rng.standard_normal((6, 39)), "b": rng.standard_normal((5, 39)),
+                  "c": rng.standard_normal((7, 13))}
+        with pytest.raises(ValueError, match="utterance 'c' has frames 13 wide, "
+                                             "but 'a' has frames 39 wide"):
+            fit_labels(frames, 2, seed=0, restarts=1)
+
+
 class TestSubsample:
     """Pools above pseudolabel.SAMPLE_CAP frames are fitted on a seeded
     subsample; the desk pool is far below the real cap, so it is lowered."""
