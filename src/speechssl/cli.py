@@ -28,7 +28,7 @@ from .corpus import (
     write_manifest,
     write_wav,
 )
-from .dsp import load_features, mfcc, save_features
+from .dsp import MfccConfig, load_features, mfcc, save_features
 from .pseudolabel import (
     fit_labels,
     load_labels,
@@ -38,6 +38,7 @@ from .pseudolabel import (
 )
 from .probe import ascii_bar_chart, layer_profile, utterance_means
 from .trainer import (
+    GRADCHECK_TOL,
     Seeds,
     TrainConfig,
     grad_check,
@@ -112,8 +113,15 @@ def build_train_config(args) -> TrainConfig:
         raise UsageError(str(exc)) from None
 
 
-def load_corpus(manifest_path) -> list:
-    return [ref.load() for ref in load_manifest(manifest_path)]
+def load_corpus(manifest_path, mfcc_cfg: MfccConfig | None = None):
+    """Yield the manifest's utterances as they load; given the MFCC config
+    they will meet, refuse by name one shorter than its window."""
+    for ref in load_manifest(manifest_path):
+        utt = ref.load()
+        if mfcc_cfg is not None and len(utt.waveform) < mfcc_cfg.window:
+            raise ValueError(f"utterance {utt.id!r} has {len(utt.waveform)} samples, "
+                             f"shorter than one MFCC window ({mfcc_cfg.window})")
+        yield utt
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +150,14 @@ def cmd_synth(args):
 
 
 def cmd_mfcc(args):
-    out = Path(args.out)
     cfg = build_train_config(args).mfcc
-    refs = load_manifest(args.manifest)
-    for ref in refs:
-        feats = mfcc(ref.load().waveform, cfg, meta=ref.id)
-        save_features(out, ref.id, feats)
-    print(f"extracted features for {len(refs)} utterances into {out}")
-    return asdict(cfg), {}, [out / f"{r.id}.f32" for r in refs]
+    features = {utt.id: mfcc(utt.waveform, cfg, meta=utt.id)   # before --out is made
+                for utt in load_corpus(args.manifest, cfg)}
+    out = Path(args.out)
+    for uid, feats in features.items():
+        save_features(out, uid, feats)
+    print(f"extracted features for {len(features)} utterances into {out}")
+    return asdict(cfg), {}, [out / f"{uid}.f32" for uid in features]
 
 
 def cmd_cluster(args):
@@ -172,7 +180,7 @@ def cmd_cluster(args):
 
 
 def cmd_mix(args):
-    corpus = load_corpus(args.manifest)
+    corpus = list(load_corpus(args.manifest))
     batch_size = args.batch_size or len(corpus)
     length = args.length or min(len(u.waveform) for u in corpus)
     batch = make_batch(corpus, batch_size, length, seed=args.seed)
@@ -199,8 +207,8 @@ def cmd_pretrain(args):
                          "--config, --set, --steps or --seed-* flags with it")
     state = load_checkpoint(args.resume) if args.resume else init_state(build_train_config(args))
     out = Path(args.out)
-    state = train(state, load_corpus(args.manifest), load_labels(args.labels), out_dir=out,
-                  until_step=args.until_step)
+    state = train(state, list(load_corpus(args.manifest)), load_labels(args.labels),
+                  out_dir=out, until_step=args.until_step)
     tail = state.metrics[-1]
     print(f"trained to step {state.step}: total={tail['total']:.4f} "
           f"content={tail['content']:.4f} contrastive={tail['contrastive']:.4f}")
@@ -210,9 +218,12 @@ def cmd_pretrain(args):
 
 def cmd_recluster(args):
     ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.manifest)
-    layer = args.layer if args.layer is not None else ckpt.config.encoder.tap_layer
-    k = args.k if args.k is not None else ckpt.config.encoder.num_classes
+    enc = ckpt.config.encoder
+    layer = args.layer if args.layer is not None else enc.tap_layer
+    if layer > enc.num_layers:
+        raise ValueError(f"--layer {layer} exceeds the checkpoint's {enc.num_layers} blocks")
+    corpus = list(load_corpus(args.manifest, ckpt.config.mfcc))
+    k = args.k if args.k is not None else enc.num_classes
     model, labels = recluster_from_embeddings(ckpt, corpus, layer, k, seed=args.seed,
                                               restarts=args.restarts)
     out = Path(args.out)
@@ -228,7 +239,7 @@ def cmd_recluster(args):
 
 def cmd_probe(args):
     ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.manifest)
+    corpus = list(load_corpus(args.manifest, ckpt.config.mfcc))
     weights, accuracy, separability = layer_profile(*utterance_means(ckpt, corpus),
                                                     steps=args.probe_steps, seed=args.seed)
     profile = {str(layer): float(w) for layer, w in enumerate(weights)}
@@ -255,7 +266,7 @@ def cmd_gradcheck(args):
     worst = sorted(report.per_group.items(), key=lambda kv: -kv[1])[:8]
     for name, err in worst:
         print(f"  {name:<24s} max rel err {err:.3e}")
-    print(f"max relative error: {report.max_rel_error:.3e} (tolerance 1e-4)")
+    print(f"max relative error: {report.max_rel_error:.3e} (tolerance {GRADCHECK_TOL:.0e})")
     if not report.ok():
         raise ValueError("FAIL: gradient check exceeded tolerance")
     print("PASS")
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--layer", type=int)
+    p.add_argument("--layer", type=_int_at_least(0))
     p.add_argument("--k", type=_int_at_least(1))
     p.add_argument("--restarts", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -415,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=_int_at_least(1), default=240)
+    p.add_argument("--coords", type=_int_at_least(1), default=240,
+                   help="coordinates to check; below the parameter group count, one per group")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep-mix", help="train at p in a mixing-ratio grid and compare")

@@ -252,7 +252,7 @@ def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
 def recluster_from_embeddings(
     checkpoint,
     corpus,
-    tap_layer: int,
+    layer: int,
     k: int,
     seed: int = 0,
     restarts: int = 1,
@@ -263,13 +263,13 @@ def recluster_from_embeddings(
     Returns (KmeansModel, {utterance_id: PseudoLabelSequence}).
     """
     cfg = checkpoint.config.encoder
-    if not 0 <= tap_layer <= cfg.num_layers:
-        raise ValueError(f"tap_layer {tap_layer} invalid for a {cfg.num_layers}-layer encoder")
-    frames = {utt.id: out.layer_outputs[tap_layer][i]
-              for chunk, out in encode_corpus(checkpoint, corpus, num_layers=tap_layer)
+    if not 0 <= layer <= cfg.num_layers:
+        raise ValueError(f"layer {layer} invalid for a {cfg.num_layers}-layer encoder")
+    frames = {utt.id: out.layer_outputs[layer][i]
+              for chunk, out in encode_corpus(checkpoint, corpus, num_layers=layer)
               for i, utt in enumerate(chunk)}
     return fit_labels(frames, k, seed=seed, restarts=restarts,
-                      source=f"embedding:layer{tap_layer}")
+                      source=f"embedding:layer{layer}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
 CHECKPOINT_FORMAT = "speechssl-checkpoint-v6"
 # HuBERT's Adam (arXiv 2106.07447)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-6
+# a finite-difference gradient check passes below this max relative error
+GRADCHECK_TOL = 1e-4
 
 # once per process: a warm train step reuses the memory the last one freed
 retain_freed_memory()
@@ -177,21 +179,16 @@ class TrainState:
     last_usage: np.ndarray | None = None  # batch-averaged codebook usage
 
 
-def _initial_params(config: TrainConfig, encoder_seed: int, quantizer_seed: int) -> dict:
-    """The encoder reads `mfcc.dim` features; the quantizer reads and
-    returns tap rows of the encoder's model width."""
-    params = init_encoder_params(config.encoder, config.mfcc.dim, encoder_seed)
-    params.update(init_quantizer_params(config.quantizer, config.encoder.model_dim,
-                                        quantizer_seed))
-    return params
-
-
 def init_state(config: TrainConfig) -> TrainState:
+    """The encoder reads `mfcc.dim` features; the quantizer reads and returns
+    tap rows of the encoder's model width. Adam's moments start at zero."""
     model_seed = config.seeds.model
-    params = FlatArrays.copy_of(_initial_params(
-        config, derive_seed(model_seed, "encoder"), derive_seed(model_seed, "quantizer")))
-    shapes = {k: v.shape for k, v in params.items()}
-    return TrainState(config, params, FlatArrays(shapes), FlatArrays(shapes))
+    params = init_encoder_params(config.encoder, config.mfcc.dim,
+                                 derive_seed(model_seed, "encoder"))
+    params.update(init_quantizer_params(config.quantizer, config.encoder.model_dim,
+                                        derive_seed(model_seed, "quantizer")))
+    params = FlatArrays.copy_of(params)
+    return TrainState(config, params, zero_grads(params), zero_grads(params))
 
 
 def adam_update(state: TrainState, grads: FlatArrays, lr: float) -> None:
@@ -208,22 +205,23 @@ class ObjectiveResult:
     usage: np.ndarray | None            # batch-averaged codebook usage (speaker loss)
 
 
-def _draws(num_frames: int, batch: int, config: TrainConfig, mask_seed, noise_seed,
-           negatives_seed, *key):
-    """(mask, noise, negatives) of `batch` utterances of `num_frames` frames;
-    utterance b's mask and noise rows come from derive_seed(<seed>, "mask" or
-    "noise", *key, b), the negatives from derive_seed(negatives_seed, "neg",
-    *key). Noise and negatives are None when the speaker loss is off."""
+def _draws(num_frames: int, batch: int, config: TrainConfig, *key):
+    """(mask, noise, negatives) of `batch` utterances of `num_frames` frames
+    at `key` (a train step's is its step): utterance b's mask and noise rows
+    from derive_seed(seeds.masking / seeds.noise, "mask" / "noise", *key, b),
+    the negatives from derive_seed(seeds.negatives, "neg", *key). Noise and
+    negatives are None when the speaker loss is off."""
+    seeds = config.seeds
     mask = BatchMask.from_indices([
-        sample_mask(num_frames, config.encoder, derive_seed(mask_seed, "mask", *key, b))
+        sample_mask(num_frames, config.encoder, derive_seed(seeds.masking, "mask", *key, b))
         for b in range(batch)
     ], num_frames)
     if not config.speaker_loss:
         return mask, None, None
-    seeds = [derive_seed(noise_seed, "noise", *key, b) for b in range(batch)]
-    return (mask, gumbel_noise(seeds, mask.counts, config.quantizer),
+    noise_seeds = [derive_seed(seeds.noise, "noise", *key, b) for b in range(batch)]
+    return (mask, gumbel_noise(noise_seeds, mask.counts, config.quantizer),
             sample_negatives(mask, config.weights.num_negatives,
-                             derive_seed(negatives_seed, "neg", *key)))
+                             derive_seed(seeds.negatives, "neg", *key)))
 
 
 def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
@@ -278,14 +276,12 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
     first step. Returns (state, LossBreakdown). A non-finite activation or
     loss raises FloatingPointError naming the step and the utterance ids."""
     step = state.step + 1
-    seeds = config.seeds
-
-    mixed = mix_batch(batch, config.mix_probability, derive_seed(seeds.mixing, "mix", step))
+    mixed = mix_batch(batch, config.mix_probability,
+                      derive_seed(config.seeds.mixing, "mix", step))
     features = mfcc_batch([u.waveform for u in mixed.batch.utterances], config.mfcc)
     ids = [u.id for u in mixed.batch.utterances]
     del mixed                           # the mixed audio is not needed past its features
-    mask, noise, negatives = _draws(features.shape[1], len(ids), config, seeds.masking,
-                                    seeds.noise, seeds.negatives, step)
+    mask, noise, negatives = _draws(features.shape[1], len(ids), config, step)
     tau = tau_at(step, config.steps)
     try:
         result = objective(state.params, features, labels, mask, noise, negatives, tau,
@@ -295,13 +291,12 @@ def train_step(state: TrainState, batch: Batch, labels, config: TrainConfig):
         raise FloatingPointError(f"step {step}, utterance(s) {bad}: {exc}") from exc
     except NonFiniteLoss as exc:
         raise FloatingPointError(f"step {step}, batch of utterances {ids}: {exc}") from exc
-    breakdown = result.breakdown
     if result.usage is not None:
         state.last_usage = result.usage
 
     state.step = step
     adam_update(state, result.grads, learning_rate_at(step, config))
-    return state, breakdown
+    return state, result.breakdown
 
 
 def draw_batch(corpus, config: TrainConfig, step: int) -> Batch:
@@ -509,8 +504,8 @@ class GradCheckReport:
     per_group: dict
     num_coords: int
 
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_error < tol
+    def ok(self) -> bool:
+        return self.max_rel_error < GRADCHECK_TOL
 
 
 def tiny_config(seed: int = 0) -> TrainConfig:
@@ -531,63 +526,45 @@ def tiny_config(seed: int = 0) -> TrainConfig:
     )
 
 
-def grad_check(
-    config: TrainConfig | None = None,
-    seed: int = 0,
-    num_coords: int = 240,
-    groups: list[str] | None = None,
-) -> GradCheckReport:
+def grad_check(config: TrainConfig | None = None, seed: int = 0,
+               num_coords: int = 240) -> GradCheckReport:
     """Analytic gradients of the full combined loss vs central finite
-    differences, sampled across every parameter group, with soft quantizer
-    selection: the hard argmax is not differentiable."""
+    differences with soft quantizer selection (the hard argmax is not
+    differentiable), at init_state(config)'s parameters with the _draws of
+    step 0, which no run takes; config defaults to tiny_config(seed). Each
+    parameter group gets one coordinate and the other num_coords - groups are
+    drawn over the flat parameter vector, so a group is checked by its size."""
     config = config or tiny_config(seed)
-    rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
-    num_frames = 8
-    enc = config.encoder
-    features = np.stack([
-        rng.standard_normal((num_frames, config.mfcc.dim)) for _ in range(config.batch_size)
-    ])
-    labels = [
-        PseudoLabelSequence(rng.integers(0, enc.num_classes, num_frames), enc.num_classes)
-        for _ in range(config.batch_size)
-    ]
-    mask, noise, negatives = _draws(num_frames, config.batch_size, config, seed, seed, seed)
+    params = init_state(config).params
+    rng = np.random.default_rng(derive_seed(config.seeds.data, "gradcheck"))
+    num_frames, batch, classes = 8, config.batch_size, config.encoder.num_classes
+    features = rng.standard_normal((batch, num_frames, config.mfcc.dim))
+    labels = [PseudoLabelSequence(rng.integers(0, classes, num_frames), classes)
+              for _ in range(batch)]
+    mask, noise, negatives = _draws(num_frames, batch, config, 0)
     tau, step_size = 1.0, 1e-4          # step_size: the central-difference step
-
-    params = _initial_params(config, derive_seed(seed, "enc-params"),
-                             derive_seed(seed, "q-params"))
 
     def loss() -> float:
         return objective(params, features, labels, mask, noise, negatives, tau,
                          config, grads=False, hard=False).breakdown.total
 
     analytic = objective(params, features, labels, mask, noise, negatives, tau,
-                         config, grads=True, hard=False).grads
+                         config, grads=True, hard=False).grads.flat
 
-    keys = sorted(params) if groups is None else [
-        k for k in sorted(params) if any(k.startswith(g) for g in groups)
-    ]
-    if not keys:
-        raise ValueError("no parameter groups matched")
-    per_key = max(1, math.ceil(num_coords / len(keys)))
-    per_group: dict[str, float] = {}
-    checked = 0
-    for key in keys:
-        flat = params[key].reshape(-1)
-        n = min(per_key, flat.size)
-        coords = rng.choice(flat.size, size=n, replace=False)
-        worst = 0.0
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + step_size
-            up = loss()
-            flat[c] = original - step_size
-            down = loss()
-            flat[c] = original
-            fd = (up - down) / (2 * step_size)
-            an = analytic[key].reshape(-1)[c]
-            rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-8)
-            worst = max(worst, rel)
-            checked += 1
-        per_group[key] = worst
-    return GradCheckReport(max(per_group.values()), per_group, checked)
+    sizes = [a.size for a in params.values()]     # the groups in flat-vector order
+    group = np.repeat(list(params), sizes)        # each flat coordinate's group
+    firsts = np.cumsum([0, *sizes[:-1]]) + rng.integers(sizes)
+    rest = np.setdiff1d(np.arange(group.size), firsts)
+    coords = [*firsts, *rng.choice(rest, max(0, num_coords - len(sizes)), replace=False)]
+    flat, per_group = params.flat, dict.fromkeys(params, 0.0)
+    for c in coords:
+        original = flat[c]
+        flat[c] = original + step_size
+        up = loss()
+        flat[c] = original - step_size
+        down = loss()
+        flat[c] = original
+        fd = (up - down) / (2 * step_size)
+        rel = abs(analytic[c] - fd) / max(abs(analytic[c]) + abs(fd), 1e-8)
+        per_group[group[c]] = max(per_group[group[c]], rel)
+    return GradCheckReport(max(per_group.values()), per_group, len(coords))

@@ -38,7 +38,10 @@ def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--seed", "1", "--coords", "60"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    assert "max relative error" in out
+    assert "checked 60 coordinates across 32 parameter groups" in out
+    assert "max relative error" in out and "(tolerance 1e-04)" in out
+    assert main(["gradcheck", "--coords", "5"]) == 0     # one per group
+    assert "checked 32 coordinates across 32 parameter groups" in capsys.readouterr().out
 
 
 def test_synth_outputs_and_manifest(tmp_path):
@@ -321,6 +324,8 @@ def test_pipeline_labels_format(pipeline):
                  id="recluster-flags2-k=0"),
     pytest.param("cluster", ["--max-iters", "-1"], "argument --max-iters: must be >= 0, got -1",
                  id="cluster-flags3-max_iters=-1"),
+    pytest.param("recluster", ["--layer", "-1"], "argument --layer: must be >= 0, got -1",
+                 id="recluster-layer=-1"),
 ])
 def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, named):
     inputs = {"cluster": ["--features", str(pipeline / "features")],
@@ -328,6 +333,43 @@ def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, 
                             "--manifest", str(pipeline / "corpus/manifest.jsonl")]}
     assert main([command, *inputs[command], "--out", str(tmp_path / "out"), *flags]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_recluster_layer_above_the_blocks_exits_1(pipeline, tmp_path, capsys):
+    for layer in ("3", "9"):
+        assert main(["recluster", "--checkpoint", str(pipeline / "run/checkpoint_final"),
+                     "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                     "--out", str(tmp_path / "out"), "--layer", layer]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --layer {layer} exceeds the checkpoint's 2 blocks\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_audio_shorter_than_a_window_or_missing_exits_1(pipeline, tmp_path, capsys):
+    from speechssl.corpus import Waveform, write_wav
+
+    rows = [json.loads(l) for l in (pipeline / "corpus/manifest.jsonl").read_text().splitlines()]
+    for row in rows:
+        row["audio_path"] = str(pipeline / "corpus" / row["audio_path"])
+    rows[3]["audio_path"] = str(tmp_path / "short.wav")
+    write_wav(tmp_path / "short.wav", Waveform(np.zeros(200), 16000))
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    rows[3]["audio_path"] = str(tmp_path / "missing.wav")
+    missing = tmp_path / "missing.jsonl"
+    missing.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    checkpoint = ["--checkpoint", str(pipeline / "run/checkpoint_final")]
+    utt = rows[3]["id"]
+    for command in (["mfcc"], ["probe", *checkpoint], ["recluster", *checkpoint]):
+        assert main([*command, "--manifest", str(short), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: utterance {utt!r} has 200 samples, shorter than one MFCC "
+                       "window (400)\n")
+        assert not (tmp_path / "out").exists()
+    assert main(["mfcc", "--manifest", str(missing), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "missing.wav" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

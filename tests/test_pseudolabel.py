@@ -425,20 +425,20 @@ def corpus():
 
 class TestRecluster:
     def test_k1_all_labels_zero(self, checkpoint, corpus):
-        _, labels = recluster_from_embeddings(checkpoint, corpus, tap_layer=1, k=1, seed=0)
+        _, labels = recluster_from_embeddings(checkpoint, corpus, layer=1, k=1, seed=0)
         assert all(np.all(seq.labels == 0) for seq in labels.values())
         assert all(seq.source == "embedding:layer1" for seq in labels.values())
 
     def test_run_twice_identical(self, checkpoint, corpus):
-        _, a = recluster_from_embeddings(checkpoint, corpus, tap_layer=1, k=3, seed=4)
-        _, b = recluster_from_embeddings(checkpoint, corpus, tap_layer=1, k=3, seed=4)
+        _, a = recluster_from_embeddings(checkpoint, corpus, layer=1, k=3, seed=4)
+        _, b = recluster_from_embeddings(checkpoint, corpus, layer=1, k=3, seed=4)
         assert all(np.array_equal(a[uid].labels, b[uid].labels) for uid in a)
 
     def test_occupancy_non_degenerate(self, checkpoint, corpus):
-        _, labels = recluster_from_embeddings(checkpoint, corpus, tap_layer=2, k=3, seed=4)
+        _, labels = recluster_from_embeddings(checkpoint, corpus, layer=2, k=3, seed=4)
         occupied = set(np.concatenate([seq.labels for seq in labels.values()]).tolist())
         assert len(occupied) >= 2
 
     def test_invalid_layer(self, checkpoint, corpus):
-        with pytest.raises(ValueError, match="tap_layer"):
-            recluster_from_embeddings(checkpoint, corpus, tap_layer=9, k=2, seed=0)
+        with pytest.raises(ValueError, match="layer 9 invalid"):
+            recluster_from_embeddings(checkpoint, corpus, layer=9, k=2, seed=0)
