@@ -452,13 +452,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     started = time.monotonic()
     try:
+        out = Path(getattr(args, "out", None) or ".")     # gradcheck takes no --out
+        if out.exists() and not out.is_dir():
+            raise ValueError(f"--out {out} exists and is not a directory")
         record = args.func(args)        # (config dict, seeds, outputs), or None
         if record is not None:
             write_run_manifest(args, *record, started)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,7 +19,7 @@ PCM16_SCALE = 32768.0
 
 
 class ManifestError(ValueError):
-    """Raised for malformed or inconsistent manifest and label files."""
+    """Raised for malformed or inconsistent manifest, label and WAV files."""
 
 
 @dataclass
@@ -88,16 +88,24 @@ class UtteranceRef:
 
 def read_wav(path) -> Waveform:
     path = Path(path)
-    with wave.open(str(path), "rb") as wav:
-        if wav.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
-        if wav.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
-        n = wav.getnframes()
-        raw = wav.readframes(n)
-        rate = wav.getframerate()
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM16_SCALE
-    return Waveform(samples, rate)
+    try:
+        with wave.open(str(path), "rb") as wav:
+            if wav.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
+            if wav.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
+            n = wav.getnframes()
+            raw = wav.readframes(n)
+            rate = wav.getframerate()
+    except (EOFError, OSError, wave.Error) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc) or "it ends inside its header"
+        raise ManifestError(f"{path}: cannot read it as a WAV file: {reason}") from None
+    if len(raw) != 2 * n:
+        raise ManifestError(f"{path}: data chunk cut short ({len(raw)} of {2 * n} bytes)")
+    try:
+        return Waveform(np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM16_SCALE, rate)
+    except ValueError as exc:           # no frames, or a sample rate of 0
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def write_wav(path, waveform: Waveform) -> None:
@@ -117,7 +125,7 @@ def write_wav(path, waveform: Waveform) -> None:
 def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
     """(`file:line`, object) for each non-blank line of a JSON Lines file.
     Every line must be a JSON object holding each of `keys`, the first of
-    which is an id no earlier line holds."""
+    which is a string id no earlier line holds."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{what} not found: {path}")
@@ -134,7 +142,9 @@ def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
                 raise ManifestError(f"{where}: malformed JSON ({exc.msg})") from exc
             if not isinstance(obj, dict) or any(key not in obj for key in keys):
                 raise ManifestError(f"{where}: expected an object with keys {list(keys)}")
-            uid = str(obj[keys[0]])
+            uid = obj[keys[0]]
+            if type(uid) is not str:
+                raise ManifestError(f"{where}: {keys[0]!r} must be a string, got {uid!r}")
             if uid in seen:
                 raise ManifestError(f"{where}: duplicate id {uid!r} "
                                     f"(first seen on line {seen[uid]})")
@@ -145,11 +155,14 @@ def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
 
 def load_manifest(path) -> list[UtteranceRef]:
     refs: list[UtteranceRef] = []
-    for _, obj in read_jsonl(path, ("id", "audio_path"), "manifest"):
+    for where, obj in read_jsonl(path, ("id", "audio_path"), "manifest"):
+        for key in ("audio_path", "speaker"):       # a speaker tag may be absent
+            if key in obj and type(obj[key]) is not str:
+                raise ManifestError(f"{where}: {key!r} must be a string, got {obj[key]!r}")
         audio_path = Path(obj["audio_path"])
         if not audio_path.is_absolute():
             audio_path = Path(path).parent / audio_path
-        refs.append(UtteranceRef(str(obj["id"]), audio_path, obj.get("speaker")))
+        refs.append(UtteranceRef(obj["id"], audio_path, obj.get("speaker")))
     return refs
 
 

@@ -293,11 +293,13 @@ def _block_backward(cache, dy, params, i, cfg, grads):
 
 
 def forward(frames: np.ndarray, mask: BatchMask, params: dict,
-            cfg: EncoderConfig) -> EncoderOutput:
+            cfg: EncoderConfig, for_backward: bool = True) -> EncoderOutput:
     """Project a (B, T, D) batch, replace the frames that `mask` marks with
     the learned mask embedding, run the transformer stack, and emit
     per-layer outputs plus content logits. layer_outputs[0] is the
     projected corrupted input; layer_outputs[j] is the output of block j.
+    Only with for_backward does the output keep the state backward reads
+    (its `cache`); a frozen pass holds at most one block's caches at a time.
     Non-finite activations out of a block raise NonFiniteActivations naming
     the block and the batch rows."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -331,19 +333,16 @@ def forward(frames: np.ndarray, mask: BatchMask, params: dict,
             finite = np.isfinite(h).reshape(batch, -1).all(axis=1)
             if not finite.all():
                 raise NonFiniteActivations(i, np.flatnonzero(~finite).tolist())
-            block_caches.append(cache)
+            if for_backward:
+                block_caches.append(cache)
+            del cache
             layer_outputs.append(per_utterance(h))
     final, c_final = layer_norm_forward(h, params["final_ln/g"], params["final_ln/b"])
     logits = final @ params["head/W"]
     logits += params["head/b"]
-    cache = {
-        "features": feats,
-        "blocks": block_caches,
-        "final_ln": c_final,
-        "final": final,
-    }
-    return EncoderOutput(layer_outputs[cfg.tap_layer], per_utterance(final),
-                         per_utterance(logits), mask, layer_outputs, cache)
+    cache = {"features": feats, "blocks": block_caches, "final_ln": c_final}
+    return EncoderOutput(layer_outputs[cfg.tap_layer], per_utterance(final), per_utterance(logits),
+                         mask, layer_outputs, cache if for_backward else {})
 
 
 def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
@@ -356,7 +355,7 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
     if dtap is not None:
         dtap = np.reshape(dtap, (n, cfg.model_dim))
 
-    dh, dwh, dbh = linear_backward(cache["final"], params["head/W"],
+    dh, dwh, dbh = linear_backward(output.final.reshape(n, -1), params["head/W"],
                                    np.reshape(dlogits, (n, -1)))
     grads["head/W"] += dwh
     grads["head/b"] += dbh

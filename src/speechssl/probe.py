@@ -31,8 +31,7 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
     Yields (utterances, EncoderOutput); output row i is the B=1 forward of
     utterances[i] bit for bit. The output's mask is empty unless `mask_seed`
     is set; then corpus index b's mask is drawn from derive_seed(mask_seed,
-    "eval-mask", b). Backward caches are emptied before each yield, so a
-    caller still holding the previous chunk holds only its outputs."""
+    "eval-mask", b). The forward keeps no backward state."""
     config, cfg = checkpoint.config, checkpoint.config.encoder
     if num_layers is not None:
         cfg = replace(cfg, num_layers=num_layers, tap_layer=min(cfg.tap_layer, num_layers))
@@ -45,9 +44,8 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
             t = features.shape[1]
             mask = BatchMask.from_indices([[] if mask_seed is None else sample_mask(
                 t, cfg, derive_seed(mask_seed, "eval-mask", b)) for b in indices], t)
-            out = forward(features, mask, checkpoint.params, cfg)
-            out.cache.clear()
-            yield list(chunk), out
+            yield list(chunk), forward(features, mask, checkpoint.params, cfg,
+                                       for_backward=False)
 
 
 def utterance_means(checkpoint, corpus):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_jsonl
+from .corpus import ManifestError, read_jsonl
 from .dsp import FeatureSequence
 from .numerics import rng_from
 from .probe import encode_corpus
@@ -288,10 +288,14 @@ def save_labels(path, labeled: dict[str, PseudoLabelSequence]) -> None:
 def load_labels(path) -> dict[str, PseudoLabelSequence]:
     out: dict[str, PseudoLabelSequence] = {}
     for where, obj in read_jsonl(path, ("id", "k", "source", "labels"), "labels file"):
+        k, source, labels = obj["k"], obj["source"], obj["labels"]
+        if (type(k) is not int or type(source) is not str or type(labels) is not list
+                or any(type(v) is not int for v in labels)):
+            raise ManifestError(f"{where}: expected an integer 'k', a string 'source' and "
+                                "a list of integer 'labels'")
         try:
-            out[str(obj["id"])] = PseudoLabelSequence(
-                np.asarray(obj["labels"], dtype=np.int64), obj["k"], obj["source"])
-        except (TypeError, ValueError) as exc:
+            out[obj["id"]] = PseudoLabelSequence(np.asarray(labels, dtype=np.int64), k, source)
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from exc
     return out
 

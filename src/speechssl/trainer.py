@@ -56,8 +56,8 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-# v6 joins each block's Wq, Wk, Wv into one attn/Wqkv: a v5 blob has as many floats
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v6"
+# v7 saves the last codebook usage; v6 joined Wq, Wk, Wv (a v5 blob has as many floats)
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v7"
 # HuBERT's Adam (arXiv 2106.07447)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-6
 # a finite-difference gradient check passes below this max relative error
@@ -167,8 +167,8 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 @dataclass
 class TrainState:
     """Everything a run carries from step to step, and what a checkpoint
-    saves: the config, parameters, Adam moments and the metrics row of
-    every step so far (1..step). Parameters and moments are FlatArrays."""
+    saves: the config, parameters, Adam moments, the metrics rows of steps
+    1..step and the last step's usage. Parameters and moments are FlatArrays."""
 
     config: TrainConfig
     params: FlatArrays
@@ -236,7 +236,7 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
     evaluate this one function; training quantizes with hard
     (straight-through) selection, the check with soft (hard=False)."""
     enc_cfg = config.encoder
-    out = forward(features, mask, params, enc_cfg)
+    out = forward(features, mask, params, enc_cfg, for_backward=grads)
     if config.speaker_loss:
         latent = out.tap.reshape(-1, enc_cfg.model_dim)[mask.rows]
         qout = quantize(latent, params, config.quantizer, tau, noise, hard=hard)
@@ -441,6 +441,7 @@ def save_checkpoint(stem, state: TrainState) -> None:
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "metrics": state.metrics,
+        "usage": None if state.last_usage is None else state.last_usage.tolist(),
     }
     _write_atomic(stem.with_suffix(".bin"), blob)
     _write_atomic(stem.with_suffix(".json"), (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
@@ -482,6 +483,13 @@ def load_checkpoint(stem) -> TrainState:
         if sorted(row) != row_keys or any(type(v) not in (int, float) for v in row.values()):
             raise ValueError(f"the metrics row of step {row['step']} in {stem}.json must map "
                              f"each of {row_keys} to a number, got {row}")
+    usage = meta.get("usage", "absent")
+    g, v = config.quantizer.num_codebooks, config.quantizer.num_entries
+    if usage is not None and not (type(usage) is list and len(usage) == g and all(
+            type(row) is list and len(row) == v
+            and all(type(x) in (int, float) and math.isfinite(x) for x in row) for row in usage)):
+        raise ValueError(f"the 'usage' entry of {stem}.json must be null or a {g} x {v} list "
+                         "(quantizer.num_codebooks x num_entries) of finite numbers")
     state = init_state(config)
     n = state.params.flat.size
     if len(raw) != 3 * 8 * n:
@@ -491,6 +499,7 @@ def load_checkpoint(stem) -> TrainState:
     for i, group in enumerate((state.params, state.adam_m, state.adam_v)):
         group.flat[...] = blob[i * n : (i + 1) * n]
     state.step, state.metrics = step, metrics
+    state.last_usage = None if usage is None else np.array(usage, dtype=np.float64)
     return state
 
 

@@ -373,6 +373,124 @@ def test_audio_shorter_than_a_window_or_missing_exits_1(pipeline, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def _manifest_rows(pipeline):
+    """The pipeline manifest's rows, with absolute audio paths."""
+    rows = [json.loads(l) for l in (pipeline / "corpus/manifest.jsonl").read_text().splitlines()]
+    for row in rows:
+        row["audio_path"] = str(pipeline / "corpus" / row["audio_path"])
+    return rows
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
+def _bad_wav(write):
+    """The fourth manifest row points at a WAV that `write(path, good_bytes)` makes."""
+    def corrupt(pipeline, tmp_path):
+        bad = tmp_path / "bad.wav"
+        write(bad, (pipeline / "corpus/wavs/spk01_utt000.wav").read_bytes())
+        rows = _manifest_rows(pipeline)
+        rows[3]["audio_path"] = str(bad)
+        return {"manifest": _write_jsonl(tmp_path / "bad.jsonl", rows)}, str(bad)
+    return corrupt
+
+
+def _bad_manifest_row(key, value):
+    def corrupt(pipeline, tmp_path):
+        rows = _manifest_rows(pipeline)
+        rows[0][key] = value
+        path = _write_jsonl(tmp_path / "bad.jsonl", rows)
+        return {"manifest": path}, f"{path}:1"
+    return corrupt
+
+
+def _bad_label_row(edit):
+    def corrupt(pipeline, tmp_path):
+        rows = [json.loads(l) for l in (pipeline / "cluster/labels.jsonl").read_text().splitlines()]
+        edit(rows[0])
+        path = _write_jsonl(tmp_path / "bad_labels.jsonl", rows)
+        return {"labels": path}, f"{path}:1: expected an integer 'k', a string 'source'"
+    return corrupt
+
+
+def _out_is_a_file(pipeline, tmp_path):
+    (tmp_path / "out").write_text("not a directory\n")
+    return {}, str(tmp_path / "out")
+
+
+def _out_under_a_file(pipeline, tmp_path):
+    (tmp_path / "file").write_text("not a directory\n")
+    return {"out": tmp_path / "file/out"}, str(tmp_path / "file/out")
+
+
+def _manifest_is_a_directory(pipeline, tmp_path):
+    (tmp_path / "manifest.jsonl").mkdir()
+    return {"manifest": tmp_path / "manifest.jsonl"}, str(tmp_path / "manifest.jsonl")
+
+
+CORRUPTIONS = {
+    "wav-empty": _bad_wav(lambda path, good: path.write_bytes(b"")),
+    "wav-header-cut": _bad_wav(lambda path, good: path.write_bytes(good[:20])),
+    "wav-random-bytes": _bad_wav(
+        lambda path, good: path.write_bytes(np.random.default_rng(0).bytes(len(good)))),
+    "wav-directory": _bad_wav(lambda path, good: path.mkdir()),
+    "wav-data-cut": _bad_wav(lambda path, good: path.write_bytes(good[:-101])),
+    # a well-formed header over an empty data chunk
+    "wav-no-frames": _bad_wav(lambda path, good: path.write_bytes(
+        good[:40] + (0).to_bytes(4, "little"))),
+    "manifest-int-speaker": _bad_manifest_row("speaker", 5),
+    "manifest-int-id": _bad_manifest_row("id", 5),
+    "manifest-int-audio-path": _bad_manifest_row("audio_path", 5),
+    "labels-int-source": _bad_label_row(lambda row: row.update(source=5)),
+    "labels-string-k": _bad_label_row(lambda row: row.update(k="16")),
+    "labels-fraction": _bad_label_row(lambda row: row["labels"].__setitem__(0, 1.5)),
+    "out-is-a-file": _out_is_a_file,
+    "out-under-a-file": _out_under_a_file,
+    "manifest-directory": _manifest_is_a_directory,
+}
+
+
+def _command(name, pipeline, manifest, labels):
+    checkpoint = ["--checkpoint", str(pipeline / "run/checkpoint_final")]
+    return {
+        "mfcc": ["mfcc", "--manifest", manifest],
+        "probe": ["probe", *checkpoint, "--manifest", manifest],
+        "recluster": ["recluster", *checkpoint, "--manifest", manifest],
+        "pretrain": ["pretrain", "--manifest", manifest, "--labels", labels, "--steps", "2",
+                     *TINY_MODEL_SETS],
+        "cluster": ["cluster", "--features", str(pipeline / "features")],
+        "synth": ["synth", "--num-speakers", "2", "--utts-per-speaker", "2",
+                  "--duration", "0.05"],
+    }[name]
+
+
+# one row per (corruption, command): a later refusal adds a row here
+@pytest.mark.parametrize("corruption, command", [
+    ("wav-empty", "mfcc"), ("wav-header-cut", "mfcc"), ("wav-random-bytes", "mfcc"),
+    ("wav-directory", "mfcc"), ("wav-data-cut", "mfcc"), ("wav-data-cut", "pretrain"),
+    ("wav-no-frames", "mfcc"),
+    ("wav-random-bytes", "recluster"), ("wav-empty", "probe"),
+    ("manifest-int-speaker", "probe"), ("manifest-int-id", "mfcc"),
+    ("manifest-int-audio-path", "mfcc"), ("labels-int-source", "pretrain"),
+    ("labels-string-k", "pretrain"), ("labels-fraction", "pretrain"),
+    ("out-is-a-file", "probe"), ("out-is-a-file", "cluster"), ("out-is-a-file", "synth"),
+    ("out-under-a-file", "synth"), ("manifest-directory", "mfcc"),
+], ids=lambda value: value)
+def test_corrupt_input_is_one_error_line(pipeline, tmp_path, capsys, corruption, command):
+    inputs, named = CORRUPTIONS[corruption](pipeline, tmp_path)
+    manifest = str(inputs.get("manifest", pipeline / "corpus/manifest.jsonl"))
+    labels = str(inputs.get("labels", pipeline / "cluster/labels.jsonl"))
+    out = inputs.get("out", tmp_path / "out")
+    before = out.read_bytes() if out.is_file() else None
+    code = main([*_command(command, pipeline, manifest, labels), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (1, 2) and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
+    assert out.read_bytes() == before if before is not None else not out.exists()
+
+
 def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):
     manifest = str(pipeline / "corpus/manifest.jsonl")
     assert main(["mfcc", "--manifest", manifest, "--out", str(tmp_path), "--hop", "200"]) == 2
@@ -471,6 +589,19 @@ def test_pipeline_resume_matches(pipeline, tmp_path):
         split / "metrics.jsonl").read_bytes()
     assert (straight / "checkpoint_final.bin").read_bytes() == (
         split / "checkpoint_final.bin").read_bytes()
+
+
+def test_resuming_a_finished_run_rewrites_its_directory(pipeline, tmp_path):
+    inputs = ["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+              "--labels", str(pipeline / "cluster/labels.jsonl")]
+    done, again = tmp_path / "done", tmp_path / "again"
+    assert main([*inputs, "--steps", "2", *TINY_MODEL_SETS, "--out", str(done)]) == 0
+    assert main([*inputs, "--out", str(again), "--resume", str(done / "checkpoint_final")]) == 0
+    names = sorted(path.name for path in done.iterdir())
+    assert "usage.json" in names and names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        if name != "run_manifest.json":     # its wall time and inputs differ
+            assert (again / name).read_bytes() == (done / name).read_bytes(), name
 
 
 def test_pipeline_resume_refuses_bad_checkpoint(pipeline, tmp_path, capsys):
@@ -629,7 +760,7 @@ def test_v5_checkpoint_exits_1(pipeline, tmp_path, capsys):
         assert main([*command, *manifest, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert (f"unrecognized checkpoint format 'speechssl-checkpoint-v5' in {stem}.json; "
-                "this version reads 'speechssl-checkpoint-v6'") in err
+                "this version reads 'speechssl-checkpoint-v7'") in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 

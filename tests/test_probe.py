@@ -107,6 +107,34 @@ class TestEncodeCorpus:
             assert np.array_equal(out.layer_outputs[layer], whole.layer_outputs[layer])
             assert np.array_equal(out.tap, whole.layer_outputs[min(layer, 1)])
 
+    def test_frozen_chunk_peaks_under_half_a_backward_forward(self):
+        # the same 8-utterance batch at the default config: a frozen chunk
+        # (MFCC and forward) against a forward that keeps its backward state
+        import tracemalloc
+
+        from speechssl.corpus import synth_corpus
+        from speechssl.dsp import mfcc_batch
+        from speechssl.trainer import TrainConfig, init_state
+
+        state = init_state(TrainConfig())
+        config = state.config
+        corpus = synth_corpus(8, 1, duration=config.utterance_length / 16000, seed=0)
+        features = mfcc_batch([u.waveform for u in corpus], config.mfcc)
+        mask = BatchMask.from_indices([[]] * len(corpus), features.shape[1])
+
+        def peak(run):
+            run()                       # warm: the first GELU imports scipy
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        frozen = peak(lambda: next(encode_corpus(state, corpus)))
+        kept = peak(lambda: forward(features, mask, state.params, config.encoder))
+        assert frozen < kept / 2, (frozen, kept)
+
     def test_one_forward_per_chunk(self, monkeypatch):
         from speechssl.corpus import synth_corpus
         from speechssl.trainer import init_state

@@ -465,11 +465,18 @@ class TestCheckpoint:
         (lambda meta: meta.update(step=2), "'metrics' entry .* steps 1..2"),
         (lambda meta: meta["metrics"][0].pop("total"), "metrics row of step 1 .*'total'"),
         (lambda meta: meta["metrics"][0].update(total="x"), "metrics row of step 1 .* number"),
+        (lambda meta: meta.pop("usage"), "'usage' entry .* null or a 2 x 8 list"),
+        (lambda meta: meta["usage"].pop(), "'usage' entry .* null or a 2 x 8 list"),
+        (lambda meta: meta["usage"][1].append(0.5), "'usage' entry .* null or a 2 x 8 list"),
+        (lambda meta: meta["usage"][0].__setitem__(3, float("nan")), "'usage' .* finite"),
+        (lambda meta: meta["usage"][0].__setitem__(3, "0.5"), "'usage' .* finite numbers"),
+        (lambda meta: meta.update(usage=0.5), "'usage' entry .* null or a 2 x 8 list"),
     ], ids=["no-step", "no-metrics", "no-config", "unknown-key", "unknown-nested-key",
             "scalar-section", "zero-heads", "float-steps", "string-speaker-loss",
             "float-seed", "float-batch-size", "float-tap-layer", "string-step", "float-step",
             "negative-step", "object-metrics", "metrics-not-rows", "step-past-rows",
-            "row-without-total", "string-total"])
+            "row-without-total", "string-total", "no-usage", "usage-one-codebook",
+            "usage-long-row", "usage-nan", "usage-string", "usage-scalar"])
     def test_bad_metadata_rejected(self, two_checkpoints, edit, expected):
         stem, _ = two_checkpoints               # at step 1 of 2
         meta = json.loads(stem.with_suffix(".json").read_text())
@@ -488,8 +495,32 @@ class TestCheckpoint:
         assert meta["blob_bytes"] == 3 * 8 * init_state(
             TrainConfig.from_dict(meta["config"])).params.flat.size
         with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v5' in .*; this "
-                                             "version reads 'speechssl-checkpoint-v6'"):
+                                             "version reads 'speechssl-checkpoint-v7'"):
             load_checkpoint(stem)
+
+    def test_v6_checkpoint_rejected(self, two_checkpoints):
+        # v6 did not save the last step's codebook usage
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        meta["format"] = "speechssl-checkpoint-v6"
+        del meta["usage"]
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v6' in .*; this "
+                                             "version reads 'speechssl-checkpoint-v7'"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("speaker_loss", [True, False])
+    def test_last_usage_round_trips(self, small_setup, tmp_path, speaker_loss):
+        config, corpus, labels = small_setup
+        config = dataclasses.replace(config, steps=1, speaker_loss=speaker_loss)
+        state = train(init_state(config), corpus, labels)
+        save_checkpoint(tmp_path / "ck", state)
+        back = load_checkpoint(tmp_path / "ck").last_usage
+        if speaker_loss:
+            assert back.shape == (2, 8) and back.dtype == np.float64
+            assert back.tobytes() == state.last_usage.tobytes()
+        else:
+            assert back is None and state.last_usage is None
 
     def test_config_round_trip(self):
         config = fast_config(steps=5)
@@ -553,6 +584,26 @@ class TestGradCheck:
         report = grad_check(config=config, num_coords=210)
         assert report.num_coords >= 200
         assert report.max_rel_error < 1e-4
+
+    def test_loss_only_objective_keeps_no_backward_state(self, monkeypatch):
+        config, outputs = tiny_config(0), []
+        real = trainer.forward
+
+        def spy(*args, **kwargs):
+            outputs.append(real(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((config.batch_size, 8, config.mfcc.dim))
+        labels = [PseudoLabelSequence(rng.integers(0, 4, 8), 4)] * config.batch_size
+        draws = trainer._draws(8, config.batch_size, config, 0)
+        for grads in (False, True):
+            trainer.objective(init_state(config).params, features, labels, *draws, 1.0,
+                              config, grads=grads, hard=False)
+        frozen, kept = (out.cache for out in outputs)
+        assert frozen == {}
+        assert len(kept["blocks"]) == config.encoder.num_layers
 
     def test_draws_noise_and_negatives_once(self, monkeypatch):
         calls = count_calls(monkeypatch, trainer, "gumbel_noise", "sample_negatives")
