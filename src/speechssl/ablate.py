@@ -6,7 +6,7 @@ by tap-layer speaker separability on clean and on overlapped audio.
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .corpus import synth_corpus
+from .corpus import SAMPLE_RATE, synth_corpus
 from .dsp import mfcc
 from .probe import loo_nearest_centroid_accuracy, overlapped_corpus, utterance_means
 from .pseudolabel import fit_labels
@@ -45,7 +45,7 @@ def desk_setup(config: TrainConfig, num_speakers: int = 8, utts_per_speaker: int
                seed: int = 0, restarts: int = 3) -> DeskSetup:
     """synth_corpus -> MFCC -> fit_labels -> overlapped_corpus, all at `seed`."""
     corpus = synth_corpus(num_speakers, utts_per_speaker,
-                          duration=config.utterance_length / 16000, seed=seed)
+                          duration=config.utterance_length / SAMPLE_RATE, seed=seed)
     frames = {u.id: mfcc(u.waveform, config.mfcc, meta=u.id).frames for u in corpus}
     _, labels = fit_labels(frames, config.encoder.num_classes, seed=seed, restarts=restarts)
     return DeskSetup(config, corpus, labels, overlapped_corpus(corpus, seed=seed))

@@ -21,9 +21,11 @@ from . import __version__
 from .ablate import desk_setup, run_grid
 from .augment import mix_batch, save_mixspecs, verify_spec
 from .corpus import (
+    SAMPLE_RATE,
     UtteranceRef,
     load_manifest,
     make_batch,
+    read_json,
     synth_corpus,
     write_manifest,
     write_wav,
@@ -91,11 +93,7 @@ def _merge(base: dict, extra: dict) -> dict:
 
 
 def build_train_config(args) -> TrainConfig:
-    data = {}
-    if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise UsageError(f"--config {args.config} must hold a JSON object")
+    data = read_json(args.config, "--config", UsageError) if args.config else {}
     for item in args.set or []:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -114,10 +112,13 @@ def build_train_config(args) -> TrainConfig:
 
 
 def load_corpus(manifest_path, mfcc_cfg: MfccConfig | None = None):
-    """Yield the manifest's utterances as they load; given the MFCC config
-    they will meet, refuse by name one shorter than its window."""
+    """Yield the manifest's utterances as they load, refusing by name one not
+    at SAMPLE_RATE or, given the MFCC config they meet, shorter than its window."""
     for ref in load_manifest(manifest_path):
         utt = ref.load()
+        if utt.waveform.sample_rate != SAMPLE_RATE:
+            raise ValueError(f"utterance {utt.id!r} is sampled at {utt.waveform.sample_rate} "
+                             f"Hz, but the MFCC sample counts assume {SAMPLE_RATE} Hz")
         if mfcc_cfg is not None and len(utt.waveform) < mfcc_cfg.window:
             raise ValueError(f"utterance {utt.id!r} has {len(utt.waveform)} samples, "
                              f"shorter than one MFCC window ({mfcc_cfg.window})")
@@ -130,8 +131,7 @@ def load_corpus(manifest_path, mfcc_cfg: MfccConfig | None = None):
 
 def cmd_synth(args):
     corpus = synth_corpus(args.num_speakers, args.utts_per_speaker,
-                          duration=args.duration, sample_rate=args.sample_rate,
-                          seed=args.seed)
+                          duration=args.duration, seed=args.seed)
     out = Path(args.out)
     wav_dir = out / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)
@@ -144,7 +144,7 @@ def cmd_synth(args):
     manifest_path = out / "manifest.jsonl"
     write_manifest(manifest_path, refs)
     cfg = {"num_speakers": args.num_speakers, "utts_per_speaker": args.utts_per_speaker,
-           "duration": args.duration, "sample_rate": args.sample_rate}
+           "duration": args.duration, "sample_rate": SAMPLE_RATE}
     print(f"wrote {len(refs)} utterances to {wav_dir} (manifest: {manifest_path})")
     return cfg, {"seed": args.seed}, [manifest_path]
 
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-speakers", type=_int_at_least(1), default=8)
     p.add_argument("--utts-per-speaker", type=_int_at_least(1), default=16)
     p.add_argument("--duration", type=float, default=0.5)
-    p.add_argument("--sample-rate", type=_int_at_least(1), default=16000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

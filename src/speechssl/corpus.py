@@ -16,6 +16,7 @@ import numpy as np
 from .numerics import rng_from
 
 PCM16_SCALE = 32768.0
+SAMPLE_RATE = 16000     # the rate MfccConfig's window and hop sample counts assume
 
 
 class ManifestError(ValueError):
@@ -153,6 +154,17 @@ def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
     return rows
 
 
+def read_json(path, what: str, error=ManifestError) -> dict:
+    """The JSON object a file holds; else `error`, naming `what` and the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:           # malformed JSON, or bytes that are not UTF-8
+        raise error(f"{what} {path}: malformed JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return obj
+
+
 def load_manifest(path) -> list[UtteranceRef]:
     refs: list[UtteranceRef] = []
     for where, obj in read_jsonl(path, ("id", "audio_path"), "manifest"):
@@ -223,7 +235,6 @@ def synth_corpus(
     num_speakers: int,
     utts_per_speaker: int,
     duration: float = 0.5,
-    sample_rate: int = 16000,
     seed: int = 0,
     noise_std: float = 0.02,
 ) -> list[Utterance]:
@@ -235,11 +246,10 @@ def synth_corpus(
     """
     if num_speakers < 1 or utts_per_speaker < 1:
         raise ValueError("num_speakers and utts_per_speaker must be >= 1")
-    if not (0 < duration < np.inf and sample_rate > 0):
-        raise ValueError(f"duration and sample_rate must be positive and finite, "
-                         f"got duration={duration}, sample_rate={sample_rate}")
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    n = int(round(duration * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
     utterances = []
     for s in range(num_speakers):
         spk_rng = rng_from(seed, "speaker", s)
@@ -260,7 +270,7 @@ def synth_corpus(
             utterances.append(
                 Utterance(
                     id=f"spk{s:02d}_utt{u:03d}",
-                    waveform=Waveform(sig, sample_rate),
+                    waveform=Waveform(sig, SAMPLE_RATE),
                     speaker=f"spk{s:02d}",
                 )
             )

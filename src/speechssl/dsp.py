@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import ManifestError, read_json
+
 PREEMPHASIS, LOG_FLOOR = 0.97, 1e-10   # the log floors mel energies at LOG_FLOOR
 
 
@@ -207,10 +209,16 @@ def save_features(out_dir, uid: str, features: FeatureSequence) -> None:
 
 def load_features(out_dir, uid: str) -> FeatureSequence:
     path = Path(out_dir) / f"{uid}.json"
+    sidecar = read_json(path, "feature sidecar")
+    for key, kind in (("T", int), ("D", int), ("frame_rate", float)):  # an int is a float too
+        if type(sidecar.get(key)) not in (int, kind) or not 0 < sidecar[key] < np.inf:
+            raise ManifestError(f"feature sidecar {path}: {key!r} must be a positive "
+                                f"{kind.__name__}, got {sidecar.get(key)!r}")
+    t, d, raw = sidecar["T"], sidecar["D"], path.with_suffix(".f32").read_bytes()
     try:
-        sidecar = json.loads(path.read_text(encoding="utf-8"))
-        raw = np.frombuffer(path.with_suffix(".f32").read_bytes(), dtype="<f4")
-        frames = raw.astype(np.float64).reshape(sidecar["T"], sidecar["D"])
-        return FeatureSequence(frames, sidecar["frame_rate"], meta=sidecar["id"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot read feature sidecar {path}: {exc!r}") from exc
+        if len(raw) != 4 * t * d:
+            raise ValueError(f"{uid}.f32 holds {len(raw)} bytes, not 4 x T x D = {4 * t * d}")
+        return FeatureSequence(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t, d),
+                               sidecar["frame_rate"], meta=uid)
+    except ValueError as exc:           # a blob of another size, or a non-finite frame
+        raise ManifestError(f"feature sidecar {path}: {exc}") from None

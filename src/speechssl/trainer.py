@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import mix_batch
-from .corpus import Batch, make_batch
+from .corpus import Batch, make_batch, read_json
 from .dsp import MfccConfig, frame_count, mfcc_batch
 from .encoder import (
     BatchMask,
@@ -452,9 +452,7 @@ def load_checkpoint(stem) -> TrainState:
     and digest and the config's parameter count, and each metadata entry as
     it enters; a refusal raises ValueError naming the file and the entry."""
     stem = Path(stem)
-    meta = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
-    if not isinstance(meta, dict):
-        raise ValueError(f"{stem}.json is not a JSON object")
+    meta = read_json(stem.with_suffix(".json"), "checkpoint")
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {meta.get('format')!r} in "
                          f"{stem}.json; this version reads {CHECKPOINT_FORMAT!r}")
