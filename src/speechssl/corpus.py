@@ -125,18 +125,23 @@ def write_wav(path, waveform: Waveform) -> None:
 
 def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
     """(`file:line`, object) for each non-blank line of a JSON Lines file.
-    Every line must be a JSON object holding each of `keys`, the first of
-    which is a string id no earlier line holds."""
+    There must be at least one, and every line must be UTF-8 text holding
+    a JSON object with each of `keys`, the first of which is a string id no
+    earlier line holds."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{what} not found: {path}")
     rows, seen = [], {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ManifestError(f"{where}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+                                    f"at column {exc.start + 1}: {exc.reason})") from None
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -151,6 +156,8 @@ def read_jsonl(path, keys: tuple, what: str) -> list[tuple[str, dict]]:
                                     f"(first seen on line {seen[uid]})")
             seen[uid] = lineno
             rows.append((where, obj))
+    if not rows:
+        raise ManifestError(f"{what} {path} holds no rows")
     return rows
 
 

@@ -1,8 +1,8 @@
-"""Shared numerical kernels: stable softmax/sigmoid, seeded RNG derivation,
-the linear backward, forward/backward pairs for layer norm and GELU, and
-the one Adam update; plus FlatArrays, the container the train step keeps its parameters,
-moments and gradients in, and retain_freed_memory, the process's one
-setting of the C heap.
+"""Shared numerical kernels: stable softmax/sigmoid, erf, seeded RNG
+derivation, the linear backward, forward/backward pairs for layer norm and
+GELU, and the one Adam update; plus FlatArrays, the container the train
+step keeps its parameters, moments and gradients in, and
+retain_freed_memory, the process's one setting of the C heap.
 
 Everything runs in float64. Backward functions return gradients in the same
 shapes as their forward inputs; parameter gradients are returned, never
@@ -10,9 +10,9 @@ accumulated in place, so callers control reduction order. The elementwise
 kernels work in place on the arrays they create where they can. On batched
 activations every such array is large; retain_freed_memory keeps the
 memory they free in the C heap, so a warm train step reuses it instead of
-taking page faults on fresh pages. scipy.special serves only gelu_forward's
-erf and sigmoid's expit and is imported at their first call, so the
-commands that never run the encoder or the contrastive loss never load it.
+taking page faults on fresh pages. The kernels need NumPy alone: erf (for
+gelu_forward) is Cephes' rational approximation written in NumPy, and
+sigmoid is computed from exp(-|x|), so it cannot overflow.
 """
 
 import ctypes
@@ -149,8 +149,9 @@ def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> n
 
 
 def sigmoid(x):
-    from scipy.special import expit
-    return expit(x)
+    """1 / (1 + exp(-x)), computed from exp(-|x|) so that no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(x):
@@ -222,12 +223,59 @@ def layer_norm_backward(cache, dy):
 # GELU (exact erf form; the erf form keeps finite-difference checks tight)
 
 
+# Cephes (Moshier) rational forms: erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
+# erf(x) = 1 - exp(-x^2) P(x) / Q(x) for 1 < x < 8; coefficients highest
+# power first, U and Q with their leading 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(6) < 2.2e-17, under half an ulp of 1, so erf rounds to +-1 from here on
+_ERF_SATURATES = 6.0
+
+
+def _polynomial(x, coefs):
+    """coefs[0] x^n + ... + coefs[n] by Horner's rule, in one new array."""
+    y = x * coefs[0]
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x):
+    """The error function, elementwise in float64, within an ulp of Cephes'
+    erf. The |x| <= 1 form runs on every element and the erfc form then
+    overwrites only the elements beyond 1, since in GELU those are the few
+    (gathering both branches by index is slower). NaN stays NaN."""
+    x = np.asarray(x, dtype=np.float64, order="C")
+    flat = x.reshape(-1)                # a view, as x is C-contiguous
+    with np.errstate(over="ignore", invalid="ignore"):     # inf or huge x: overwritten below
+        z = flat * flat
+        y = _polynomial(z, _ERF_T)
+        y *= flat
+        y /= _polynomial(z, _ERF_U)
+    beyond = np.flatnonzero(z > 1.0)    # |x| > 1; false at NaN
+    xb = flat[beyond]
+    a = np.minimum(np.abs(xb), _ERF_SATURATES)
+    tail = np.exp(a * -a)
+    tail *= _polynomial(a, _ERFC_P)
+    tail /= _polynomial(a, _ERFC_Q)     # erfc(a)
+    y[beyond] = np.copysign(1.0 - tail, xb)
+    return y.reshape(x.shape)
+
+
 def gelu_forward(x):
     """Returns (y, cache); the cache keeps x and its normal CDF, so that
     gelu_backward needs no second erf."""
-    from scipy.special import erf
-    cdf = x / SQRT_2
-    erf(cdf, out=cdf)
+    cdf = erf(x / SQRT_2)
     cdf += 1.0
     cdf *= 0.5                          # 0.5 * (1 + erf(x / sqrt 2))
     cache = (x, cdf)

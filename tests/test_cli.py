@@ -386,6 +386,22 @@ def _bad_label_row(edit, named="expected an integer 'k', a string 'source'"):
     return corrupt
 
 
+def _edited_jsonl(key, edit, named):
+    """A copy of the pipeline's manifest or labels file (`key`) whose bytes
+    `edit` rewrites; `named` is formatted with the copy's path."""
+    def corrupt(pipeline, tmp_path):
+        source = {"manifest": "corpus/manifest.jsonl", "labels": "cluster/labels.jsonl"}[key]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(edit((pipeline / source).read_bytes()))
+        return {key: path}, named.format(path=path)
+    return corrupt
+
+
+def _not_utf8(data):
+    # a 0xff byte opens the first row's id: both files' rows start {"id": "
+    return data.replace(b'{"id": "', b'{"id": "\xff', 1)
+
+
 def _bad_features(edit, named):
     """A copy of the pipeline's features in which `edit(stem)` corrupts
     spk02_utt002; `named` is formatted with its sidecar's path."""
@@ -474,6 +490,16 @@ CORRUPTIONS = {
         lambda row: row.pop("speaker"),
         "error: utterance 'spk00_utt000' carries no speaker tag\n"),
     "manifest-directory": _manifest_is_a_directory,
+    "manifest-empty": _edited_jsonl("manifest", lambda data: b"",
+                                    "error: manifest {path} holds no rows\n"),
+    "manifest-not-utf8": _edited_jsonl(
+        "manifest", _not_utf8,
+        "error: {path}:1: not UTF-8 text (byte 0xff at column 9: invalid start byte)\n"),
+    "labels-empty": _edited_jsonl("labels", lambda data: b"",
+                                  "error: labels file {path} holds no rows\n"),
+    "labels-not-utf8": _edited_jsonl(
+        "labels", _not_utf8,
+        "error: {path}:1: not UTF-8 text (byte 0xff at column 9: invalid start byte)\n"),
     "labels-int-source": _bad_label_row(lambda row: row.update(source=5)),
     "labels-string-k": _bad_label_row(lambda row: row.update(k="16")),
     "labels-fraction": _bad_label_row(lambda row: row["labels"].__setitem__(0, 1.5)),
@@ -568,6 +594,7 @@ def _command(name, pipeline, inputs):
     checkpoint = str(inputs.get("checkpoint", pipeline / "run/checkpoint_final"))
     return {
         "mfcc": ["mfcc", "--manifest", manifest],
+        "mix": ["mix", "--manifest", manifest],
         "probe": ["probe", "--checkpoint", checkpoint, "--manifest", manifest],
         "recluster": ["recluster", "--checkpoint", checkpoint, "--manifest", manifest],
         "pretrain": ["pretrain", "--manifest", manifest, "--labels", labels, "--steps", "2",
@@ -590,7 +617,8 @@ def _command(name, pipeline, inputs):
     ("wav-8khz", "mfcc"), ("wav-8khz", "pretrain"),
     ("manifest-int-speaker", "probe"), ("manifest-int-id", "mfcc"),
     ("manifest-int-audio-path", "mfcc"), ("manifest-untagged", "probe"),
-    ("manifest-directory", "mfcc"),
+    ("manifest-directory", "mfcc"), ("manifest-empty", "mfcc"), ("manifest-empty", "mix"),
+    ("manifest-not-utf8", "mfcc"), ("labels-empty", "pretrain"), ("labels-not-utf8", "pretrain"),
     ("labels-int-source", "pretrain"), ("labels-string-k", "pretrain"),
     ("labels-fraction", "pretrain"), ("labels-no-k", "pretrain"),
     ("features-no-T", "cluster"), ("features-string-T", "cluster"),
@@ -844,36 +872,50 @@ def test_sweep_mix_bad_input_is_usage_error(tmp_path, capsys, flags, message):
     assert not out.exists()          # refused before anything is built or written
 
 
-STARTUP_CHILD = """
+NO_SCIPY_CHILD = """
+import json
 import sys
 
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from speechssl import cli, numerics
+refused = []
 
-out = sys.argv[2]
-for argv in (["synth", "--out", out + "/corpus", "--num-speakers", "2",
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            refused.append(name)
+            raise ImportError(f"this process refuses to import {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+sys.path.insert(0, sys.argv[1])
+from speechssl import cli
+
+out, tiny = sys.argv[2], json.loads(sys.argv[3])
+manifest, checkpoint = out + "/corpus/manifest.jsonl", out + "/run/checkpoint_final"
+for argv in (["synth", "--out", out + "/corpus", "--num-speakers", "3",
               "--utts-per-speaker", "3", "--duration", "0.1", "--seed", "0"],
-             ["mfcc", "--manifest", out + "/corpus/manifest.jsonl", "--out", out + "/features"],
+             ["mfcc", "--manifest", manifest, "--out", out + "/features"],
              ["cluster", "--features", out + "/features", "--out", out + "/cluster", "--k", "4"],
-             ["mix", "--manifest", out + "/corpus/manifest.jsonl", "--out", out + "/mixed"]):
+             ["mix", "--manifest", manifest, "--out", out + "/mixed"],
+             ["pretrain", "--manifest", manifest, "--labels", out + "/cluster/labels.jsonl",
+              "--out", out + "/run", "--steps", "2", *tiny],
+             ["probe", "--checkpoint", checkpoint, "--manifest", manifest,
+              "--out", out + "/probe", "--probe-steps", "5"],
+             ["recluster", "--checkpoint", checkpoint, "--manifest", manifest,
+              "--out", out + "/recluster", "--k", "4"],
+             ["gradcheck", "--coords", "5"]):
     assert cli.main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
-
-x = np.linspace(-6.0, 6.0, 97)
-gelu, _ = numerics.gelu_forward(x)
-sigmoid = numerics.sigmoid(x)
-assert "scipy.special" in sys.modules
-import scipy.special
-assert np.array_equal(gelu, x * (0.5 * (1.0 + scipy.special.erf(x / np.sqrt(2.0)))))
-assert np.array_equal(sigmoid, scipy.special.expit(x))
+assert not loaded and not refused, (loaded, refused)
 """
 
 
-def test_commands_without_encoder_never_load_scipy(tmp_path):
-    # a fresh interpreter: this one has loaded scipy through other tests
+def test_no_command_loads_scipy(tmp_path):
+    # a fresh interpreter that cannot import scipy: this one has loaded it
+    # through the tests that use it as an oracle
     src = str(Path(speechssl.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, src, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, src, str(tmp_path),
+                           json.dumps(TINY_MODEL_SETS)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -64,8 +64,9 @@ class TestWavIO:
 class TestManifest:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        path.write_text("")
-        assert load_manifest(path) == []
+        path.write_text("\n \n")
+        with pytest.raises(ManifestError, match=f"^manifest {path} holds no rows$"):
+            load_manifest(path)
 
     def test_two_lines_in_order(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -1,12 +1,17 @@
+import math
 import os
+import warnings
 
 import numpy as np
+import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechssl.numerics import (
     FlatArrays,
     derive_seed,
+    erf,
     gelu_backward,
     gelu_forward,
     layer_norm_backward,
@@ -15,9 +20,24 @@ from speechssl.numerics import (
     log_sigmoid,
     one_hot,
     retain_freed_memory,
+    sigmoid,
     softmax,
     softmax_backward,
 )
+
+
+def ulps(got, want):
+    """|got - want| in units of the last place of the larger magnitude."""
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+
+# a dense grid over erf's whole range and beyond, seeded draws at the scale
+# of GELU inputs and the points around +-1, where erf switches forms; none
+# is 0, where an ulp is subnormal
+_ONE = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+ERF_POINTS = np.concatenate([np.linspace(-7.0, 7.0, 200_002),
+                             np.random.default_rng(0).standard_normal(10**5) * 2.5,
+                             _ONE, -_ONE])
 
 
 class TestDeriveSeed:
@@ -74,6 +94,53 @@ class TestLogSigmoid:
         x = np.linspace(-20, 20, 41)
         naive = np.log(1.0 / (1.0 + np.exp(-x)))
         assert np.max(np.abs(log_sigmoid(x) - naive)) < 1e-12
+
+
+class TestSigmoid:
+    def test_within_4_ulp_of_scipy_expit(self):
+        x = np.linspace(-40.0, 40.0, 80_001)
+        assert ulps(sigmoid(x), scipy.special.expit(x)).max() <= 4
+
+    def test_extremes_are_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-1000.0, 1000.0]))
+        assert np.array_equal(out, [0.0, 1.0])
+
+
+class TestErf:
+    def test_within_1_ulp_of_scipy(self):
+        assert ulps(erf(ERF_POINTS), scipy.special.erf(ERF_POINTS)).max() <= 1
+
+    def test_within_4_ulp_of_the_stdlib(self):
+        stdlib = np.array([math.erf(v) for v in ERF_POINTS])
+        assert ulps(erf(ERF_POINTS), stdlib).max() <= 4
+
+    def test_odd_exactly(self):
+        assert np.array_equal(erf(-ERF_POINTS), -erf(ERF_POINTS))
+
+    def test_non_decreasing(self):
+        grid = ERF_POINTS[:200_002]
+        assert np.all(np.diff(erf(grid)) >= 0.0)
+
+    @pytest.mark.parametrize("x, want", [
+        (0.0, 0.0), (-0.0, -0.0), (np.inf, 1.0), (-np.inf, -1.0),
+        (6.0, 1.0), (-6.0, -1.0), (6.5, 1.0), (1e300, 1.0), (-1e300, -1.0),
+    ])
+    def test_special_values(self, x, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = erf(np.array([x]))[0]
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+    def test_nan_propagates(self):
+        out = erf(np.array([1.0, np.nan, -2.0]))
+        assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+
+    def test_any_shape_or_stride(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(4, 6).T     # both forms, not contiguous
+        assert np.array_equal(erf(x), erf(x.ravel()).reshape(6, 4))
+        assert erf(np.float64(2.0)) == erf(np.array([2.0]))[0] == scipy.special.erf(2.0)
 
 
 class TestLayerNorm:

@@ -123,7 +123,7 @@ class TestEncodeCorpus:
         mask = BatchMask.from_indices([[]] * len(corpus), features.shape[1])
 
         def peak(run):
-            run()                       # warm: the first GELU imports scipy
+            run()                       # warm: first-call set-up stays out of the peak
             tracemalloc.start()
             try:
                 run()
