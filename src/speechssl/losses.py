@@ -131,8 +131,10 @@ class ContrastiveResult:
 def sample_negatives(mask, num_negatives: int, seed: int):
     """(picks, with_replacement): row j of the (P, K) int64 `picks` holds
     `num_negatives` indices into the mask's rows, drawn uniformly from the
-    rows of utterances other than row j's (mask.rows[j] // mask.num_frames);
-    with_replacement is whether some utterance's pool was smaller than K."""
+    rows of utterances other than row j's (mask.rows[j] // mask.num_frames):
+    the first K of the row's own shuffle of that pool, all of an utterance's
+    rows shuffled in one call; with_replacement is whether some utterance's
+    pool was smaller than K, so that its rows drew with replacement."""
     owner = mask.rows // mask.num_frames
     picks = np.zeros((owner.size, num_negatives), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -144,10 +146,14 @@ def sample_negatives(mask, num_negatives: int, seed: int):
                 "no negatives available: batch has a single utterance; "
                 "set num_negatives=0 or use a batch of >= 2 utterances"
             )
-        replace = bool(others.size < num_negatives)
-        with_replacement |= replace
-        for j in np.flatnonzero(owner == b):
-            picks[j] = others[rng.choice(others.size, num_negatives, replace=replace)]
+        mine = np.flatnonzero(owner == b)
+        if others.size >= num_negatives:
+            order = rng.permuted(np.broadcast_to(np.arange(others.size), (mine.size, others.size)),
+                                 axis=1)
+            picks[mine] = others[order[:, :num_negatives]]
+        else:
+            picks[mine] = others[rng.integers(others.size, size=(mine.size, num_negatives))]
+            with_replacement = True
     if with_replacement:
         log.info("negative sampling fell back to replacement (pool smaller than K)")
     return picks, with_replacement
@@ -185,6 +191,9 @@ def contrastive_loss(taps, q, mask, weights: LossWeights, negatives) -> Contrast
         )
     neg_idx, _ = negatives          # (P, K) indices into the P rows anchors and q hold
     num_pos, k_neg = neg_idx.shape
+    if num_pos != len(anchors):
+        raise ValueError(f"negatives drawn for {num_pos} masked rows, but the mask has "
+                         f"{len(anchors)}")
 
     norm_a = np.maximum(np.linalg.norm(anchors, axis=1), NORM_FLOOR)
     norm_q = np.maximum(np.linalg.norm(q_all, axis=1), NORM_FLOOR)

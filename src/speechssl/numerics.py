@@ -12,7 +12,7 @@ activations every such array is large; retain_freed_memory keeps the
 memory they free in the C heap, so a warm train step reuses it instead of
 taking page faults on fresh pages. The kernels need NumPy alone: erf (for
 gelu_forward) is Cephes' rational approximation written in NumPy, and
-sigmoid is computed from exp(-|x|), so it cannot overflow.
+sigmoid and log_sigmoid are computed from exp(-|x|), so neither can overflow.
 """
 
 import ctypes
@@ -155,8 +155,8 @@ def sigmoid(x):
 
 
 def log_sigmoid(x):
-    """log(sigmoid(x)), stable for large negative x."""
-    return -np.logaddexp(0.0, -x)
+    """log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)), so that no exp overflows."""
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

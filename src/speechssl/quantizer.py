@@ -117,8 +117,8 @@ def quantize(latent: np.ndarray, params: dict, cfg: QuantizerConfig, tau: float,
     probs = gumbel_probs(logits, tau, noise)
     hard_indices = np.argmax(logits + noise, axis=-1)
     sel = one_hot(hard_indices, cfg.num_entries) if hard else probs
-    entries = np.einsum("fgv,gvd->fgd", sel, params["quant/codebook"])
-    concat = entries.reshape(f, cfg.num_codebooks * cfg.entry_dim)
+    entries = np.matmul(sel.transpose(1, 0, 2), params["quant/codebook"])     # (G, F, D)
+    concat = entries.transpose(1, 0, 2).reshape(f, cfg.num_codebooks * cfg.entry_dim)
     q = concat @ params["quant/proj_out/W"] + params["quant/proj_out/b"]
     cache = (latent, probs, sel, concat)
     return QuantizeOutput(q, probs, hard_indices, cache)
@@ -139,8 +139,9 @@ def quantize_backward(output: QuantizeOutput, params: dict, cfg: QuantizerConfig
     f = latent.shape[0]
     dconcat, dw_out, db_out = linear_backward(concat, params["quant/proj_out/W"], dq)
     dentries = dconcat.reshape(f, cfg.num_codebooks, cfg.entry_dim)
-    dcodebook = np.einsum("fgv,fgd->gvd", sel, dentries)
-    dsel = np.einsum("fgd,gvd->fgv", dentries, params["quant/codebook"])
+    dcodebook = np.matmul(sel.transpose(1, 2, 0), dentries.transpose(1, 0, 2))
+    dsel = np.matmul(dentries.transpose(1, 0, 2),
+                     params["quant/codebook"].transpose(0, 2, 1)).transpose(1, 0, 2)
     dprobs_total = dsel if dprobs is None else dsel + dprobs
     dlogits = softmax_backward(probs, dprobs_total) / tau
     dlogits_flat = dlogits.reshape(f, cfg.num_codebooks * cfg.num_entries)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,41 @@ class TestSampleNegatives:
             if pool[owner[j]] >= k:
                 assert np.unique(row).size == k
 
+    # unequal per-utterance counts: pools of 11, 9, 12 and 10 rows
+    UNEQUAL = BatchMask.from_indices([[0, 2, 5], [1, 2, 3, 4, 5], [3, 4], [0, 1, 2, 4]], 6)
+    DRAWS = 3000
+
+    def picks_over_seeds(self, mask, k):
+        return np.stack([sample_negatives(mask, k, seed)[0] for seed in range(self.DRAWS)])
+
+    def test_each_row_draws_uniformly_without_replacement(self):
+        mask, k = self.UNEQUAL, 4
+        owner = mask.rows // mask.num_frames
+        picks = self.picks_over_seeds(mask, k)            # (draws, P, K)
+        assert np.all(owner[picks] != owner[None, :, None])
+        assert np.all(np.diff(np.sort(picks, axis=-1), axis=-1) > 0)
+        # a Bonferroni-corrected 1e-3 level over the rows
+        for j in range(len(mask)):
+            pool = np.flatnonzero(owner != owner[j])
+            counts = np.bincount(picks[:, j].ravel(), minlength=len(mask))[pool]
+            assert counts.sum() == self.DRAWS * k
+            assert scipy.stats.chisquare(counts).pvalue > 1e-3 / len(mask), j
+
+    def test_small_pool_draws_uniformly_with_replacement(self):
+        # utterance 0's row has a pool of 3 rows for K = 5; utterance 1's
+        # rows have a pool of 1
+        mask = BatchMask.from_indices([[1], [0, 1, 2]], 3)
+        picks = self.picks_over_seeds(mask, 5)
+        assert sample_negatives(mask, 5, 0)[1]
+        assert np.all(picks[:, 1:] == 0)
+        row = picks[:, 0] - 1                              # pool rows 1, 2, 3 as 0, 1, 2
+        assert np.all((row >= 0) & (row < 3))
+        assert scipy.stats.chisquare(np.bincount(row.ravel(), minlength=3)).pvalue > 1e-3
+        # independent picks: each ordered pair of the first two, repeats
+        # included, is equally likely
+        pairs = np.bincount(row[:, 0] * 3 + row[:, 1], minlength=9)
+        assert scipy.stats.chisquare(pairs).pvalue > 1e-3
+
     def test_zero_negatives_is_an_empty_column(self):
         mask = BatchMask.from_indices([[0, 2], [1]], 3)
         picks, with_replacement = sample_negatives(mask, 0, 0)
@@ -238,6 +274,13 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="single utterance"):
             contrastive_loss(taps, q, mask, LossWeights(num_negatives=2),
                              sample_negatives(mask, 2, 0))
+
+    def test_negatives_of_another_mask_rejected(self):
+        taps, q, mask = self.aligned([(np.ones((2, 3)), np.ones((2, 3)))] * 2)
+        other = BatchMask.from_indices([[0], [0, 1]], 2)
+        with pytest.raises(ValueError, match="drawn for 3 masked rows, but the mask has 4"):
+            contrastive_loss(taps, q, mask, LossWeights(num_negatives=1),
+                             sample_negatives(other, 1, 0))
 
     def test_rescaling_latent_invariance(self):
         rng = np.random.default_rng(4)

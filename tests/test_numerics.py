@@ -95,6 +95,21 @@ class TestLogSigmoid:
         naive = np.log(1.0 / (1.0 + np.exp(-x)))
         assert np.max(np.abs(log_sigmoid(x) - naive)) < 1e-12
 
+    def test_within_4_ulp_of_scipy_log_expit(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80_001),
+                            np.random.default_rng(0).standard_normal(10**5) * 10.0])
+        assert ulps(log_sigmoid(x), scipy.special.log_expit(x)).max() <= 4
+
+    def test_minus_ln2_at_zero(self):
+        assert ulps(log_sigmoid(np.array([0.0])), -math.log(2.0))[0] <= 1
+
+    def test_extremes_are_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_sigmoid(np.array([-1000.0, 1000.0]))
+        assert np.isfinite(out).all()
+        assert out[0] == -1000.0 and out[1] == 0.0
+
 
 class TestSigmoid:
     def test_within_4_ulp_of_scipy_expit(self):

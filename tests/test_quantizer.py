@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechssl.numerics import softmax_backward
 from speechssl.quantizer import (
     QuantizerConfig,
     QuantizeOutput,
@@ -25,6 +26,11 @@ def make_quantizer(seed=0, **kwargs):
 def noise(seed, latent, cfg):
     """One utterance's Gumbel noise for its latent rows."""
     return gumbel_noise([seed], [len(latent)], cfg)
+
+
+def rel(a, b):
+    """max |a - b| relative to max |b|."""
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def longdouble_softmax_oracle(logits, noise, tau):
@@ -191,15 +197,47 @@ class TestQuantize:
             assert abs(an - fd) / max(abs(an) + abs(fd), 1e-8) < 1e-5
 
 
+class TestContractionOracle:
+    """The per-codebook matmuls against the gathered codebook rows (hard
+    mode) and against einsum contractions of the whole batch (soft mode)."""
+
+    def draw(self):
+        params, cfg = make_quantizer(seed=9, num_codebooks=3, num_entries=5, entry_dim=4)
+        rng = np.random.default_rng(23)
+        latent = rng.standard_normal((7, 6))
+        return params, cfg, latent, noise(2, latent, cfg), rng
+
+    def test_hard_concat_is_the_gathered_codebook_rows(self):
+        params, cfg, latent, gumbel, _ = self.draw()
+        out = quantize(latent, params, cfg, 1.0, gumbel, hard=True)
+        gathered = params["quant/codebook"][np.arange(cfg.num_codebooks), out.hard_indices]
+        assert np.array_equal(out.cache[3], gathered.reshape(len(latent), -1))
+
+    def test_soft_mode_matches_einsum(self):
+        params, cfg, latent, gumbel, rng = self.draw()
+        codebook = params["quant/codebook"]
+        out = quantize(latent, params, cfg, 0.6, gumbel, hard=False)
+        concat = np.einsum("fgv,gvd->fgd", out.probs, codebook).reshape(len(latent), -1)
+        q = concat @ params["quant/proj_out/W"] + params["quant/proj_out/b"]
+        assert rel(out.q, q) < 1e-13
+
+        dq = rng.standard_normal(q.shape)
+        dprobs = rng.standard_normal(out.probs.shape)
+        dlatent, grads = quantize_backward(out, params, cfg, 0.6, dq, dprobs)
+        dentries = (dq @ params["quant/proj_out/W"].T).reshape(len(latent), cfg.num_codebooks, -1)
+        assert rel(grads["quant/codebook"],
+                   np.einsum("fgv,fgd->gvd", out.probs, dentries)) < 1e-13
+        dsel = np.einsum("fgd,gvd->fgv", dentries, codebook)
+        dlogits = softmax_backward(out.probs, dsel + dprobs).reshape(len(latent), -1) / 0.6
+        assert rel(dlatent, dlogits @ params["quant/proj_in/W"].T) < 1e-13
+        assert rel(grads["quant/proj_in/W"], latent.T @ dlogits) < 1e-13
+
+
 class TestBatchedQuantize:
     """The masked rows of a whole batch go through quantize once, with each
     utterance's noise drawn from its own seed."""
 
     SEEDS = (11, 4, 29, 8)
-
-    @staticmethod
-    def rel(a, b):
-        return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
     @pytest.mark.parametrize("hard", [True, False], ids=["hard", "soft"])
     @pytest.mark.parametrize("counts", [(3, 7, 2, 5), (3, 7, 1, 5)], ids=["rows", "one-row"])
@@ -219,7 +257,7 @@ class TestBatchedQuantize:
             if 1 in counts and field != "hard_indices":
                 # numpy runs a one-row product as a matrix-vector BLAS call,
                 # whose sums may round differently from the matrix product's
-                assert self.rel(got, want) < 1e-14, field
+                assert rel(got, want) < 1e-14, field
             else:
                 assert np.array_equal(got, want), field
 
@@ -232,9 +270,9 @@ class TestBatchedQuantize:
             solo_dlatent.append(dlat)
             for key, grad in solo_grads.items():
                 summed[key] += grad
-        assert self.rel(dlatent, np.concatenate(solo_dlatent)) < 1e-12
+        assert rel(dlatent, np.concatenate(solo_dlatent)) < 1e-12
         for key in grads:
-            assert self.rel(grads[key], summed[key]) < 1e-12, key
+            assert rel(grads[key], summed[key]) < 1e-12, key
 
 
 class TestUsageStats:
