@@ -47,6 +47,7 @@ from .trainer import (
     init_state,
     load_checkpoint,
     mean_total_last_tenth,
+    tiny_config,
     train,
 )
 
@@ -260,6 +261,9 @@ def cmd_probe(args):
 
 
 def cmd_gradcheck(args):
+    size = init_state(tiny_config(args.seed)).params.flat.size
+    if args.coords > size:
+        raise ValueError(f"--coords {args.coords} exceeds the checked config's {size} parameters")
     report = grad_check(seed=args.seed, num_coords=args.coords)
     print(f"checked {report.num_coords} coordinates across "
           f"{len(report.per_group)} parameter groups")

@@ -178,6 +178,10 @@ def load_manifest(path) -> list[UtteranceRef]:
         for key in ("audio_path", "speaker"):       # a speaker tag may be absent
             if key in obj and type(obj[key]) is not str:
                 raise ManifestError(f"{where}: {key!r} must be a string, got {obj[key]!r}")
+        # commands write <--out>/<id>.<ext>, next to their run_manifest.json
+        if obj["id"] in ("", ".", "..", "run_manifest") or any(c in obj["id"] for c in "/\0"):
+            raise ManifestError(f"{where}: id {obj['id']!r} is not a plain file name "
+                                "(one path component, not '.', '..' or 'run_manifest')")
         audio_path = Path(obj["audio_path"])
         if not audio_path.is_absolute():
             audio_path = Path(path).parent / audio_path

@@ -349,11 +349,11 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
              dlogits: np.ndarray, dtap: np.ndarray | None, grads: dict) -> dict:
     """Accumulate into `grads` the parameter gradients for upstream
     gradients arriving at the content logits (B, T, C) and, unless dtap is
-    None, at the tap layer (B, T, d). Returns `grads`."""
+    None, at the tap layer's masked rows: (P, d), in the mask's row order.
+    Returns `grads`."""
     cache = output.cache
     n = output.num_frames
-    if dtap is not None:
-        dtap = np.reshape(dtap, (n, cfg.model_dim))
+    rows = output.mask.rows
 
     dh, dwh, dbh = linear_backward(output.final.reshape(n, -1), params["head/W"],
                                    np.reshape(dlogits, (n, -1)))
@@ -366,12 +366,11 @@ def backward(output: EncoderOutput, params: dict, cfg: EncoderConfig,
     # dh is a fresh buffer at every point dtap is added, so it adds in place
     for i in reversed(range(cfg.num_layers)):
         if dtap is not None and cfg.tap_layer == i + 1:
-            dh += dtap
+            dh[rows] += dtap
         dh = _block_backward(cache["blocks"][i], dh, params, i, cfg, grads)
     if dtap is not None and cfg.tap_layer == 0:
-        dh += dtap
+        dh[rows] += dtap
 
-    rows = output.mask.rows
     grads["mask_emb"] += dh[rows].sum(axis=0)
     dh[rows] = 0.0                      # masked rows never saw the projection
     grads["proj/W"] += cache["features"].T @ dh

@@ -125,35 +125,31 @@ def quantize(latent: np.ndarray, params: dict, cfg: QuantizerConfig, tau: float,
 
 
 def quantize_backward(output: QuantizeOutput, params: dict, cfg: QuantizerConfig, tau: float,
-                      dq: np.ndarray, dprobs: np.ndarray | None = None):
+                      dq: np.ndarray, dusage: np.ndarray, grads: dict) -> np.ndarray:
     """Backward through quantize, given the forward call's parameters and
-    temperature. `dq` is the gradient at the quantized vectors; `dprobs`
-    (optional) is extra gradient arriving directly at the selection
-    probabilities (the diversity objective injects one).
+    temperature. `dq` is the gradient at the quantized vectors and `dusage`
+    the (G, V) gradient at usage_stats(output), the rows' mean, which this
+    spreads over the F rows. Accumulates the quant/* gradients into `grads`
+    and returns dlatent.
 
     In hard mode the codebook gradient uses the argmax one-hot (the forward
     selection) while the path to the logits follows the soft probabilities.
-    Returns (dlatent, grads dict over quant/* keys).
     """
     latent, probs, sel, concat = output.cache
     f = latent.shape[0]
     dconcat, dw_out, db_out = linear_backward(concat, params["quant/proj_out/W"], dq)
     dentries = dconcat.reshape(f, cfg.num_codebooks, cfg.entry_dim)
-    dcodebook = np.matmul(sel.transpose(1, 2, 0), dentries.transpose(1, 0, 2))
+    grads["quant/codebook"] += np.matmul(sel.transpose(1, 2, 0), dentries.transpose(1, 0, 2))
     dsel = np.matmul(dentries.transpose(1, 0, 2),
                      params["quant/codebook"].transpose(0, 2, 1)).transpose(1, 0, 2)
-    dprobs_total = dsel if dprobs is None else dsel + dprobs
-    dlogits = softmax_backward(probs, dprobs_total) / tau
+    dlogits = softmax_backward(probs, dsel + dusage / f) / tau
     dlogits_flat = dlogits.reshape(f, cfg.num_codebooks * cfg.num_entries)
     dlatent, dw_in, db_in = linear_backward(latent, params["quant/proj_in/W"], dlogits_flat)
-    grads = {
-        "quant/proj_in/W": dw_in,
-        "quant/proj_in/b": db_in,
-        "quant/codebook": dcodebook,
-        "quant/proj_out/W": dw_out,
-        "quant/proj_out/b": db_out,
-    }
-    return dlatent, grads
+    grads["quant/proj_in/W"] += dw_in
+    grads["quant/proj_in/b"] += db_in
+    grads["quant/proj_out/W"] += dw_out
+    grads["quant/proj_out/b"] += db_out
+    return dlatent
 
 
 def usage_stats(output: QuantizeOutput) -> np.ndarray:

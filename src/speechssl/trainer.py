@@ -258,14 +258,9 @@ def objective(params: dict, features: np.ndarray, labels, mask: BatchMask,
     param_grads = zero_grads(params)
     dtap = None
     if config.speaker_loss:
-        dprobs = np.broadcast_to(config.weights.alpha * dp_bar / len(mask), qout.probs.shape)
-        dlatent, qgrads = quantize_backward(qout, params, config.quantizer, tau,
-                                           contr.dq, dprobs)
-        for key, grad in qgrads.items():
-            param_grads[key] += grad
-        dtap = np.zeros(out.tap.shape)
-        dlatent += contr.danchors
-        dtap.reshape(-1, enc_cfg.model_dim)[mask.rows] = dlatent
+        dtap = quantize_backward(qout, params, config.quantizer, tau, contr.dq,
+                                 config.weights.alpha * dp_bar, param_grads)
+        dtap += contr.danchors
     backward(out, params, enc_cfg, config.weights.beta * dlogits, dtap, param_grads)
     return ObjectiveResult(breakdown, param_grads, usage)
 

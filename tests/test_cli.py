@@ -368,12 +368,14 @@ def _bad_wav(write, named=None):
     return corrupt
 
 
-def _bad_manifest_row(edit, named=None):
+def _bad_manifest_row(edit, named="{path}:1"):
+    """The first manifest row as `edit` leaves it; `named` is formatted
+    with the manifest's path."""
     def corrupt(pipeline, tmp_path):
         rows = _manifest_rows(pipeline)
         edit(rows[0])
         path = _write_jsonl(tmp_path / "bad.jsonl", rows)
-        return {"manifest": path}, named or f"{path}:1"
+        return {"manifest": path}, named.format(path=path)
     return corrupt
 
 
@@ -489,6 +491,19 @@ CORRUPTIONS = {
     "manifest-untagged": _bad_manifest_row(
         lambda row: row.pop("speaker"),
         "error: utterance 'spk00_utt000' carries no speaker tag\n"),
+    # an id names the files a command writes under --out
+    "manifest-escaping-id": _bad_manifest_row(
+        lambda row: row.update(id="../../escaped"),
+        "error: {path}:1: id '../../escaped' is not a plain file name (one path component, "
+        "not '.', '..' or 'run_manifest')\n"),
+    "manifest-reserved-id": _bad_manifest_row(
+        lambda row: row.update(id="run_manifest"),
+        "error: {path}:1: id 'run_manifest' is not a plain file name (one path component, "
+        "not '.', '..' or 'run_manifest')\n"),
+    "manifest-nul-id": _bad_manifest_row(
+        lambda row: row.update(id="a\0b"),
+        "error: {path}:1: id 'a\\x00b' is not a plain file name (one path component, "
+        "not '.', '..' or 'run_manifest')\n"),
     "manifest-directory": _manifest_is_a_directory,
     "manifest-empty": _edited_jsonl("manifest", lambda data: b"",
                                     "error: manifest {path} holds no rows\n"),
@@ -555,6 +570,9 @@ CORRUPTIONS = {
                       named="error: --layer 3 exceeds the checkpoint's 2 blocks\n"),
     "layer-9": _flags("--layer", "9",
                       named="error: --layer 9 exceeds the checkpoint's 2 blocks\n"),
+    "coords-above-params": _flags(
+        "--coords", "100000",
+        named="error: --coords 100000 exceeds the checked config's 4492 parameters\n"),
     "duration-nan": _flags("--duration", "nan", named="duration must be positive and finite"),
     "duration-inf": _flags("--duration", "inf", named="duration must be positive and finite"),
     "duration-0": _flags("--duration", "0", named="duration must be positive and finite"),
@@ -603,6 +621,7 @@ def _command(name, pipeline, inputs):
         "cluster": ["cluster", "--features", str(inputs.get("features", pipeline / "features"))],
         "synth": ["synth", "--num-speakers", "2", "--utts-per-speaker", "2",
                   "--duration", "0.05"],
+        "gradcheck": ["gradcheck"],
     }[name] + inputs.get("flags", [])
 
 
@@ -617,6 +636,7 @@ def _command(name, pipeline, inputs):
     ("wav-8khz", "mfcc"), ("wav-8khz", "pretrain"),
     ("manifest-int-speaker", "probe"), ("manifest-int-id", "mfcc"),
     ("manifest-int-audio-path", "mfcc"), ("manifest-untagged", "probe"),
+    ("manifest-escaping-id", "mfcc"), ("manifest-reserved-id", "mix"), ("manifest-nul-id", "mfcc"),
     ("manifest-directory", "mfcc"), ("manifest-empty", "mfcc"), ("manifest-empty", "mix"),
     ("manifest-not-utf8", "mfcc"), ("labels-empty", "pretrain"), ("labels-not-utf8", "pretrain"),
     ("labels-int-source", "pretrain"), ("labels-string-k", "pretrain"),
@@ -631,6 +651,7 @@ def _command(name, pipeline, inputs):
       for command in ("resume", "probe", "recluster")],
     ("config-cut", "pretrain"), ("set-string-steps", "pretrain"),
     ("batch-above-corpus", "pretrain"), ("layer-3", "recluster"), ("layer-9", "recluster"),
+    ("coords-above-params", "gradcheck"),
     ("duration-nan", "synth"), ("duration-inf", "synth"), ("duration-0", "synth"),
     ("out-is-a-file", "probe"), ("out-is-a-file", "cluster"), ("out-is-a-file", "synth"),
     ("out-under-a-file", "synth"),
@@ -639,7 +660,8 @@ def test_corrupt_input_is_one_error_line(pipeline, tmp_path, capsys, corruption,
     inputs, named = CORRUPTIONS[corruption](pipeline, tmp_path)
     out = inputs.get("out", tmp_path / "out")
     before = out.read_bytes() if out.is_file() else None
-    code = main([*_command(command, pipeline, inputs), "--out", str(out)])
+    out_flag = [] if command == "gradcheck" else ["--out", str(out)]   # gradcheck writes none
+    code = main([*_command(command, pipeline, inputs), *out_flag])
     err = capsys.readouterr().err
     assert code == (2 if corruption in USAGE_ERRORS else 1) and "Traceback" not in err, err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
@@ -709,6 +731,12 @@ def test_pipeline_recluster(pipeline, tmp_path):
     labels = [json.loads(l) for l in (out / "labels.jsonl").read_text().splitlines()]
     assert all(l["source"] == "embedding:layer1" for l in labels)
     assert all(max(l["labels"]) < 4 for l in labels)
+    # iteration 2: the embedding labels train the next run
+    run = tmp_path / "run2"
+    assert main(["pretrain", "--manifest", str(pipeline / "corpus/manifest.jsonl"),
+                 "--labels", str(out / "labels.jsonl"), "--out", str(run), "--steps", "2",
+                 *TINY_MODEL_SETS]) == 0
+    assert len((run / "metrics.jsonl").read_text().splitlines()) == 2
 
 
 def test_pipeline_probe(pipeline, tmp_path, capsys):

@@ -98,6 +98,22 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize("uid", ["", ".", "..", "a/b", "/abs", "../x", "a\0b",
+                                     "run_manifest"])
+    def test_id_that_is_not_a_file_name_names_line(self, tmp_path, uid):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": "a", "audio_path": "a.wav"}) + "\n"
+                        + json.dumps({"id": uid, "audio_path": "b.wav"}) + "\n")
+        with pytest.raises(ManifestError, match=":2: id .* is not a plain file name"):
+            load_manifest(path)
+
+    def test_id_with_dots_or_spaces_loads(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        ids = ["...", "a.b", ".hidden", "run_manifest2", "x y"]
+        path.write_text("".join(json.dumps({"id": uid, "audio_path": "a.wav"}) + "\n"
+                                for uid in ids))
+        assert [r.id for r in load_manifest(path)] == ids
+
     def test_round_trip(self, tmp_path):
         from speechssl.corpus import UtteranceRef
 

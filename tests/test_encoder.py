@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,24 +298,31 @@ class TestParams:
             assert np.array_equal(params[key], separate[key])
 
 
+def masked_tap(out):
+    """The tap rows at the mask's rows, in its order: the (P, d) layout of
+    backward's tap gradient."""
+    return out.tap.reshape(-1, out.tap.shape[-1])[out.mask.rows]
+
+
 class TestBackward:
     def scalar_loss(self, params, frames, masks, cfg):
         out = forward(frames, masks, params, cfg)
-        return float(np.sum(np.sin(out.content_logits)) + np.sum(out.tap**2))
+        return float(np.sum(np.sin(out.content_logits)) + np.sum(masked_tap(out)**2))
 
     def test_gradients_match_finite_differences(self):
-        cfg = TINY
-        params = init_encoder_params(cfg, INPUT_DIM, seed=6)
+        params = init_encoder_params(TINY, INPUT_DIM, seed=6)
         single = ([tiny_features(t=5, seed=2)], [[0, 3]])
         # B=3, a different mask per utterance, one of them empty
         batched = ([tiny_features(t=5, seed=s) for s in (2, 7, 8)], [[0, 3], [1, 2, 4], []])
         h = 1e-5
-        for feats, mask_indices in (single, batched):
+        # tap_layer 0: the tap gradient joins below the first block
+        for cfg, (feats, mask_indices) in ((TINY, single), (TINY, batched),
+                                           (replace(TINY, tap_layer=0), batched)):
             frames = np.stack([f.frames for f in feats])
             masks = BatchMask.from_indices(mask_indices, 5)
             out = forward(frames, masks, params, cfg)
             dlogits = np.cos(out.content_logits)
-            dtap = 2.0 * out.tap
+            dtap = 2.0 * masked_tap(out)
             grads = backward(out, params, cfg, dlogits, dtap, zero_grads(params))
             rng = np.random.default_rng(0)
             # 12 per key, so the (d, 3d) Wqkv gets about 4 per q, k and v projection
@@ -330,7 +338,8 @@ class TestBackward:
                     fd = (up - down) / (2 * h)
                     an = grads[key].reshape(-1)[c]
                     rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-8)
-                    assert rel < 1e-4, f"B={len(feats)} {key}: analytic {an} vs fd {fd}"
+                    assert rel < 1e-4, (f"B={len(feats)} tap {cfg.tap_layer} {key}: "
+                                        f"analytic {an} vs fd {fd}")
 
     def test_tap_at_top_layer(self):
         cfg = EncoderConfig(model_dim=8, num_layers=2, num_heads=2,
@@ -340,7 +349,7 @@ class TestBackward:
         mask = BatchMask.from_indices([[1]], 4)
         out = forward(feats.frames[None], mask, params, cfg)
         grads = backward(out, params, cfg, np.zeros_like(out.content_logits),
-                         np.ones_like(out.tap), zero_grads(params))
+                         np.ones((len(mask), cfg.model_dim)), zero_grads(params))
         assert any(np.any(g != 0) for g in grads.values())
 
     def test_grads_zero_without_upstream(self):
@@ -374,16 +383,18 @@ class TestBatch:
         assert len(out.mask) == sum(len(m) for m in self.MASKS)
         rng = np.random.default_rng(1)
         dlogits = rng.standard_normal(out.content_logits.shape)
-        dtap = rng.standard_normal(out.tap.shape)
+        dtap = rng.standard_normal((len(masks), TINY.model_dim))
         grads = backward(out, params, TINY, dlogits, dtap, zero_grads(params))
         summed = zero_grads(params)
+        starts = np.cumsum([0, *masks.counts])
         for b, idx in enumerate(self.MASKS):
             solo = forward(frames[b:b + 1], BatchMask.from_indices([idx], self.T), params, TINY)
             assert self.rel(out.content_logits[b], solo.content_logits[0]) < 1e-12
             assert self.rel(out.tap[b], solo.tap[0]) < 1e-12
             for mine, ref in zip(out.layer_outputs, solo.layer_outputs):
                 assert self.rel(mine[b], ref[0]) < 1e-12
-            backward(solo, params, TINY, dlogits[b:b + 1], dtap[b:b + 1], summed)
+            backward(solo, params, TINY, dlogits[b:b + 1], dtap[starts[b]:starts[b + 1]],
+                     summed)
         for key in params:
             assert self.rel(grads[key], summed[key]) < 1e-12, key
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speechssl import probe
+from speechssl.corpus import synth_corpus
 from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward, sample_mask
 from speechssl.numerics import derive_seed
@@ -336,3 +337,48 @@ class TestAsciiBarChart:
         lines = chart.splitlines()
         assert len(lines) == 2
         assert lines[1].count("#") == 40
+
+
+class TestOverlappedCorpus:
+    """Each overlapped utterance against a brute-force search for the chunk
+    that was added to it."""
+
+    @staticmethod
+    def find_chunk(added, corpus, speaker):
+        """Every (utterance index, offset, gain) whose slice, times a gain,
+        is `added` to 1e-9 relative: a search of every offset of every
+        utterance of another speaker."""
+        found = []
+        for j, other in enumerate(corpus):
+            if other.speaker == speaker or len(other.waveform) < len(added):
+                continue
+            windows = np.lib.stride_tricks.sliding_window_view(other.waveform.samples,
+                                                               len(added))
+            for offset, window in enumerate(windows):
+                gain = float(window @ added) / float(window @ window)
+                if np.linalg.norm(added - gain * window) <= 1e-9 * np.linalg.norm(added):
+                    found.append((j, offset, gain))
+        return found
+
+    def test_against_brute_force_oracle(self):
+        corpus = synth_corpus(3, 2, duration=0.05, seed=4)
+        mixed = probe.overlapped_corpus(corpus, seed=7)
+        assert [(u.id, u.speaker) for u in mixed] == [(u.id, u.speaker) for u in corpus]
+        for utt, out in zip(corpus, mixed):
+            clean, noisy = utt.waveform.samples, out.waveform.samples
+            n, l = len(clean), len(clean) // 2
+            changed = np.flatnonzero(noisy != clean)
+            assert len(changed) == l, utt.id
+            start = changed[0]
+            assert np.array_equal(changed, np.arange(start, start + l)), utt.id
+            outside = np.r_[0:start, start + l:n]
+            assert np.array_equal(noisy[outside], clean[outside]), utt.id
+            ((j, offset, gain),) = self.find_chunk(noisy[start:start + l] - clean[start:start + l],
+                                                   corpus, utt.speaker)
+            chunk = corpus[j].waveform.samples[offset:offset + l]
+            target = float(np.sum(clean[start:start + l] ** 2))
+            assert abs(gain**2 * float(np.sum(chunk**2)) - target) <= 1e-12 * target, utt.id
+
+    def test_refuses_one_speaker(self):
+        with pytest.raises(ValueError, match="at least 2 speakers"):
+            probe.overlapped_corpus(synth_corpus(1, 3, duration=0.05, seed=0))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechssl.encoder import zero_grads
 from speechssl.numerics import softmax_backward
 from speechssl.quantizer import (
     QuantizerConfig,
@@ -148,16 +149,18 @@ class TestQuantize:
         latent = rng.standard_normal((4, 6))
         target = rng.standard_normal((4, 6))
 
+        # the usage term is the diversity loss's route: a function of the rows' mean
         def loss(params):
             out = quantize(latent, params, cfg, 0.7, noise(13, latent, cfg), hard=False)
             return 0.5 * float(np.sum((out.q - target) ** 2)) + float(
-                np.sum(out.probs**2)
+                np.sum(out.probs.mean(axis=0) ** 2)
             )
 
         out = quantize(latent, params, cfg, 0.7, noise(13, latent, cfg), hard=False)
         dq = out.q - target
-        dprobs = 2.0 * out.probs
-        _, grads = quantize_backward(out, params, cfg, 0.7, dq, dprobs)
+        dusage = 2.0 * out.probs.mean(axis=0)
+        grads = zero_grads(params)
+        quantize_backward(out, params, cfg, 0.7, dq, dusage, grads)
         h = 1e-6
         for key, grad in grads.items():
             flat = params[key].reshape(-1)
@@ -176,13 +179,15 @@ class TestQuantize:
         params, cfg = make_quantizer(seed=2)
         rng = np.random.default_rng(14)
         latent = rng.standard_normal((3, 6))
+        weights = rng.standard_normal((cfg.num_codebooks, cfg.num_entries))
 
         def loss(lat):
             out = quantize(lat, params, cfg, 0.9, noise(4, lat, cfg), hard=False)
-            return float(np.sum(out.q**2))
+            return float(np.sum(out.q**2)) + float(np.sum(weights * out.probs.mean(axis=0)))
 
         out = quantize(latent, params, cfg, 0.9, noise(4, latent, cfg), hard=False)
-        dlatent, _ = quantize_backward(out, params, cfg, 0.9, 2.0 * out.q)
+        dlatent = quantize_backward(out, params, cfg, 0.9, 2.0 * out.q, weights,
+                                    zero_grads(params))
         h = 1e-6
         for c in range(latent.size):
             flat = latent.reshape(-1)
@@ -222,12 +227,14 @@ class TestContractionOracle:
         assert rel(out.q, q) < 1e-13
 
         dq = rng.standard_normal(q.shape)
-        dprobs = rng.standard_normal(out.probs.shape)
-        dlatent, grads = quantize_backward(out, params, cfg, 0.6, dq, dprobs)
+        dusage = rng.standard_normal(out.probs.shape[1:])
+        grads = zero_grads(params)
+        dlatent = quantize_backward(out, params, cfg, 0.6, dq, dusage, grads)
         dentries = (dq @ params["quant/proj_out/W"].T).reshape(len(latent), cfg.num_codebooks, -1)
         assert rel(grads["quant/codebook"],
                    np.einsum("fgv,fgd->gvd", out.probs, dentries)) < 1e-13
         dsel = np.einsum("fgd,gvd->fgv", dentries, codebook)
+        dprobs = np.broadcast_to(dusage / len(latent), out.probs.shape)
         dlogits = softmax_backward(out.probs, dsel + dprobs).reshape(len(latent), -1) / 0.6
         assert rel(dlatent, dlogits @ params["quant/proj_in/W"].T) < 1e-13
         assert rel(grads["quant/proj_in/W"], latent.T @ dlogits) < 1e-13
@@ -246,7 +253,7 @@ class TestBatchedQuantize:
         rng = np.random.default_rng(31)
         latents = [rng.standard_normal((n, 6)) for n in counts]
         dqs = [rng.standard_normal((n, 6)) for n in counts]
-        dprobs = [rng.standard_normal((n, 2, 4)) for n in counts]
+        dusage = rng.standard_normal((2, 4))
         batched = quantize(np.concatenate(latents), params, cfg, 0.8,
                            gumbel_noise(self.SEEDS, counts, cfg), hard=hard)
         solo = [quantize(lat, params, cfg, 0.8, noise(seed, lat, cfg), hard=hard)
@@ -261,18 +268,32 @@ class TestBatchedQuantize:
             else:
                 assert np.array_equal(got, want), field
 
-        dlatent, grads = quantize_backward(batched, params, cfg, 0.8, np.concatenate(dqs),
-                                           np.concatenate(dprobs))
-        summed = {key: np.zeros_like(value) for key, value in grads.items()}
-        solo_dlatent = []
-        for out, dq, dp in zip(solo, dqs, dprobs):
-            dlat, solo_grads = quantize_backward(out, params, cfg, 0.8, dq, dp)
-            solo_dlatent.append(dlat)
-            for key, grad in solo_grads.items():
-                summed[key] += grad
+        grads = zero_grads(params)
+        dlatent = quantize_backward(batched, params, cfg, 0.8, np.concatenate(dqs),
+                                    dusage, grads)
+        # the batch's usage is the count-weighted mean of the utterances' usages
+        summed = zero_grads(params)
+        solo_dlatent = [quantize_backward(out, params, cfg, 0.8, dq,
+                                          dusage * len(dq) / sum(counts), summed)
+                        for out, dq in zip(solo, dqs)]
         assert rel(dlatent, np.concatenate(solo_dlatent)) < 1e-12
         for key in grads:
             assert rel(grads[key], summed[key]) < 1e-12, key
+
+    def test_accumulates_into_grads(self):
+        params, cfg = make_quantizer(seed=5)
+        rng = np.random.default_rng(37)
+        latent = rng.standard_normal((4, 6))
+        out = quantize(latent, params, cfg, 0.8, noise(2, latent, cfg))
+        dq, dusage = rng.standard_normal((4, 6)), rng.standard_normal((2, 4))
+        once, twice = zero_grads(params), zero_grads(params)
+        first = quantize_backward(out, params, cfg, 0.8, dq, dusage, once)
+        for _ in range(2):
+            again = quantize_backward(out, params, cfg, 0.8, dq, dusage, twice)
+            assert np.array_equal(again, first)
+        for key in params:
+            assert np.any(once[key] != 0), key
+            assert np.array_equal(twice[key], 2.0 * once[key]), key
 
 
 class TestUsageStats:
