@@ -9,7 +9,7 @@ from functools import cached_property
 from .corpus import SAMPLE_RATE, synth_corpus
 from .dsp import mfcc
 from .probe import loo_nearest_centroid_accuracy, overlapped_corpus, utterance_means
-from .pseudolabel import fit_labels
+from .pseudolabel import RESTARTS, fit_labels
 from .trainer import Seeds, TrainConfig, TrainState, init_state, train
 
 
@@ -42,7 +42,7 @@ class DeskRun:
 
 
 def desk_setup(config: TrainConfig, num_speakers: int = 8, utts_per_speaker: int = 16,
-               seed: int = 0, restarts: int = 3) -> DeskSetup:
+               seed: int = 0, restarts: int = RESTARTS) -> DeskSetup:
     """synth_corpus -> MFCC -> fit_labels -> overlapped_corpus, all at `seed`."""
     corpus = synth_corpus(num_speakers, utts_per_speaker,
                           duration=config.utterance_length / SAMPLE_RATE, seed=seed)

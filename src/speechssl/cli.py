@@ -32,6 +32,8 @@ from .corpus import (
 )
 from .dsp import MfccConfig, load_features, mfcc, save_features
 from .pseudolabel import (
+    MAX_ITERS,
+    RESTARTS,
     fit_labels,
     load_labels,
     recluster_from_embeddings,
@@ -167,8 +169,7 @@ def cmd_cluster(args):
     if not ids:
         raise UsageError(f"no feature sidecars found in {feature_dir}")
     frames = {uid: load_features(feature_dir, uid).frames for uid in ids}
-    model, labels = fit_labels(frames, args.k, seed=args.seed, restarts=args.restarts,
-                               max_iters=args.max_iters)
+    model, labels = fit_labels(frames, args.k, seed=args.seed, restarts=RESTARTS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels_path = out / "labels.jsonl"
@@ -176,15 +177,16 @@ def cmd_cluster(args):
     save_kmeans(out / "kmeans", model)
     print(f"k-means: k={args.k} inertia={model.inertia:.2f} "
           f"iters={model.iterations_run}; labels: {labels_path}")
-    cfg = {"k": args.k, "max_iters": args.max_iters, "restarts": args.restarts}
+    cfg = {"k": args.k, "max_iters": MAX_ITERS, "restarts": RESTARTS}
     return cfg, {"seed": args.seed}, [labels_path]
 
 
 def cmd_mix(args):
+    if not 0.0 <= args.p <= 1.0:
+        raise UsageError(f"--p {args.p} must lie in [0, 1]")
     corpus = list(load_corpus(args.manifest))
-    batch_size = args.batch_size or len(corpus)
-    length = args.length or min(len(u.waveform) for u in corpus)
-    batch = make_batch(corpus, batch_size, length, seed=args.seed)
+    length = min(len(u.waveform) for u in corpus)     # the whole corpus, at its shortest
+    batch = make_batch(corpus, len(corpus), length, seed=args.seed)
     mixed = mix_batch(batch, args.p, seed=args.seed)
     problems = verify_spec(mixed)
     if problems:
@@ -196,9 +198,9 @@ def cmd_mix(args):
         write_wav(mixed_dir / f"{utt.id}.wav", utt.waveform)
     specs_path = out / "mixspecs.jsonl"
     save_mixspecs(specs_path, 0, mixed.specs)
-    print(f"mixed {len(mixed.specs)} of {batch_size} utterances; "
+    print(f"mixed {len(mixed.specs)} of {len(corpus)} utterances; "
           f"specs: {specs_path}; verification passed")
-    cfg = {"p": args.p, "batch_size": batch_size, "length": length}
+    cfg = {"p": args.p, "batch_size": len(corpus), "length": length}
     return cfg, {"seed": args.seed}, [specs_path]
 
 
@@ -225,8 +227,7 @@ def cmd_recluster(args):
         raise ValueError(f"--layer {layer} exceeds the checkpoint's {enc.num_layers} blocks")
     corpus = list(load_corpus(args.manifest, ckpt.config.mfcc))
     k = args.k if args.k is not None else enc.num_classes
-    model, labels = recluster_from_embeddings(ckpt, corpus, layer, k, seed=args.seed,
-                                              restarts=args.restarts)
+    model, labels = recluster_from_embeddings(ckpt, corpus, layer, k, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     labels_path = out / "labels.jsonl"
@@ -234,8 +235,7 @@ def cmd_recluster(args):
     save_kmeans(out / "kmeans", model)
     print(f"re-clustered layer {layer} embeddings: k={k} "
           f"inertia={model.inertia:.2f}; labels: {labels_path}")
-    cfg = {"layer": layer, "k": k, "restarts": args.restarts}
-    return cfg, {"seed": args.seed}, [labels_path]
+    return {"layer": layer, "k": k, "restarts": RESTARTS}, {"seed": args.seed}, [labels_path]
 
 
 def cmd_probe(args):
@@ -386,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="directory written by `mfcc`")
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=_int_at_least(1), default=16)
-    p.add_argument("--max-iters", type=_int_at_least(0), default=100)
-    p.add_argument("--restarts", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cluster)
 
@@ -395,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--batch-size", type=_int_at_least(1))
-    p.add_argument("--length", type=_int_at_least(2))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mix)
 
@@ -415,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--layer", type=_int_at_least(0))
     p.add_argument("--k", type=_int_at_least(1))
-    p.add_argument("--restarts", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_recluster)
 

@@ -260,6 +260,8 @@ def synth_corpus(
     if not 0 < duration < np.inf:
         raise ValueError(f"duration must be positive and finite, got {duration}")
     n = int(round(duration * SAMPLE_RATE))
+    if n < 1:
+        raise ValueError(f"duration {duration} s is shorter than one sample at {SAMPLE_RATE} Hz")
     t = np.arange(n) / SAMPLE_RATE
     utterances = []
     for s in range(num_speakers):

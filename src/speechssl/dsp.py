@@ -19,25 +19,26 @@ import numpy as np
 from .corpus import ManifestError, read_json
 
 PREEMPHASIS, LOG_FLOOR = 0.97, 1e-10   # the log floors mel energies at LOG_FLOOR
+NUM_MEL = 26                            # HTK mel bands
 
 
 @dataclass
 class MfccConfig:
     window: int = 400
     hop: int = 160
-    num_mel: int = 26
     num_ceps: int = 13
-    fft_size: int = 512
     deltas: bool = True
 
     def __post_init__(self):
-        if self.window > self.fft_size:
-            raise ValueError(f"window {self.window} must not exceed fft_size {self.fft_size}")
         for key in ("window", "hop", "num_ceps"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.num_ceps > self.num_mel:
-            raise ValueError(f"num_ceps {self.num_ceps} must not exceed num_mel {self.num_mel}")
+        if self.num_ceps > NUM_MEL:
+            raise ValueError(f"num_ceps {self.num_ceps} must not exceed the {NUM_MEL} mel bands")
+
+    @property
+    def fft_size(self) -> int:         # the smallest power of two >= window: 512 at 400
+        return 1 << (self.window - 1).bit_length()
 
     @property
     def dim(self) -> int:
@@ -118,7 +119,7 @@ def frame_count(num_samples: int, window: int, hop: int) -> int:
 
 
 def _log_mel(waveforms, cfg: MfccConfig) -> np.ndarray:
-    """(B, T, num_mel) floored log mel energies of B equal-length waveforms
+    """(B, T, NUM_MEL) floored log mel energies of B equal-length waveforms
     sharing one sample rate. The spectrum is taken one utterance at a time,
     so its working arrays are the size of one utterance's frames whatever
     B is."""
@@ -135,12 +136,12 @@ def _log_mel(waveforms, cfg: MfccConfig) -> np.ndarray:
         )
     t = frame_count(length, cfg.window, cfg.hop)
     window = hann_window(cfg.window)
-    fb = mel_filterbank(cfg.num_mel, cfg.fft_size, rates.pop())
+    fb = mel_filterbank(NUM_MEL, cfg.fft_size, rates.pop())
     pre, frames = np.empty(length), np.empty((t, cfg.window))
     power = np.empty((t, cfg.fft_size // 2 + 1))
     # frame j of the pre-emphasized signal is pre[hop*j : hop*j + window]
     framed = np.lib.stride_tricks.sliding_window_view(pre, cfg.window)[::cfg.hop]
-    mel = np.empty((b, t, cfg.num_mel))
+    mel = np.empty((b, t, NUM_MEL))
     for waveform, out in zip(waveforms, mel):
         x = waveform.samples
         pre[0] = x[0]
@@ -173,7 +174,7 @@ def mfcc_batch(waveforms, cfg: MfccConfig | None = None) -> np.ndarray:
     never interact, so row b equals mfcc(waveforms[b]) exactly."""
     cfg = cfg or MfccConfig()
     logmel = _log_mel(waveforms, cfg)
-    ceps = logmel @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
+    ceps = logmel @ dct_matrix(cfg.num_ceps, NUM_MEL).T
     if cfg.deltas:
         d1 = _deltas(ceps)
         d2 = _deltas(d1)

@@ -21,6 +21,7 @@ from .probe import encode_corpus
 
 FIT_CHUNK = 512   # rows per block of _nearest; bounds its temporaries
 SAMPLE_CAP = 100_000  # kmeans_fit fits a seeded uniform subsample of larger pools
+MAX_ITERS, RESTARTS = 100, 3  # kmeans_fit's Lloyd update cap; the label fits' restarts
 
 
 @dataclass
@@ -185,7 +186,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
 def kmeans_fit(
     frames: np.ndarray,
     k: int,
-    max_iters: int = 100,
+    max_iters: int = MAX_ITERS,
     seed: int = 0,
     restarts: int = 1,
 ) -> KmeansModel:
@@ -230,8 +231,7 @@ def assign(model: KmeansModel, features, source: str = "mfcc") -> PseudoLabelSeq
     return PseudoLabelSequence(_nearest(frames, model.centers)[0], model.k, source)
 
 
-def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
-               max_iters: int = 100, source: str = "mfcc"):
+def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int, source: str = "mfcc"):
     """Pool every utterance's (T, D) frames, fit k-means on the pool and
     label each utterance with its nearest centers.
 
@@ -244,7 +244,7 @@ def fit_labels(frames_by_id: dict, k: int, *, seed: int, restarts: int,
             raise ValueError(f"utterance {uid!r} has frames {width} wide, but "
                              f"{widths[0][0]!r} has frames {widths[0][1]} wide")
     pooled = np.concatenate(list(frames_by_id.values()), axis=0)
-    model = kmeans_fit(pooled, k, max_iters=max_iters, seed=seed, restarts=restarts)
+    model = kmeans_fit(pooled, k, seed=seed, restarts=restarts)
     labels = {uid: assign(model, frames, source=source) for uid, frames in frames_by_id.items()}
     return model, labels
 
@@ -255,7 +255,6 @@ def recluster_from_embeddings(
     layer: int,
     k: int,
     seed: int = 0,
-    restarts: int = 1,
 ):
     """Second-iteration labels: run the frozen encoder's blocks up to the
     chosen layer over clean features, pool its frames, re-fit and re-assign.
@@ -268,8 +267,7 @@ def recluster_from_embeddings(
     frames = {utt.id: out.layer_outputs[layer][i]
               for chunk, out in encode_corpus(checkpoint, corpus, num_layers=layer)
               for i, utt in enumerate(chunk)}
-    return fit_labels(frames, k, seed=seed, restarts=restarts,
-                      source=f"embedding:layer{layer}")
+    return fit_labels(frames, k, seed=seed, restarts=RESTARTS, source=f"embedding:layer{layer}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,11 @@ from .quantizer import (
 )
 
 CLEAN_LABEL_SOURCES = ("mfcc", "embedding:layer")
-# v7 saves the last codebook usage; v6 joined Wq, Wk, Wv (a v5 blob has as many floats)
-CHECKPOINT_FORMAT = "speechssl-checkpoint-v7"
-# HuBERT's Adam (arXiv 2106.07447)
+# v8 dropped three config keys; v7 saves the last usage; v6 joined Wq, Wk, Wv
+CHECKPOINT_FORMAT = "speechssl-checkpoint-v8"
+# HuBERT's Adam and learning-rate warmup (arXiv 2106.07447)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-6
+WARMUP_FRAC = 0.08
 # a finite-difference gradient check passes below this max relative error
 GRADCHECK_TOL = 1e-4
 
@@ -126,7 +127,6 @@ class TrainConfig:
     batch_size: int = 8
     utterance_length: int = 8000
     learning_rate: float = 4e-3
-    warmup_frac: float = 0.08
     mix_probability: float = 0.2
     speaker_loss: bool = True             # ablation: False trains on content only
     checkpoint_every: int = 0             # 0 = only final
@@ -137,10 +137,9 @@ class TrainConfig:
     mfcc: MfccConfig = field(default_factory=MfccConfig)
 
     def __post_init__(self):
-        for key in ("warmup_frac", "mix_probability"):
-            if not 0 <= getattr(self, key) <= 1:
-                raise ValueError(f"config key {key!r} must lie in [0, 1], "
-                                 f"got {getattr(self, key)}")
+        if not 0 <= self.mix_probability <= 1:
+            raise ValueError("config key 'mix_probability' must lie in [0, 1], "
+                             f"got {self.mix_probability}")
         # mixing draws a chunk of up to half the crop, so a crop holds >= 2 samples
         for key, low in (("steps", 1), ("batch_size", 1), ("checkpoint_every", 0),
                          ("learning_rate", 0), ("utterance_length", max(2, self.mfcc.window))):
@@ -157,8 +156,8 @@ class TrainConfig:
 
 
 def learning_rate_at(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup over warmup_frac of the run, then linear decay to 0."""
-    warmup = max(1, math.ceil(cfg.warmup_frac * cfg.steps))
+    """Linear warmup over WARMUP_FRAC of the run, then linear decay to 0."""
+    warmup = max(1, math.ceil(WARMUP_FRAC * cfg.steps))
     if step <= warmup:
         return cfg.learning_rate * step / warmup
     return cfg.learning_rate * (cfg.steps - step) / (cfg.steps - warmup)
@@ -345,8 +344,8 @@ def _check_labels(corpus, labels_by_id: dict, config: TrainConfig) -> None:
 def train(state: TrainState, corpus, labels_by_id: dict[str, PseudoLabelSequence],
           out_dir=None, until_step: int | None = None) -> TrainState:
     """Run `state` (init_state(config) or load_checkpoint(stem)) to its
-    config's last step, or to `until_step`, and return it. The batch size
-    and every utterance's labels are checked before anything is written.
+    config's last step, or to `until_step`, and return it. `until_step`, the
+    batch size and every utterance's labels are checked before anything is written.
     With out_dir set, metrics stream to metrics.jsonl and checkpoints are
     written on the checkpoint_every schedule plus at the end. A checkpoint
     carries the metrics rows of every step up to it, so a resumed run's
@@ -354,6 +353,8 @@ def train(state: TrainState, corpus, labels_by_id: dict[str, PseudoLabelSequence
     config = state.config
     if until_step is not None and until_step < 1:
         raise ValueError(f"until_step must be >= 1, got {until_step}")
+    if until_step is not None and until_step < state.step:
+        raise ValueError(f"until_step {until_step} is below the resumed run's step {state.step}")
     if config.batch_size > len(corpus):
         raise ValueError(f"config key 'batch_size' is {config.batch_size}, but the corpus "
                          f"holds {len(corpus)} utterances")

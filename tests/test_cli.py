@@ -149,7 +149,7 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"learning_rate": float("inf")}, "config key 'learning_rate' must be finite, got inf", 1),
     ({"weights": {"alpha": float("nan")}}, "config key 'weights.alpha' must be finite", 1),
     ({"mix_probability": 2}, "config key 'mix_probability' must lie in [0, 1], got 2.0", 1),
-    ({"warmup_frac": -1}, "config key 'warmup_frac' must lie in [0, 1], got -1.0", 1),
+    ({"warmup_frac": -1}, "unknown config key: 'warmup_frac'", 2),
     ({"batch_size": 0}, "config key 'batch_size' must be >= 1, got 0", 1),
     ({"batch_size": -2}, "config key 'batch_size' must be >= 1, got -2", 1),
     ({"checkpoint_every": -1}, "config key 'checkpoint_every' must be >= 0, got -1", 1),
@@ -168,6 +168,7 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"quantizer": {"tau_end": 1e-300}}, "unknown config key: 'quantizer.tau_end'", 2),
     ({"mfcc": {"preemphasis": 1e300}}, "unknown config key: 'mfcc.preemphasis'", 2),
     ({"mfcc": {"floor": -1}}, "unknown config key: 'mfcc.floor'", 2),
+    ({"mfcc": {"num_mel": 40}}, "unknown config key: 'mfcc.num_mel'", 2),
     ({"encoder": {"ffn_dim": 0}}, "ffn_dim must be >= 1, got 0", 1),
     ({"encoder": {"num_classes": 0}}, "num_classes must be >= 1, got 0", 1),
     ({"mfcc": {"window": 0}}, "window must be >= 1, got 0", 1),
@@ -182,8 +183,9 @@ def test_set_unknown_key_rejected(tmp_path):
     ({"encoder": {"num_heads": 3}}, "config key encoder.num_heads 3 must divide model_dim 64", 1),
     ({"encoder": {"mask_start_prob": 1.5}},
      "config key encoder.mask_start_prob must lie in [0, 1], got 1.5", 1),
-    ({"mfcc": {"window": 600}}, "config key mfcc.window 600 must not exceed fft_size 512", 1),
-    ({"mfcc": {"num_ceps": 40}}, "config key mfcc.num_ceps 40 must not exceed num_mel 26", 1),
+    ({"mfcc": {"window": 600, "fft_size": 512}}, "unknown config key: 'mfcc.fft_size'", 2),
+    ({"mfcc": {"num_ceps": 40}},
+     "config key mfcc.num_ceps 40 must not exceed the 26 mel bands", 1),
     ({"mfcc": {"window": 0}}, "config key mfcc.window must be >= 1, got 0", 1),
     # runs that could not take step 1
     ({"batch_size": 1}, "config key 'batch_size' must be >= 2 while the speaker loss draws "
@@ -199,7 +201,8 @@ def test_set_unknown_key_rejected(tmp_path):
         "removed-out-dim", "removed-quantizer-hard", "zero-model-dim", "zero-num-ceps",
         "removed-adam-beta1", "removed-adam-beta2", "removed-adam-eps",
         "removed-gain-snr-low", "removed-gain-snr-high", "removed-tau-start",
-        "removed-tau-end", "removed-preemphasis", "removed-floor", "zero-ffn-dim",
+        "removed-tau-end", "removed-preemphasis", "removed-floor", "removed-num-mel",
+        "zero-ffn-dim",
         "zero-num-classes", "zero-window", "utterance-shorter-than-window",
         "zero-num-entries", "tap-layer-above-num-layers", "negative-num-layers",
         "negative-kappa", "negative-alpha",
@@ -221,7 +224,9 @@ def test_config_file_bad_key_rejected(tmp_path, capsys, body, message, code):
                                  # constants of trainer, augment, quantizer and dsp
                                  "adam_beta1", "adam_beta2", "adam_eps", "gain_snr_low",
                                  "gain_snr_high", "quantizer.tau_start", "quantizer.tau_end",
-                                 "mfcc.preemphasis", "mfcc.floor"])
+                                 "mfcc.preemphasis", "mfcc.floor",
+                                 # constants of trainer and dsp, or derived from the window
+                                 "warmup_frac", "mfcc.num_mel", "mfcc.fft_size"])
 def test_set_removed_width_key_is_usage_error(tmp_path, capsys, key):
     # the encoder input width is mfcc.dim and both quantizer widths are
     # encoder.model_dim; soft quantization is the gradient check's mode
@@ -314,24 +319,33 @@ def test_pipeline_labels_format(pipeline):
     assert all(0 <= l < 16 for l in first["labels"])
 
 
-# count flags are refused while parsing (exit 2); the ids are the cases'
-# names from when the library's own checks refused them (exit 1)
+# count flags are refused while parsing (exit 2), and so are the removed
+# flags: cluster's and recluster's restart count, cluster's iteration cap and
+# mix's batch size and length are constants or read off the corpus. The ids
+# are the cases' names from when the library's own checks refused them (exit 1)
 @pytest.mark.parametrize("command, flags, named", [
     pytest.param("cluster", ["--k", "0"], "argument --k: must be >= 1, got 0",
                  id="cluster-flags0-k=0"),
-    pytest.param("cluster", ["--restarts", "0"], "argument --restarts: must be >= 1, got 0",
+    pytest.param("cluster", ["--restarts", "0"], "unrecognized arguments: --restarts 0",
                  id="cluster-flags1-restarts=0"),
     pytest.param("recluster", ["--k", "0"], "argument --k: must be >= 1, got 0",
                  id="recluster-flags2-k=0"),
-    pytest.param("cluster", ["--max-iters", "-1"], "argument --max-iters: must be >= 0, got -1",
+    pytest.param("cluster", ["--max-iters", "-1"], "unrecognized arguments: --max-iters -1",
                  id="cluster-flags3-max_iters=-1"),
     pytest.param("recluster", ["--layer", "-1"], "argument --layer: must be >= 0, got -1",
                  id="recluster-layer=-1"),
+    pytest.param("recluster", ["--restarts", "3"], "unrecognized arguments: --restarts 3",
+                 id="recluster-restarts=3"),
+    pytest.param("mix", ["--batch-size", "0"], "unrecognized arguments: --batch-size 0",
+                 id="mix-batch-size=0"),
+    pytest.param("mix", ["--length", "1"], "unrecognized arguments: --length 1",
+                 id="mix-length=1"),
 ])
 def test_k_or_restarts_zero_exits_1(pipeline, tmp_path, capsys, command, flags, named):
     inputs = {"cluster": ["--features", str(pipeline / "features")],
               "recluster": ["--checkpoint", str(pipeline / "run/checkpoint_final"),
-                            "--manifest", str(pipeline / "corpus/manifest.jsonl")]}
+                            "--manifest", str(pipeline / "corpus/manifest.jsonl")],
+              "mix": ["--manifest", str(pipeline / "corpus/manifest.jsonl")]}
     assert main([command, *inputs[command], "--out", str(tmp_path / "out"), *flags]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -548,7 +562,14 @@ CORRUPTIONS = {
     "checkpoint-v5": _edited_meta(
         lambda meta: meta.update(format="speechssl-checkpoint-v5"),
         "unrecognized checkpoint format 'speechssl-checkpoint-v5' in {stem}.json; "
-        "this version reads 'speechssl-checkpoint-v7'"),
+        "this version reads 'speechssl-checkpoint-v8'"),
+    # v7 stored warmup_frac, mfcc.fft_size and mfcc.num_mel as config keys
+    "checkpoint-v7": _edited_meta(
+        lambda meta: (meta.update(format="speechssl-checkpoint-v7"),
+                      meta["config"].update(warmup_frac=0.08),
+                      meta["config"]["mfcc"].update(fft_size=512, num_mel=26)),
+        "error: unrecognized checkpoint format 'speechssl-checkpoint-v7' in {stem}.json; "
+        "this version reads 'speechssl-checkpoint-v8'\n"),
     "checkpoint-v2": _edited_meta(lambda meta: meta.update(format="speechssl-checkpoint-v2"),
                                   "unrecognized checkpoint format 'speechssl-checkpoint-v2'"),
     "checkpoint-v3": _edited_meta(lambda meta: meta.update(format="speechssl-checkpoint-v3"),
@@ -576,6 +597,16 @@ CORRUPTIONS = {
     "duration-nan": _flags("--duration", "nan", named="duration must be positive and finite"),
     "duration-inf": _flags("--duration", "inf", named="duration must be positive and finite"),
     "duration-0": _flags("--duration", "0", named="duration must be positive and finite"),
+    "duration-under-one-sample": _flags(
+        "--duration", "0.00001",
+        named="error: duration 1e-05 s is shorter than one sample at 16000 Hz\n"),
+    "p-2": _flags("--p", "2", named="error: --p 2.0 must lie in [0, 1]\n"),
+    "p-negative": _flags("--p", "-0.1", named="error: --p -0.1 must lie in [0, 1]\n"),
+    "p-nan": _flags("--p", "nan", named="error: --p nan must lie in [0, 1]\n"),
+    # the pipeline's checkpoint is at step 2
+    "until-step-below-checkpoint": _flags(
+        "--until-step", "1",
+        named="error: until_step 1 is below the resumed run's step 2\n"),
     "out-is-a-file": _out_is_a_file,
     "out-under-a-file": _out_under_a_file,
 }
@@ -601,7 +632,8 @@ CHECKPOINT_EDITS = {
 }
 CORRUPTIONS.update({f"checkpoint-{name}": _edited_meta(*spec)
                     for name, spec in CHECKPOINT_EDITS.items()})
-USAGE_ERRORS = {"config-cut", "set-string-steps"}      # exit 2; every other row exits 1
+# exit 2; every other row exits 1
+USAGE_ERRORS = {"config-cut", "set-string-steps", "p-2", "p-negative", "p-nan"}
 
 
 def _command(name, pipeline, inputs):
@@ -645,6 +677,7 @@ def _command(name, pipeline, inputs):
     ("features-f32-cut", "cluster"), ("features-narrow", "cluster"),
     ("checkpoint-blob-cut", "resume"), ("checkpoint-json-cut", "probe"),
     ("checkpoint-not-object", "probe"), ("checkpoint-v5", "resume"), ("checkpoint-v5", "probe"),
+    ("checkpoint-v7", "resume"), ("checkpoint-v7", "probe"),
     ("checkpoint-v2", "probe"), ("checkpoint-v3", "probe"), ("checkpoint-misfit", "probe"),
     ("checkpoint-scalar-encoder", "probe"),
     *[(f"checkpoint-{name}", command) for name in CHECKPOINT_EDITS
@@ -653,6 +686,8 @@ def _command(name, pipeline, inputs):
     ("batch-above-corpus", "pretrain"), ("layer-3", "recluster"), ("layer-9", "recluster"),
     ("coords-above-params", "gradcheck"),
     ("duration-nan", "synth"), ("duration-inf", "synth"), ("duration-0", "synth"),
+    ("duration-under-one-sample", "synth"), ("p-2", "mix"), ("p-negative", "mix"),
+    ("p-nan", "mix"), ("until-step-below-checkpoint", "resume"),
     ("out-is-a-file", "probe"), ("out-is-a-file", "cluster"), ("out-is-a-file", "synth"),
     ("out-under-a-file", "synth"),
 ], ids=lambda value: value)
@@ -846,11 +881,6 @@ def test_gradcheck_fail_exits_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("mix", "--batch-size", "0"),
-    ("mix", "--batch-size", "-1"),
-    ("mix", "--length", "0"),
-    ("mix", "--length", "-1"),
-    ("mix", "--length", "1"),
     ("gradcheck", "--coords", "0"),
     ("gradcheck", "--coords", "-3"),
     ("probe", "--probe-steps", "-1"),
@@ -858,9 +888,7 @@ def test_gradcheck_fail_exits_1(capsys, monkeypatch):
 ])
 def test_count_flag_below_minimum_is_usage_error(pipeline, tmp_path, capsys,
                                                  command, flag, value):
-    inputs = {"mix": ["--manifest", str(pipeline / "corpus/manifest.jsonl"),
-                      "--out", str(tmp_path / "out")],
-              "probe": ["--manifest", str(pipeline / "corpus/manifest.jsonl"),
+    inputs = {"probe": ["--manifest", str(pipeline / "corpus/manifest.jsonl"),
                         "--checkpoint", str(pipeline / "run/checkpoint_final"),
                         "--out", str(tmp_path / "out")],
               "gradcheck": [],

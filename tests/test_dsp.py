@@ -5,6 +5,7 @@ from speechssl import dsp
 from speechssl.corpus import Waveform
 from speechssl.dsp import (
     LOG_FLOOR,
+    NUM_MEL,
     PREEMPHASIS,
     FeatureSequence,
     MfccConfig,
@@ -28,12 +29,14 @@ def tone(freq, duration=1.0, sr=16000, amp=0.5):
 
 class TestConfig:
     def test_window_exceeds_fft(self):
-        with pytest.raises(ValueError):
-            MfccConfig(window=600, fft_size=512)
+        # the FFT is the smallest power of two that holds the window
+        assert MfccConfig().fft_size == 512
+        assert [MfccConfig(window=w).fft_size for w in (1, 2, 3, 512, 513)] == [1, 2, 4, 512, 1024]
+        assert MfccConfig(window=600).fft_size == 1024
 
     def test_ceps_exceed_mel(self):
-        with pytest.raises(ValueError):
-            MfccConfig(num_ceps=30, num_mel=26)
+        with pytest.raises(ValueError, match="num_ceps 30 must not exceed the 26 mel bands"):
+            MfccConfig(num_ceps=30)
 
     def test_default_dim(self):
         assert MfccConfig().dim == 39
@@ -60,15 +63,18 @@ class TestMfcc:
     def test_pure_tone_hits_nearest_mel_band(self):
         # oracle: band centers computed straight from the mel-scale formula
         sr, freq = 16000, 1000.0
-        for num_mel in (24, 26):
-            cfg = MfccConfig(num_mel=num_mel)
+        power = np.abs(np.fft.rfft(tone(freq, 0.025, sr).samples * np.hanning(400), n=512)) ** 2
+        nearest = {}
+        for num_mel in (24, NUM_MEL):
             centers_oracle = mel_to_hz(
                 np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), num_mel + 2)
             )[1:-1]
-            logmel = dsp._log_mel([tone(freq, sr=sr)], cfg)[0]
-            argmax_band = int(np.argmax(logmel.mean(axis=0)))
-            nearest_band = int(np.argmin(np.abs(centers_oracle - freq)))
-            assert argmax_band == nearest_band
+            argmax_band = int(np.argmax(mel_filterbank(num_mel, 512, sr) @ power))
+            nearest[num_mel] = int(np.argmin(np.abs(centers_oracle - freq)))
+            assert argmax_band == nearest[num_mel]
+        # the MFCC front end's own NUM_MEL bands peak there too
+        logmel = dsp._log_mel([tone(freq, sr=sr)], MfccConfig())[0]
+        assert int(np.argmax(logmel.mean(axis=0))) == nearest[NUM_MEL]
 
     def test_deterministic(self):
         wav = tone(300.0, duration=0.2)
@@ -155,8 +161,8 @@ def reference_mfcc(samples, sample_rate, cfg):
     idx = np.arange(cfg.window)[None, :] + cfg.hop * np.arange(t)[:, None]
     frames = pre[idx] * np.hanning(cfg.window)[None, :]
     power = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1)) ** 2
-    fb = mel_filterbank(cfg.num_mel, cfg.fft_size, sample_rate)
-    ceps = np.log(np.maximum(power @ fb.T, LOG_FLOOR)) @ dct_matrix(cfg.num_ceps, cfg.num_mel).T
+    fb = mel_filterbank(NUM_MEL, cfg.fft_size, sample_rate)
+    ceps = np.log(np.maximum(power @ fb.T, LOG_FLOOR)) @ dct_matrix(cfg.num_ceps, NUM_MEL).T
 
     def deltas(c, width=2):
         padded = np.concatenate([c[:1].repeat(width, axis=0), c, c[-1:].repeat(width, axis=0)])
@@ -182,6 +188,13 @@ class TestMfccBatch:
         for wav, row in zip(waves, feats):
             assert np.array_equal(row, reference_mfcc(wav.samples, 16000, cfg))
             assert np.array_equal(row, mfcc(wav, cfg).frames)
+
+    def test_window_above_512_takes_a_1024_point_fft(self):
+        cfg = MfccConfig(window=600)
+        wav = self.batch(b=1)[0]
+        feats = mfcc(wav, cfg).frames
+        assert feats.shape == (frame_count(8000, 600, cfg.hop), cfg.dim)
+        assert np.array_equal(feats, reference_mfcc(wav.samples, 16000, cfg))
 
     def test_rejects_mixed_lengths_and_rates(self):
         with pytest.raises(ValueError, match="length"):

@@ -333,10 +333,8 @@ class TestFitLabels:
     def test_equals_hand_pooled_fit_and_assign(self):
         rng = np.random.default_rng(11)
         frames = {f"u{i}": rng.standard_normal((int(rng.integers(5, 15)), 4)) for i in range(6)}
-        model, labels = fit_labels(frames, 5, seed=3, restarts=2, max_iters=50,
-                                   source="embedding:layer1")
-        oracle = kmeans_fit(np.concatenate(list(frames.values())), 5, max_iters=50, seed=3,
-                            restarts=2)
+        model, labels = fit_labels(frames, 5, seed=3, restarts=2, source="embedding:layer1")
+        oracle = kmeans_fit(np.concatenate(list(frames.values())), 5, seed=3, restarts=2)
         assert np.array_equal(model.centers, oracle.centers)
         assert model.inertia == oracle.inertia
         assert list(labels) == list(frames)

@@ -495,7 +495,7 @@ class TestCheckpoint:
         assert meta["blob_bytes"] == 3 * 8 * init_state(
             TrainConfig.from_dict(meta["config"])).params.flat.size
         with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v5' in .*; this "
-                                             "version reads 'speechssl-checkpoint-v7'"):
+                                             "version reads 'speechssl-checkpoint-v8'"):
             load_checkpoint(stem)
 
     def test_v6_checkpoint_rejected(self, two_checkpoints):
@@ -506,7 +506,19 @@ class TestCheckpoint:
         del meta["usage"]
         stem.with_suffix(".json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v6' in .*; this "
-                                             "version reads 'speechssl-checkpoint-v7'"):
+                                             "version reads 'speechssl-checkpoint-v8'"):
+            load_checkpoint(stem)
+
+    def test_v7_checkpoint_rejected(self, two_checkpoints):
+        # v7 stored warmup_frac, mfcc.fft_size and mfcc.num_mel as config keys
+        stem, _ = two_checkpoints
+        meta = json.loads(stem.with_suffix(".json").read_text())
+        meta["format"] = "speechssl-checkpoint-v7"
+        meta["config"]["warmup_frac"] = 0.08
+        meta["config"]["mfcc"].update(fft_size=512, num_mel=26)
+        stem.with_suffix(".json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="format 'speechssl-checkpoint-v7' in .*; this "
+                                             "version reads 'speechssl-checkpoint-v8'"):
             load_checkpoint(stem)
 
     @pytest.mark.parametrize("speaker_loss", [True, False])
