@@ -59,11 +59,9 @@ class MixedBatch:
     clean: Batch
 
 
-def _chunk_gain(target_region, source_chunk, rng) -> float:
-    """Gain that puts the chunk at an SNR (dB) drawn uniformly from SNR_DB
-    against the target region's energy; unit gain when the target region or
-    the chunk is silent."""
-    snr = rng.uniform(*SNR_DB)
+def chunk_gain(target_region, source_chunk, snr: float) -> float:
+    """Gain that puts the chunk `snr` dB below the target region's energy;
+    unit gain when the target region or the chunk is silent."""
     target_energy = float(np.sum(target_region**2))
     chunk_energy = float(np.sum(source_chunk**2))
     if target_energy == 0.0 or chunk_energy == 0.0:
@@ -93,7 +91,7 @@ def mix_batch(batch: Batch, p: float, seed: int = 0) -> MixedBatch:
         s = int(rng.integers(1, length - l + 1))
         s_b = int(rng.integers(1, length - l + 1))
         chunk = clean[source][s_b - 1 : s_b - 1 + l]
-        gain = _chunk_gain(clean[target][s - 1 : s - 1 + l], chunk, rng)
+        gain = chunk_gain(clean[target][s - 1 : s - 1 + l], chunk, rng.uniform(*SNR_DB))
         mixed[target, s - 1 : s - 1 + l] += gain * chunk
         specs.append(MixSpec(int(target), source, l, s, s_b, gain))
 

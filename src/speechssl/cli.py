@@ -115,8 +115,10 @@ def build_train_config(args) -> TrainConfig:
 
 
 def load_corpus(manifest_path, mfcc_cfg: MfccConfig | None = None):
-    """Yield the manifest's utterances as they load, refusing by name one not
-    at SAMPLE_RATE or, given the MFCC config they meet, shorter than its window."""
+    """Yield (entry, utterance) as each manifest entry's WAV loads, refusing
+    by name one not at SAMPLE_RATE or, given the MFCC config they meet,
+    shorter than its window. A command that keeps only the entries reads
+    their audio again where it is used, and never holds the whole corpus."""
     for ref in load_manifest(manifest_path):
         utt = ref.load()
         if utt.waveform.sample_rate != SAMPLE_RATE:
@@ -125,7 +127,7 @@ def load_corpus(manifest_path, mfcc_cfg: MfccConfig | None = None):
         if mfcc_cfg is not None and len(utt.waveform) < mfcc_cfg.window:
             raise ValueError(f"utterance {utt.id!r} has {len(utt.waveform)} samples, "
                              f"shorter than one MFCC window ({mfcc_cfg.window})")
-        yield utt
+        yield ref, utt
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +157,7 @@ def cmd_synth(args):
 def cmd_mfcc(args):
     cfg = build_train_config(args).mfcc
     features = {utt.id: mfcc(utt.waveform, cfg, meta=utt.id)   # before --out is made
-                for utt in load_corpus(args.manifest, cfg)}
+                for _, utt in load_corpus(args.manifest, cfg)}
     out = Path(args.out)
     for uid, feats in features.items():
         save_features(out, uid, feats)
@@ -184,7 +186,7 @@ def cmd_cluster(args):
 def cmd_mix(args):
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"--p {args.p} must lie in [0, 1]")
-    corpus = list(load_corpus(args.manifest))
+    corpus = [utt for _, utt in load_corpus(args.manifest)]
     length = min(len(u.waveform) for u in corpus)     # the whole corpus, at its shortest
     batch = make_batch(corpus, len(corpus), length, seed=args.seed)
     mixed = mix_batch(batch, args.p, seed=args.seed)
@@ -210,7 +212,8 @@ def cmd_pretrain(args):
                          "--config, --set, --steps or --seed-* flags with it")
     state = load_checkpoint(args.resume) if args.resume else init_state(build_train_config(args))
     out = Path(args.out)
-    state = train(state, list(load_corpus(args.manifest)), load_labels(args.labels),
+    entries = [ref for ref, _ in load_corpus(args.manifest)]   # train reads a batch per step
+    state = train(state, entries, load_labels(args.labels),
                   out_dir=out, until_step=args.until_step)
     tail = state.metrics[-1]
     print(f"trained to step {state.step}: total={tail['total']:.4f} "
@@ -225,7 +228,7 @@ def cmd_recluster(args):
     layer = args.layer if args.layer is not None else enc.tap_layer
     if layer > enc.num_layers:
         raise ValueError(f"--layer {layer} exceeds the checkpoint's {enc.num_layers} blocks")
-    corpus = list(load_corpus(args.manifest, ckpt.config.mfcc))
+    corpus = [ref for ref, _ in load_corpus(args.manifest, ckpt.config.mfcc)]
     k = args.k if args.k is not None else enc.num_classes
     model, labels = recluster_from_embeddings(ckpt, corpus, layer, k, seed=args.seed)
     out = Path(args.out)
@@ -240,7 +243,7 @@ def cmd_recluster(args):
 
 def cmd_probe(args):
     ckpt = load_checkpoint(args.checkpoint)
-    corpus = list(load_corpus(args.manifest, ckpt.config.mfcc))
+    corpus = [ref for ref, _ in load_corpus(args.manifest, ckpt.config.mfcc)]
     weights, accuracy, separability = layer_profile(*utterance_means(ckpt, corpus),
                                                     steps=args.probe_steps, seed=args.seed)
     profile = {str(layer): float(w) for layer, w in enumerate(weights)}

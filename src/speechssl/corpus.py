@@ -73,14 +73,19 @@ class Batch:
 
 @dataclass
 class UtteranceRef:
-    """Manifest entry; audio is loaded lazily via load()."""
+    """Manifest entry. Its `waveform` reads the WAV on each access, so a list
+    of entries stands in for a corpus without holding its audio."""
 
     id: str
     audio_path: Path
     speaker: str | None = None
 
+    @property
+    def waveform(self) -> Waveform:
+        return read_wav(self.audio_path)
+
     def load(self) -> Utterance:
-        return Utterance(self.id, read_wav(self.audio_path), self.speaker)
+        return Utterance(self.id, self.waveform, self.speaker)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ information.
 """
 
 from dataclasses import replace
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
+from .augment import chunk_gain
 from .corpus import Utterance, Waveform
 from .dsp import mfcc_batch
 from .encoder import BatchMask, forward, sample_mask
@@ -35,12 +36,12 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
     config, cfg = checkpoint.config, checkpoint.config.encoder
     if num_layers is not None:
         cfg = replace(cfg, num_layers=num_layers, tap_layer=min(cfg.tap_layer, num_layers))
-    for _, run in groupby(enumerate(corpus), key=lambda item: (
-            len(item[1].waveform), item[1].waveform.sample_rate)):
-        run = list(run)
-        for lo in range(0, len(run), config.batch_size):
-            indices, chunk = zip(*run[lo : lo + config.batch_size])
-            features = mfcc_batch([utt.waveform for utt in chunk], config.mfcc)
+    # each utterance's audio is read once, and at most a chunk of it is held
+    audio = ((b, utt, utt.waveform) for b, utt in enumerate(corpus))
+    for _, run in groupby(audio, key=lambda item: (len(item[2]), item[2].sample_rate)):
+        while piece := list(islice(run, config.batch_size)):
+            indices, chunk, waveforms = zip(*piece)
+            features = mfcc_batch(list(waveforms), config.mfcc)
             t = features.shape[1]
             mask = BatchMask.from_indices([[] if mask_seed is None else sample_mask(
                 t, cfg, derive_seed(mask_seed, "eval-mask", b)) for b in indices], t)
@@ -172,7 +173,8 @@ def masked_prediction_accuracy(checkpoint, corpus, labels_by_id, seed: int = 0) 
 
 def overlapped_corpus(corpus, seed: int = 0) -> list:
     """Simulated-overlap evaluation set: each utterance receives a chunk from
-    a different speaker covering exactly half its length at matched energy.
+    a different speaker covering exactly half its length at matched energy
+    (0 dB; unit gain over a silent region, as in training's mixing).
     Speaker tags keep naming the main (dominant) speaker."""
     speakers = [u.speaker for u in corpus]
     if len(set(speakers)) < 2:
@@ -186,14 +188,9 @@ def overlapped_corpus(corpus, seed: int = 0) -> list:
         l = min(n // 2, len(source.waveform))
         s = int(rng.integers(0, n - l + 1))
         s_b = int(rng.integers(0, len(source.waveform) - l + 1))
-        target_region = utt.waveform.samples[s : s + l]
         chunk = source.waveform.samples[s_b : s_b + l]
-        chunk_energy = float(np.sum(chunk**2))
-        gain = 1.0
-        if chunk_energy > 0:
-            gain = float(np.sqrt(np.sum(target_region**2) / chunk_energy))
         samples = utt.waveform.samples.copy()
-        samples[s : s + l] += gain * chunk
+        samples[s : s + l] += chunk_gain(samples[s : s + l], chunk, 0.0) * chunk
         out.append(Utterance(utt.id, Waveform(samples, utt.waveform.sample_rate),
                              utt.speaker))
     return out

@@ -128,10 +128,13 @@ def _nearest(points: np.ndarray, centers: np.ndarray):
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding, weighted by d2 as _nearest defines it: the
+    explicit-difference contraction einsum(x - c, x - c)."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    dist2 = np.sum((points - centers[0]) ** 2, axis=1)
+    diff = points - centers[0]
+    dist2 = np.einsum("nd,nd->n", diff, diff)
     for j in range(1, k):
         total = dist2.sum()
         if total > 0:
@@ -139,7 +142,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             pick = rng.integers(n)
         centers[j] = points[pick]
-        dist2 = np.minimum(dist2, np.sum((points - centers[j]) ** 2, axis=1))
+        np.subtract(points, centers[j], out=diff)
+        np.minimum(dist2, np.einsum("nd,nd->n", diff, diff), out=dist2)
     return centers
 
 

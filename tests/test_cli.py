@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speechssl
+from speechssl import cli, corpus, trainer
 from speechssl.cli import main
 from speechssl.corpus import Waveform, write_wav
 from speechssl.dsp import FeatureSequence, load_features, save_features
@@ -731,6 +734,98 @@ def test_truncated_input_is_one_error_line(pipeline, name, data):
     assert code in (1, 2) and "Traceback" not in err, err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert str(root / name) in err, err
+
+
+def _wav_reads(monkeypatch) -> list:
+    """The file name of every WAV read from here on, in read order."""
+    names, read_wav = [], corpus.read_wav
+
+    def counted(path):
+        names.append(Path(path).name)
+        return read_wav(path)
+
+    monkeypatch.setattr(corpus, "read_wav", counted)
+    return names
+
+
+def test_pretrain_reads_each_wav_once_then_a_batch_per_step(pipeline, tmp_path, monkeypatch):
+    reads, at_step, train_step = _wav_reads(monkeypatch), [], trainer.train_step
+
+    def counted_step(*args):
+        at_step.append(len(reads))
+        return train_step(*args)
+
+    monkeypatch.setattr(trainer, "train_step", counted_step)
+    assert main([*_command("pretrain", pipeline, {}), "--out", str(tmp_path / "run")]) == 0
+    wavs = sorted(p.name for p in (pipeline / "corpus/wavs").glob("*.wav"))
+    assert sorted(reads[:len(wavs)]) == wavs                # the check, before step 1
+    assert at_step == [len(wavs) + 3, len(wavs) + 6]        # batch_size=3 per step
+    assert len(reads) == len(wavs) + 6
+
+
+@pytest.mark.parametrize("command, per_wav", [
+    ("probe", 2), ("recluster", 2), ("mfcc", 1), ("mix", 1)])
+def test_manifest_command_read_budget(pipeline, tmp_path, monkeypatch, command, per_wav):
+    # probe and recluster read each WAV for the check and once to encode it
+    reads = _wav_reads(monkeypatch)
+    assert main([*_command(command, pipeline, {}), "--out", str(tmp_path / "out")]) == 0
+    wavs = [p.name for p in (pipeline / "corpus/wavs").glob("*.wav")]
+    assert Counter(reads) == dict.fromkeys(wavs, per_wav)
+
+
+def test_pretrain_memory_does_not_grow_with_the_corpus(tmp_path):
+    # pretrain holds manifest entries, not audio: 48 more utterances must add
+    # under a quarter of their float64 samples (tracemalloc tracks NumPy's buffers)
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus_dir), "--num-speakers", "4",
+                 "--utts-per-speaker", "16", "--duration", "0.1", "--seed", "0"]) == 0
+    assert main(["mfcc", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "features")]) == 0
+    assert main(["cluster", "--features", str(tmp_path / "features"),
+                 "--out", str(tmp_path / "cluster"), "--k", "16"]) == 0
+    lines = (corpus_dir / "manifest.jsonl").read_text().splitlines(keepends=True)
+    (corpus_dir / "small.jsonl").write_text("".join(lines[::4]))   # 4 speakers x 4
+
+    def pretrain(manifest, out):
+        return main(["pretrain", "--manifest", str(corpus_dir / manifest),
+                     "--labels", str(tmp_path / "cluster/labels.jsonl"),
+                     "--out", str(tmp_path / out), "--steps", "2", *TINY_MODEL_SETS])
+
+    assert pretrain("small.jsonl", "warm") == 0     # lazy caches are built untraced
+    peaks = []
+    for manifest in ("small.jsonl", "manifest.jsonl"):
+        tracemalloc.start()
+        try:
+            assert pretrain(manifest, manifest) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 48 * 1600 * 8 / 4
+
+
+def test_wav_unreadable_after_the_check_is_one_error_line(pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+    # every WAV passes the check, then turns to random bytes before training
+    # reads its first batch: the batch read refuses it, and nothing is saved
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(pipeline / "corpus", corpus_dir)
+    train = cli.train
+
+    def corrupt_then_train(*args, **kwargs):
+        for wav in (corpus_dir / "wavs").glob("*.wav"):
+            wav.write_bytes(bytes(range(256)) * 4)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", corrupt_then_train)
+    out = tmp_path / "out"
+    inputs = {"manifest": corpus_dir / "manifest.jsonl"}
+    code = main([*_command("pretrain", pipeline, inputs), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err, err
+    named = re.escape(str(corpus_dir / "wavs"))
+    assert re.fullmatch(rf"error: {named}/spk\d\d_utt\d{{3}}\.wav: cannot read it as a WAV "
+                        r"file: .*\n", err), err
+    assert not list(out.glob("checkpoint_final.*"))
 
 
 def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):

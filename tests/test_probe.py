@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from speechssl import probe
-from speechssl.corpus import synth_corpus
+from speechssl.corpus import SAMPLE_RATE, Utterance, Waveform, synth_corpus
 from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward, sample_mask
 from speechssl.numerics import derive_seed
@@ -378,6 +378,22 @@ class TestOverlappedCorpus:
             chunk = corpus[j].waveform.samples[offset:offset + l]
             target = float(np.sum(clean[start:start + l] ** 2))
             assert abs(gain**2 * float(np.sum(chunk**2)) - target) <= 1e-12 * target, utt.id
+
+    def test_silent_target_region_gets_a_unit_gain_chunk(self):
+        # a digitally silent utterance: wherever its half-length chunk lands,
+        # the region is silent, and the chunk goes in at unit gain, as
+        # training's mixing adds one
+        corpus = synth_corpus(2, 2, duration=0.05, seed=4)
+        silent = corpus[0]
+        corpus[0] = Utterance(silent.id, Waveform(np.zeros(len(silent.waveform)), SAMPLE_RATE),
+                              silent.speaker)
+        noisy = probe.overlapped_corpus(corpus, seed=7)[0].waveform.samples
+        changed = np.flatnonzero(noisy)
+        l = noisy.size // 2
+        assert changed.size == l
+        start = changed[0]
+        ((_, _, gain),) = self.find_chunk(noisy[start:start + l], corpus, silent.speaker)
+        assert gain == 1.0
 
     def test_refuses_one_speaker(self):
         with pytest.raises(ValueError, match="at least 2 speakers"):
