@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Batch, Utterance, Waveform
+from .corpus import Batch, Utterance
 
 SNR_DB = (-5.0, 5.0)    # UniSpeech-SAT's range for a mixed-in chunk's SNR
 
@@ -81,7 +81,7 @@ def mix_batch(batch: Batch, p: float, seed: int = 0) -> MixedBatch:
     if half < 1:
         raise ValueError("batch length too short to mix (need L >= 2)")
 
-    clean = [u.waveform.samples for u in batch.utterances]
+    clean = [u.waveform for u in batch.utterances]
     mixed = np.stack(clean)
     selected = np.nonzero(rng.random(b) < p)[0]
     specs: list[MixSpec] = []
@@ -95,11 +95,7 @@ def mix_batch(batch: Batch, p: float, seed: int = 0) -> MixedBatch:
         mixed[target, s - 1 : s - 1 + l] += gain * chunk
         specs.append(MixSpec(int(target), source, l, s, s_b, gain))
 
-    rate = batch.utterances[0].waveform.sample_rate
-    out = [
-        Utterance(u.id, Waveform(mixed[i], rate), u.speaker)
-        for i, u in enumerate(batch.utterances)
-    ]
+    out = [Utterance(u.id, mixed[i], u.speaker) for i, u in enumerate(batch.utterances)]
     return MixedBatch(Batch(out, length), specs, batch)
 
 
@@ -117,12 +113,12 @@ def verify_spec(mixed: MixedBatch) -> list[str]:
 
     for i, utt in enumerate(batch.utterances):
         owned = [j for j, spec in enumerate(mixed.specs) if spec.target_index == i]
-        rebuilt = clean.utterances[i].waveform.samples.copy()
+        rebuilt = clean.utterances[i].waveform.copy()
         for spec in (mixed.specs[j] for j in owned):
             s, s_b, l = spec.target_start - 1, spec.source_start - 1, spec.mix_length
-            source = clean.utterances[spec.source_index].waveform.samples
+            source = clean.utterances[spec.source_index].waveform
             rebuilt[s : s + l] += spec.gain * source[s_b : s_b + l]
-        if not np.array_equal(rebuilt, utt.waveform.samples):
+        if not np.array_equal(rebuilt, utt.waveform):
             where = "mixed region" if owned else "untouched utterance"
             owner = f"spec {owned[0]}" if owned else "no spec"
             problems.append(f"utterance {i}: {where} differs from reconstruction ({owner})")

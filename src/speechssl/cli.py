@@ -116,14 +116,11 @@ def build_train_config(args) -> TrainConfig:
 
 def load_corpus(manifest_path, mfcc_cfg: MfccConfig | None = None):
     """Yield (entry, utterance) as each manifest entry's WAV loads, refusing
-    by name one not at SAMPLE_RATE or, given the MFCC config they meet,
+    by name one that read_wav refuses or, given the MFCC config they meet,
     shorter than its window. A command that keeps only the entries reads
     their audio again where it is used, and never holds the whole corpus."""
     for ref in load_manifest(manifest_path):
         utt = ref.load()
-        if utt.waveform.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"utterance {utt.id!r} is sampled at {utt.waveform.sample_rate} "
-                             f"Hz, but the MFCC sample counts assume {SAMPLE_RATE} Hz")
         if mfcc_cfg is not None and len(utt.waveform) < mfcc_cfg.window:
             raise ValueError(f"utterance {utt.id!r} has {len(utt.waveform)} samples, "
                              f"shorter than one MFCC window ({mfcc_cfg.window})")
@@ -187,7 +184,11 @@ def cmd_mix(args):
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"--p {args.p} must lie in [0, 1]")
     corpus = [utt for _, utt in load_corpus(args.manifest)]
-    length = min(len(u.waveform) for u in corpus)     # the whole corpus, at its shortest
+    shortest = min(corpus, key=lambda u: len(u.waveform))
+    length = len(shortest.waveform)                   # the whole corpus, at its shortest
+    if length < 2:                                    # a mixed-in chunk is at most L // 2
+        raise ValueError(f"utterance {shortest.id!r} is {length} sample long, too short "
+                         "to mix (need >= 2 samples)")
     batch = make_batch(corpus, len(corpus), length, seed=args.seed)
     mixed = mix_batch(batch, args.p, seed=args.seed)
     problems = verify_spec(mixed)

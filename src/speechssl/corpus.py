@@ -16,7 +16,7 @@ import numpy as np
 from .numerics import rng_from
 
 PCM16_SCALE = 32768.0
-SAMPLE_RATE = 16000     # the rate MfccConfig's window and hop sample counts assume
+SAMPLE_RATE = 16000     # the one rate read_wav accepts and MfccConfig's sample counts assume
 
 
 class ManifestError(ValueError):
@@ -24,29 +24,9 @@ class ManifestError(ValueError):
 
 
 @dataclass
-class Waveform:
-    """Mono audio, float64 samples nominally in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("waveform must be a non-empty 1-D sample array")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass
 class Utterance:
     id: str
-    waveform: Waveform
+    waveform: np.ndarray            # 1-D float64 samples at SAMPLE_RATE
     speaker: str | None = None
 
 
@@ -81,7 +61,7 @@ class UtteranceRef:
     speaker: str | None = None
 
     @property
-    def waveform(self) -> Waveform:
+    def waveform(self) -> np.ndarray:
         return read_wav(self.audio_path)
 
     def load(self) -> Utterance:
@@ -89,10 +69,14 @@ class UtteranceRef:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (RIFF PCM16 mono only; stereo is rejected, not downmixed)
+# WAV I/O (RIFF PCM16 mono at SAMPLE_RATE only; stereo is rejected, not
+# downmixed, and other rates are rejected, not resampled)
 
 
-def read_wav(path) -> Waveform:
+def read_wav(path) -> np.ndarray:
+    """A WAV's float64 samples in [-1, 1). Every audio read comes here, so
+    this is the one format check: a file that is not PCM16 mono at
+    SAMPLE_RATE, or holds no samples, is refused by name."""
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wav:
@@ -100,27 +84,27 @@ def read_wav(path) -> Waveform:
                 raise ValueError(f"{path}: expected mono audio, got {wav.getnchannels()} channels")
             if wav.getsampwidth() != 2:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
+            if wav.getframerate() != SAMPLE_RATE:
+                raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, "
+                                 f"got {wav.getframerate()} Hz")
             n = wav.getnframes()
             raw = wav.readframes(n)
-            rate = wav.getframerate()
     except (EOFError, OSError, wave.Error) as exc:
         reason = getattr(exc, "strerror", None) or str(exc) or "it ends inside its header"
         raise ManifestError(f"{path}: cannot read it as a WAV file: {reason}") from None
     if len(raw) != 2 * n:
         raise ManifestError(f"{path}: data chunk cut short ({len(raw)} of {2 * n} bytes)")
-    try:
-        return Waveform(np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM16_SCALE, rate)
-    except ValueError as exc:           # no frames, or a sample rate of 0
-        raise ManifestError(f"{path}: {exc}") from None
+    if n == 0:
+        raise ManifestError(f"{path}: data chunk holds no samples")
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM16_SCALE
 
 
-def write_wav(path, waveform: Waveform) -> None:
-    path = Path(path)
-    ints = np.clip(np.rint(waveform.samples * PCM16_SCALE), -32768, 32767).astype("<i2")
+def write_wav(path, samples: np.ndarray) -> None:
+    ints = np.clip(np.rint(samples * PCM16_SCALE), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(waveform.sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(ints.tobytes())
 
 
@@ -208,17 +192,17 @@ def write_manifest(path, refs: list[UtteranceRef]) -> None:
 # Batching
 
 
-def crop_or_pad(waveform: Waveform, length: int) -> Waveform:
+def crop_or_pad(samples: np.ndarray, length: int) -> np.ndarray:
     """Center-crop to `length` if longer, zero-pad the tail if shorter."""
-    n = len(waveform)
+    n = samples.size
     if n == length:
-        return waveform
+        return samples
     if n > length:
         start = (n - length) // 2
-        return Waveform(waveform.samples[start : start + length].copy(), waveform.sample_rate)
+        return samples[start : start + length].copy()
     padded = np.zeros(length)
-    padded[:n] = waveform.samples
-    return Waveform(padded, waveform.sample_rate)
+    padded[:n] = samples
+    return padded
 
 
 def make_batch(utterances: list[Utterance], batch_size: int, length: int, seed: int) -> Batch:
@@ -288,7 +272,7 @@ def synth_corpus(
             utterances.append(
                 Utterance(
                     id=f"spk{s:02d}_utt{u:03d}",
-                    waveform=Waveform(sig, SAMPLE_RATE),
+                    waveform=sig,
                     speaker=f"spk{s:02d}",
                 )
             )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ManifestError, read_json
+from .corpus import SAMPLE_RATE, ManifestError, read_json
 
 PREEMPHASIS, LOG_FLOOR = 0.97, 1e-10   # the log floors mel energies at LOG_FLOOR
 NUM_MEL = 26                            # HTK mel bands
@@ -120,13 +120,9 @@ def frame_count(num_samples: int, window: int, hop: int) -> int:
 
 def _log_mel(waveforms, cfg: MfccConfig) -> np.ndarray:
     """(B, T, NUM_MEL) floored log mel energies of B equal-length waveforms
-    sharing one sample rate. The spectrum is taken one utterance at a time,
-    so its working arrays are the size of one utterance's frames whatever
-    B is."""
-    rates = {w.sample_rate for w in waveforms}
-    if len(rates) != 1:
-        raise ValueError(f"waveforms must share one sample rate, got {sorted(rates)}")
-    lengths = {w.samples.size for w in waveforms}
+    at SAMPLE_RATE. The spectrum is taken one utterance at a time, so its
+    working arrays are the size of one utterance's frames whatever B is."""
+    lengths = {w.size for w in waveforms}
     if len(lengths) != 1:
         raise ValueError(f"waveforms must share one length, got {sorted(lengths)}")
     b, length = len(waveforms), lengths.pop()
@@ -136,14 +132,13 @@ def _log_mel(waveforms, cfg: MfccConfig) -> np.ndarray:
         )
     t = frame_count(length, cfg.window, cfg.hop)
     window = hann_window(cfg.window)
-    fb = mel_filterbank(NUM_MEL, cfg.fft_size, rates.pop())
+    fb = mel_filterbank(NUM_MEL, cfg.fft_size, SAMPLE_RATE)
     pre, frames = np.empty(length), np.empty((t, cfg.window))
     power = np.empty((t, cfg.fft_size // 2 + 1))
     # frame j of the pre-emphasized signal is pre[hop*j : hop*j + window]
     framed = np.lib.stride_tricks.sliding_window_view(pre, cfg.window)[::cfg.hop]
     mel = np.empty((b, t, NUM_MEL))
-    for waveform, out in zip(waveforms, mel):
-        x = waveform.samples
+    for x, out in zip(waveforms, mel):
         pre[0] = x[0]
         np.multiply(x[:-1], PREEMPHASIS, out=pre[1:])
         np.subtract(x[1:], pre[1:], out=pre[1:])
@@ -169,9 +164,9 @@ def _deltas(ceps: np.ndarray, width: int = 2) -> np.ndarray:
 
 
 def mfcc_batch(waveforms, cfg: MfccConfig | None = None) -> np.ndarray:
-    """(B, T, D) MFCC features of B equal-length waveforms at one sample
-    rate, computed in one pass; D = num_ceps (x3 with deltas). Utterances
-    never interact, so row b equals mfcc(waveforms[b]) exactly."""
+    """(B, T, D) MFCC features of B equal-length waveforms, computed in one
+    pass; D = num_ceps (x3 with deltas). Utterances never interact, so row
+    b equals mfcc(waveforms[b]) exactly."""
     cfg = cfg or MfccConfig()
     logmel = _log_mel(waveforms, cfg)
     ceps = logmel @ dct_matrix(cfg.num_ceps, NUM_MEL).T
@@ -185,8 +180,7 @@ def mfcc_batch(waveforms, cfg: MfccConfig | None = None) -> np.ndarray:
 def mfcc(waveform, cfg: MfccConfig | None = None, meta: str = "") -> FeatureSequence:
     """Extract MFCC features; D = num_ceps (x3 with deltas)."""
     cfg = cfg or MfccConfig()
-    return FeatureSequence(mfcc_batch([waveform], cfg)[0], waveform.sample_rate / cfg.hop,
-                           meta=meta)
+    return FeatureSequence(mfcc_batch([waveform], cfg)[0], SAMPLE_RATE / cfg.hop, meta=meta)
 
 
 # ---------------------------------------------------------------------------

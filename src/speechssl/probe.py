@@ -16,7 +16,7 @@ from itertools import groupby, islice
 import numpy as np
 
 from .augment import chunk_gain
-from .corpus import Utterance, Waveform
+from .corpus import Utterance
 from .dsp import mfcc_batch
 from .encoder import BatchMask, forward, sample_mask
 from .numerics import (FlatArrays, adam_step, derive_seed, log_softmax, rng_from,
@@ -26,9 +26,9 @@ from .numerics import (FlatArrays, adam_step, derive_seed, log_softmax, rng_from
 def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
                   num_layers: int | None = None):
     """Run a frozen checkpoint over a corpus in chunks of at most its
-    `batch_size` consecutive utterances of one length and sample rate: per
-    chunk, one clean-audio MFCC batch and one encoder forward through the
-    first `num_layers` blocks (default all; the tap layer clipped to them).
+    `batch_size` consecutive utterances of one length: per chunk, one
+    clean-audio MFCC batch and one encoder forward through the first
+    `num_layers` blocks (default all; the tap layer clipped to them).
     Yields (utterances, EncoderOutput); output row i is the B=1 forward of
     utterances[i] bit for bit. The output's mask is empty unless `mask_seed`
     is set; then corpus index b's mask is drawn from derive_seed(mask_seed,
@@ -38,7 +38,7 @@ def encode_corpus(checkpoint, corpus, mask_seed: int | None = None,
         cfg = replace(cfg, num_layers=num_layers, tap_layer=min(cfg.tap_layer, num_layers))
     # each utterance's audio is read once, and at most a chunk of it is held
     audio = ((b, utt, utt.waveform) for b, utt in enumerate(corpus))
-    for _, run in groupby(audio, key=lambda item: (len(item[2]), item[2].sample_rate)):
+    for _, run in groupby(audio, key=lambda item: len(item[2])):
         while piece := list(islice(run, config.batch_size)):
             indices, chunk, waveforms = zip(*piece)
             features = mfcc_batch(list(waveforms), config.mfcc)
@@ -188,11 +188,10 @@ def overlapped_corpus(corpus, seed: int = 0) -> list:
         l = min(n // 2, len(source.waveform))
         s = int(rng.integers(0, n - l + 1))
         s_b = int(rng.integers(0, len(source.waveform) - l + 1))
-        chunk = source.waveform.samples[s_b : s_b + l]
-        samples = utt.waveform.samples.copy()
+        chunk = source.waveform[s_b : s_b + l]
+        samples = utt.waveform.copy()
         samples[s : s + l] += chunk_gain(samples[s : s + l], chunk, 0.0) * chunk
-        out.append(Utterance(utt.id, Waveform(samples, utt.waveform.sample_rate),
-                             utt.speaker))
+        out.append(Utterance(utt.id, samples, utt.speaker))
     return out
 
 

@@ -21,8 +21,8 @@ def test_desk_setup_matches_the_chain_it_replaces():
     frames = {u.id: mfcc(u.waveform, setup.config.mfcc).frames for u in corpus}
     _, labels = fit_labels(frames, setup.config.encoder.num_classes, seed=5, restarts=1)
     for got, want in ((setup.corpus, corpus), (setup.overlap, overlapped_corpus(corpus, 5))):
-        assert [(u.id, u.speaker, u.waveform.samples.tolist()) for u in got] == [
-            (u.id, u.speaker, u.waveform.samples.tolist()) for u in want]
+        assert [(u.id, u.speaker, u.waveform.tolist()) for u in got] == [
+            (u.id, u.speaker, u.waveform.tolist()) for u in want]
     assert {k: v.labels.tolist() for k, v in setup.labels.items()} == {
         k: v.labels.tolist() for k, v in labels.items()}
 

@@ -14,7 +14,7 @@ from scipy import stats
 
 from speechssl.ablate import desk_setup, run_grid, run_seeds
 from speechssl.augment import mix_batch
-from speechssl.corpus import Batch, Utterance, Waveform
+from speechssl.corpus import Batch, Utterance
 from speechssl.encoder import BatchMask
 from speechssl.losses import (
     LossWeights,
@@ -155,11 +155,11 @@ class TestCriterion4MixingStatistics:
         b, length, p, batches = 8, 64, 0.2, 10_000
         rng = np.random.default_rng(123)
         base = Batch(
-            [Utterance(f"u{i}", Waveform(rng.uniform(-0.5, 0.5, length), 8000))
+            [Utterance(f"u{i}", rng.uniform(-0.5, 0.5, length))
              for i in range(b)],
             length,
         )
-        clean = np.stack([u.waveform.samples for u in base.utterances])
+        clean = np.stack([u.waveform for u in base.utterances])
         selected = 0
         length_counts = np.zeros(length // 2)
         fraction_ok = True
@@ -171,7 +171,7 @@ class TestCriterion4MixingStatistics:
                 length_counts[spec.mix_length - 1] += 1
                 if spec.mix_length / length > 0.5:
                     fraction_ok = False
-            out = np.stack([u.waveform.samples for u in mixed.batch.utterances])
+            out = np.stack([u.waveform for u in mixed.batch.utterances])
             touched = np.zeros_like(out, dtype=bool)
             for spec in mixed.specs:
                 s0 = spec.target_start - 1

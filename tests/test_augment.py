@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from speechssl.augment import MixedBatch, MixSpec, mix_batch, save_mixspecs, verify_spec
-from speechssl.corpus import Batch, Utterance, Waveform
+from speechssl.corpus import Batch, Utterance
 
 
-def toy_batch(b=4, length=64, seed=0, sr=8000):
+def toy_batch(b=4, length=64, seed=0):
     rng = np.random.default_rng(seed)
     utts = [
-        Utterance(f"u{i}", Waveform(rng.uniform(-0.5, 0.5, length), sr))
+        Utterance(f"u{i}", rng.uniform(-0.5, 0.5, length))
         for i in range(b)
     ]
     return Batch(utts, length)
@@ -25,7 +25,7 @@ class TestMixBatch:
         mixed = mix_batch(batch, 0.0, seed=3)
         assert mixed.specs == []
         for a, c in zip(mixed.batch.utterances, batch.utterances):
-            assert np.array_equal(a.waveform.samples, c.waveform.samples)
+            assert np.array_equal(a.waveform, c.waveform)
 
     def test_single_utterance_p_one_self_mix(self):
         batch = toy_batch(b=1)
@@ -40,14 +40,14 @@ class TestMixBatch:
         b = mix_batch(batch, 0.5, seed=7)
         assert a.specs == b.specs
         for ua, ub in zip(a.batch.utterances, b.batch.utterances):
-            assert np.array_equal(ua.waveform.samples, ub.waveform.samples)
+            assert np.array_equal(ua.waveform, ub.waveform)
 
     def test_untouched_outside_mixed_region(self):
         batch = toy_batch(b=3, length=128, seed=9)
         mixed = mix_batch(batch, 1.0, seed=2)
-        clean = np.stack([u.waveform.samples for u in batch.utterances])
+        clean = np.stack([u.waveform for u in batch.utterances])
         for spec in mixed.specs:
-            out = mixed.batch.utterances[spec.target_index].waveform.samples
+            out = mixed.batch.utterances[spec.target_index].waveform
             s0 = spec.target_start - 1
             outside = np.r_[0:s0, s0 + spec.mix_length : batch.length]
             assert np.array_equal(out[outside], clean[spec.target_index][outside])
@@ -55,13 +55,13 @@ class TestMixBatch:
     def test_mixed_region_is_clean_plus_gain_chunk(self):
         batch = toy_batch(b=3, length=128, seed=1)
         mixed = mix_batch(batch, 1.0, seed=4)
-        clean = np.stack([u.waveform.samples for u in batch.utterances])
+        clean = np.stack([u.waveform for u in batch.utterances])
         for spec in mixed.specs:
             s0, sb0, l = spec.target_start - 1, spec.source_start - 1, spec.mix_length
             expected = clean[spec.target_index, s0 : s0 + l] + spec.gain * clean[
                 spec.source_index, sb0 : sb0 + l
             ]
-            got = mixed.batch.utterances[spec.target_index].waveform.samples[s0 : s0 + l]
+            got = mixed.batch.utterances[spec.target_index].waveform[s0 : s0 + l]
             assert np.array_equal(got, expected)
 
     def test_sources_read_from_clean_batch(self):
@@ -78,8 +78,7 @@ class TestMixBatch:
             mix_batch(toy_batch(), 1.5)
 
     def test_silent_target_region_falls_back_to_unit_gain(self):
-        utts = [Utterance("z", Waveform(np.zeros(64), 8000)),
-                Utterance("n", Waveform(np.ones(64) * 0.25, 8000))]
+        utts = [Utterance("z", np.zeros(64)), Utterance("n", np.ones(64) * 0.25)]
         mixed = mix_batch(Batch(utts, 64), 1.0, seed=1)
         for spec in mixed.specs:
             if spec.target_index == 0:
@@ -91,7 +90,7 @@ class TestMixBatch:
     @settings(max_examples=60, deadline=None)
     def test_bounds_always_hold(self, seed, length, b):
         rng = np.random.default_rng(seed)
-        utts = [Utterance(f"u{i}", Waveform(rng.uniform(-1, 1, length), 8000))
+        utts = [Utterance(f"u{i}", rng.uniform(-1, 1, length))
                 for i in range(b)]
         mixed = mix_batch(Batch(utts, length), 0.7, seed=seed)
         for spec in mixed.specs:
@@ -116,7 +115,7 @@ class TestVerifySpec:
     def test_tampered_sample_reported(self):
         mixed = mix_batch(toy_batch(b=2, length=64, seed=5), 1.0, seed=2)
         spec = mixed.specs[0]
-        samples = mixed.batch.utterances[spec.target_index].waveform.samples
+        samples = mixed.batch.utterances[spec.target_index].waveform
         samples[spec.target_start - 1] += 1e-9
         problems = verify_spec(mixed)
         assert any(f"utterance {spec.target_index}" in p for p in problems)
@@ -126,7 +125,7 @@ class TestVerifySpec:
         targets = {spec.target_index for spec in mixed.specs}
         untouched = min(set(range(6)) - targets)
         assert targets and untouched < max(targets)
-        mixed.batch.utterances[untouched].waveform.samples[-1] += 1e-9
+        mixed.batch.utterances[untouched].waveform[-1] += 1e-9
         assert verify_spec(mixed) == [
             f"utterance {untouched}: untouched utterance differs from reconstruction (no spec)"]
 
@@ -134,13 +133,12 @@ class TestVerifySpec:
     def hand_mixed(clean, specs):
         """The mixed batch `specs` make of `clean`, applied in list order,
         each chunk read from the clean audio."""
-        rows = [u.waveform.samples.copy() for u in clean.utterances]
+        rows = [u.waveform.copy() for u in clean.utterances]
         for spec in specs:
             s, s_b, l = spec.target_start - 1, spec.source_start - 1, spec.mix_length
-            chunk = clean.utterances[spec.source_index].waveform.samples[s_b : s_b + l]
+            chunk = clean.utterances[spec.source_index].waveform[s_b : s_b + l]
             rows[spec.target_index][s : s + l] += spec.gain * chunk
-        utts = [Utterance(u.id, Waveform(r, u.waveform.sample_rate))
-                for u, r in zip(clean.utterances, rows)]
+        utts = [Utterance(u.id, r) for u, r in zip(clean.utterances, rows)]
         return MixedBatch(Batch(utts, clean.length), list(specs), clean)
 
     def test_tampered_mixed_region_names_first_spec_on_target(self):
@@ -149,7 +147,7 @@ class TestVerifySpec:
                  MixSpec(0, 2, 20, 20, 30, -0.4)]
         mixed = self.hand_mixed(clean, specs)
         assert verify_spec(mixed) == []
-        mixed.batch.utterances[0].waveform.samples[25] += 1e-9
+        mixed.batch.utterances[0].waveform[25] += 1e-9
         assert verify_spec(mixed) == [
             "utterance 0: mixed region differs from reconstruction (spec 1)"]
 
@@ -170,9 +168,9 @@ class TestVerifySpec:
         specs = [MixSpec(0, 2, 16, 1, 1, 0.9), MixSpec(1, 0, 16, 1, 1, 1.1)]
         mixed = self.hand_mixed(clean, specs)
         assert verify_spec(mixed) == []
-        from_mixed = mixed.batch.utterances[0].waveform.samples[:16]
-        mixed.batch.utterances[1].waveform.samples[:16] = (
-            clean.utterances[1].waveform.samples[:16] + 1.1 * from_mixed)
+        from_mixed = mixed.batch.utterances[0].waveform[:16]
+        mixed.batch.utterances[1].waveform[:16] = (
+            clean.utterances[1].waveform[:16] + 1.1 * from_mixed)
         assert verify_spec(mixed) == [
             "utterance 1: mixed region differs from reconstruction (spec 1)"]
 

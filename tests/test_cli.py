@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import speechssl
 from speechssl import cli, corpus, trainer
 from speechssl.cli import main
-from speechssl.corpus import Waveform, write_wav
+from speechssl.corpus import write_wav
 from speechssl.dsp import FeatureSequence, load_features, save_features
 from speechssl.trainer import load_checkpoint
 
@@ -373,15 +373,21 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
-def _bad_wav(write, named=None):
+def at_8khz(wav: bytes) -> bytes:
+    """The WAV with its header's sample rate field (bytes 24-27) set to 8 kHz."""
+    return wav[:24] + (8000).to_bytes(4, "little") + wav[28:]
+
+
+def _bad_wav(write, named="{path}"):
     """The fourth manifest row, spk01_utt000, points at a WAV that
-    `write(path, good_bytes)` makes; the refusal names it, or says `named`."""
+    `write(path, good_bytes)` makes; the refusal says `named`, formatted
+    with that WAV's path."""
     def corrupt(pipeline, tmp_path):
         bad = tmp_path / "bad.wav"
         write(bad, (pipeline / "corpus/wavs/spk01_utt000.wav").read_bytes())
         rows = _manifest_rows(pipeline)
         rows[3]["audio_path"] = str(bad)
-        return {"manifest": _write_jsonl(tmp_path / "bad.jsonl", rows)}, named or str(bad)
+        return {"manifest": _write_jsonl(tmp_path / "bad.jsonl", rows)}, named.format(path=bad)
     return corrupt
 
 
@@ -495,13 +501,13 @@ CORRUPTIONS = {
         good[:40] + (0).to_bytes(4, "little"))),
     "wav-missing": _bad_wav(lambda path, good: None),
     "wav-short": _bad_wav(
-        lambda path, good: write_wav(path, Waveform(np.zeros(200), 16000)),
+        lambda path, good: write_wav(path, np.zeros(200)),
         "error: utterance 'spk01_utt000' has 200 samples, shorter than one MFCC window (400)\n"),
-    # the header's sample rate field (bytes 24-27) says 8 kHz
-    "wav-8khz": _bad_wav(
-        lambda path, good: path.write_bytes(good[:24] + (8000).to_bytes(4, "little") + good[28:]),
-        "error: utterance 'spk01_utt000' is sampled at 8000 Hz, but the MFCC sample counts "
-        "assume 16000 Hz\n"),
+    "wav-one-sample": _bad_wav(
+        lambda path, good: write_wav(path, np.zeros(1)),
+        "error: utterance 'spk01_utt000' is 1 sample long, too short to mix (need >= 2 samples)\n"),
+    "wav-8khz": _bad_wav(lambda path, good: path.write_bytes(at_8khz(good)),
+                         "error: {path}: expected 16000 Hz audio, got 8000 Hz\n"),
     "manifest-int-speaker": _bad_manifest_row(lambda row: row.update(speaker=5)),
     "manifest-int-id": _bad_manifest_row(lambda row: row.update(id=5)),
     "manifest-int-audio-path": _bad_manifest_row(lambda row: row.update(audio_path=5)),
@@ -668,7 +674,8 @@ def _command(name, pipeline, inputs):
     ("wav-no-frames", "mfcc"), ("wav-missing", "mfcc"),
     ("wav-random-bytes", "recluster"), ("wav-empty", "probe"),
     ("wav-short", "mfcc"), ("wav-short", "probe"), ("wav-short", "recluster"),
-    ("wav-8khz", "mfcc"), ("wav-8khz", "pretrain"),
+    ("wav-8khz", "mfcc"), ("wav-8khz", "pretrain"), ("wav-8khz", "probe"),
+    ("wav-8khz", "recluster"), ("wav-one-sample", "mix"),
     ("manifest-int-speaker", "probe"), ("manifest-int-id", "mfcc"),
     ("manifest-int-audio-path", "mfcc"), ("manifest-untagged", "probe"),
     ("manifest-escaping-id", "mfcc"), ("manifest-reserved-id", "mix"), ("manifest-nul-id", "mfcc"),
@@ -803,29 +810,47 @@ def test_pretrain_memory_does_not_grow_with_the_corpus(tmp_path):
     assert peaks[1] - peaks[0] < 48 * 1600 * 8 / 4
 
 
-def test_wav_unreadable_after_the_check_is_one_error_line(pipeline, tmp_path, capsys,
-                                                          monkeypatch):
-    # every WAV passes the check, then turns to random bytes before training
-    # reads its first batch: the batch read refuses it, and nothing is saved
+def _pretrain_rewritten_after_the_check(pipeline, tmp_path, capsys, monkeypatch, rewrite):
+    """pretrain on a copy of the pipeline corpus whose WAVs all pass the
+    check, then become `rewrite(their bytes)` before training reads its
+    first batch. Asserts exit 1, no traceback and no checkpoint saved, and
+    returns stderr and the copy's WAV directory as a regex."""
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(pipeline / "corpus", corpus_dir)
     train = cli.train
 
-    def corrupt_then_train(*args, **kwargs):
+    def rewrite_then_train(*args, **kwargs):
         for wav in (corpus_dir / "wavs").glob("*.wav"):
-            wav.write_bytes(bytes(range(256)) * 4)
+            wav.write_bytes(rewrite(wav.read_bytes()))
         return train(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "train", corrupt_then_train)
+    monkeypatch.setattr(cli, "train", rewrite_then_train)
     out = tmp_path / "out"
     inputs = {"manifest": corpus_dir / "manifest.jsonl"}
     code = main([*_command("pretrain", pipeline, inputs), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1 and "Traceback" not in err, err
-    named = re.escape(str(corpus_dir / "wavs"))
-    assert re.fullmatch(rf"error: {named}/spk\d\d_utt\d{{3}}\.wav: cannot read it as a WAV "
-                        r"file: .*\n", err), err
     assert not list(out.glob("checkpoint_final.*"))
+    return err, re.escape(str(corpus_dir / "wavs"))
+
+
+def test_wav_unreadable_after_the_check_is_one_error_line(pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+    # the batch read refuses a WAV that turned to random bytes
+    err, wavs = _pretrain_rewritten_after_the_check(pipeline, tmp_path, capsys, monkeypatch,
+                                                    lambda wav: bytes(range(256)) * 4)
+    assert re.fullmatch(rf"error: {wavs}/spk\d\d_utt\d{{3}}\.wav: cannot read it as a WAV "
+                        r"file: .*\n", err), err
+
+
+def test_wav_at_8khz_after_the_check_is_one_error_line(pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+    # every read is format-checked, not only the first: the batch read
+    # refuses a WAV whose header now says 8 kHz
+    err, wavs = _pretrain_rewritten_after_the_check(pipeline, tmp_path, capsys, monkeypatch,
+                                                    at_8khz)
+    assert re.fullmatch(rf"error: {wavs}/spk\d\d_utt\d{{3}}\.wav: expected 16000 Hz audio, "
+                        r"got 8000 Hz\n", err), err
 
 
 def test_mfcc_reads_the_config_document(pipeline, tmp_path, capsys):

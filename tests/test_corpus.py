@@ -1,4 +1,5 @@
 import json
+import re
 import wave
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechssl.corpus import (
+    SAMPLE_RATE,
     Batch,
     ManifestError,
     Utterance,
-    Waveform,
     crop_or_pad,
     load_manifest,
     make_batch,
@@ -21,34 +22,45 @@ from speechssl.corpus import (
 )
 
 
-def sine_utterance(uid, n=1000, freq=440.0, sr=16000, speaker=None):
-    t = np.arange(n) / sr
-    return Utterance(uid, Waveform(0.5 * np.sin(2 * np.pi * freq * t), sr), speaker)
+def sine_utterance(uid, n=1000, freq=440.0, speaker=None):
+    t = np.arange(n) / SAMPLE_RATE
+    return Utterance(uid, 0.5 * np.sin(2 * np.pi * freq * t), speaker)
+
+
+def silent_wav(path, frames, rate=SAMPLE_RATE):
+    """A silent PCM16 mono WAV whose header's rate field (bytes 24-27) says `rate`."""
+    write_wav(path, np.zeros(frames))
+    data = path.read_bytes()
+    path.write_bytes(data[:24] + rate.to_bytes(4, "little") + data[28:])
+    return path
 
 
 class TestWaveform:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Waveform(np.array([]), 16000)
+    # read_wav is the one format check: every read refuses, naming the file
+    def test_rejects_empty(self, tmp_path):
+        path = silent_wav(tmp_path / "empty.wav", 0)
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: data chunk holds "
+                                                "no samples$"):
+            read_wav(path)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Waveform(np.array([0.0, np.nan]), 16000)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            Waveform(np.zeros(4), 0)
+    def test_rejects_bad_rate(self, tmp_path):
+        for rate in (0, 8000, 22050, 48000):
+            path = silent_wav(tmp_path / f"{rate}.wav", 100, rate)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 16000 Hz "
+                                                 f"audio, got {rate} Hz$"):
+                read_wav(path)
 
 
 class TestWavIO:
     def test_round_trip(self, tmp_path):
-        wav = Waveform(np.linspace(-0.9, 0.9, 500), 16000)
-        write_wav(tmp_path / "a.wav", wav)
+        samples = np.linspace(-0.9, 0.9, 500)
+        write_wav(tmp_path / "a.wav", samples)
+        with wave.open(str(tmp_path / "a.wav"), "rb") as fh:
+            assert fh.getframerate() == SAMPLE_RATE
         back = read_wav(tmp_path / "a.wav")
-        assert back.sample_rate == 16000
-        assert len(back) == 500
+        assert back.dtype == np.float64 and back.shape == (500,)
         # PCM16 quantization error is at most half a step
-        assert np.max(np.abs(back.samples - wav.samples)) <= 0.5 / 32768
+        assert np.max(np.abs(back - samples)) <= 0.5 / 32768
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -130,20 +142,20 @@ class TestMakeBatch:
     def test_exact_length_unmodified(self):
         utt = sine_utterance("u0", n=800)
         batch = make_batch([utt], 1, 800, seed=0)
-        assert np.array_equal(batch.utterances[0].waveform.samples, utt.waveform.samples)
+        assert np.array_equal(batch.utterances[0].waveform, utt.waveform)
 
     def test_shorter_tail_padded(self):
         utt = sine_utterance("u0", n=400)
         batch = make_batch([utt], 1, 800, seed=0)
-        got = batch.utterances[0].waveform.samples
-        assert np.array_equal(got[:400], utt.waveform.samples)
+        got = batch.utterances[0].waveform
+        assert np.array_equal(got[:400], utt.waveform)
         assert np.all(got[400:] == 0.0)
 
     def test_longer_center_cropped(self):
         utt = sine_utterance("u0", n=1000)
         batch = make_batch([utt], 1, 600, seed=0)
         assert np.array_equal(
-            batch.utterances[0].waveform.samples, utt.waveform.samples[200:800]
+            batch.utterances[0].waveform, utt.waveform[200:800]
         )
 
     def test_run_twice_bit_identical(self):
@@ -152,7 +164,7 @@ class TestMakeBatch:
         b = make_batch(utts, 3, 700, seed=11)
         assert [u.id for u in a.utterances] == [u.id for u in b.utterances]
         for ua, ub in zip(a.utterances, b.utterances):
-            assert np.array_equal(ua.waveform.samples, ub.waveform.samples)
+            assert np.array_equal(ua.waveform, ub.waveform)
 
     def test_batch_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -166,7 +178,7 @@ class TestMakeBatch:
     @settings(max_examples=40, deadline=None)
     def test_every_member_has_length_l(self, lengths, target, seed):
         utts = [
-            Utterance(f"u{i}", Waveform(np.arange(1, n + 1) / (n + 1), 8000))
+            Utterance(f"u{i}", np.arange(1, n + 1) / (n + 1))
             for i, n in enumerate(lengths)
         ]
         batch = make_batch(utts, len(utts), target, seed=seed)
@@ -184,8 +196,8 @@ class TestSynthCorpus:
         corpus = synth_corpus(2, 1, duration=0.25, seed=5, noise_std=0.0)
         peaks = []
         for utt in corpus:
-            spec = np.abs(np.fft.rfft(utt.waveform.samples))
-            freqs = np.fft.rfftfreq(len(utt.waveform), 1.0 / utt.waveform.sample_rate)
+            spec = np.abs(np.fft.rfft(utt.waveform))
+            freqs = np.fft.rfftfreq(len(utt.waveform), 1.0 / SAMPLE_RATE)
             # fundamental = lowest strong harmonic peak
             strong = freqs[spec > 0.3 * spec.max()]
             peaks.append(strong.min())
@@ -196,12 +208,12 @@ class TestSynthCorpus:
         b = synth_corpus(2, 3, duration=0.05, seed=9)
         assert [u.id for u in a] == [u.id for u in b]
         for ua, ub in zip(a, b):
-            assert np.array_equal(ua.waveform.samples, ub.waveform.samples)
+            assert np.array_equal(ua.waveform, ub.waveform)
 
     def test_different_seeds_differ(self):
         a = synth_corpus(1, 1, duration=0.05, seed=1)
         b = synth_corpus(1, 1, duration=0.05, seed=2)
-        assert not np.array_equal(a[0].waveform.samples, b[0].waveform.samples)
+        assert not np.array_equal(a[0].waveform, b[0].waveform)
 
     def test_batch_invariant_holds(self):
         corpus = synth_corpus(2, 2, duration=0.05, seed=4)
@@ -209,5 +221,5 @@ class TestSynthCorpus:
             Batch(corpus, 123)  # wrong length rejected
 
     def test_crop_or_pad_identity(self):
-        wav = Waveform(np.ones(64), 8000)
+        wav = np.ones(64)
         assert crop_or_pad(wav, 64) is wav

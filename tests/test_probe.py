@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from speechssl import probe
-from speechssl.corpus import SAMPLE_RATE, Utterance, Waveform, synth_corpus
+from speechssl.corpus import Utterance, synth_corpus
 from speechssl.dsp import mfcc
 from speechssl.encoder import BatchMask, forward, sample_mask
 from speechssl.numerics import derive_seed
@@ -78,14 +78,12 @@ class TestEncodeCorpus:
                     out, i, self.direct(state, utt, BatchMask.from_indices([want[i]], t)))
 
     def test_length_change_mid_chunk(self, small_setup):
-        from speechssl.corpus import Utterance, Waveform
         from speechssl.trainer import init_state
 
         config, corpus, _ = small_setup
         state = init_state(config)
         lengths = [1600, 1600, 1200, 1200, 1200, 1200, 1600, 1600]
-        mixed = [Utterance(u.id, Waveform(u.waveform.samples[:n], u.waveform.sample_rate),
-                           u.speaker) for u, n in zip(corpus, lengths)]
+        mixed = [Utterance(u.id, u.waveform[:n], u.speaker) for u, n in zip(corpus, lengths)]
         yielded = self.chunks(state, mixed, mask_seed=3)
         assert [indices for indices, _, _, _ in yielded] == [[0, 1], [2, 3, 4], [5], [6, 7]]
         for indices, chunk, out, mask in yielded:
@@ -352,8 +350,7 @@ class TestOverlappedCorpus:
         for j, other in enumerate(corpus):
             if other.speaker == speaker or len(other.waveform) < len(added):
                 continue
-            windows = np.lib.stride_tricks.sliding_window_view(other.waveform.samples,
-                                                               len(added))
+            windows = np.lib.stride_tricks.sliding_window_view(other.waveform, len(added))
             for offset, window in enumerate(windows):
                 gain = float(window @ added) / float(window @ window)
                 if np.linalg.norm(added - gain * window) <= 1e-9 * np.linalg.norm(added):
@@ -365,7 +362,7 @@ class TestOverlappedCorpus:
         mixed = probe.overlapped_corpus(corpus, seed=7)
         assert [(u.id, u.speaker) for u in mixed] == [(u.id, u.speaker) for u in corpus]
         for utt, out in zip(corpus, mixed):
-            clean, noisy = utt.waveform.samples, out.waveform.samples
+            clean, noisy = utt.waveform, out.waveform
             n, l = len(clean), len(clean) // 2
             changed = np.flatnonzero(noisy != clean)
             assert len(changed) == l, utt.id
@@ -375,7 +372,7 @@ class TestOverlappedCorpus:
             assert np.array_equal(noisy[outside], clean[outside]), utt.id
             ((j, offset, gain),) = self.find_chunk(noisy[start:start + l] - clean[start:start + l],
                                                    corpus, utt.speaker)
-            chunk = corpus[j].waveform.samples[offset:offset + l]
+            chunk = corpus[j].waveform[offset:offset + l]
             target = float(np.sum(clean[start:start + l] ** 2))
             assert abs(gain**2 * float(np.sum(chunk**2)) - target) <= 1e-12 * target, utt.id
 
@@ -385,9 +382,8 @@ class TestOverlappedCorpus:
         # training's mixing adds one
         corpus = synth_corpus(2, 2, duration=0.05, seed=4)
         silent = corpus[0]
-        corpus[0] = Utterance(silent.id, Waveform(np.zeros(len(silent.waveform)), SAMPLE_RATE),
-                              silent.speaker)
-        noisy = probe.overlapped_corpus(corpus, seed=7)[0].waveform.samples
+        corpus[0] = Utterance(silent.id, np.zeros(len(silent.waveform)), silent.speaker)
+        noisy = probe.overlapped_corpus(corpus, seed=7)[0].waveform
         changed = np.flatnonzero(noisy)
         l = noisy.size // 2
         assert changed.size == l

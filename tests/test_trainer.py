@@ -195,6 +195,22 @@ class TestNonFinite:
         assert "block 0" in message
         assert state.step == 0
 
+    def test_nan_audio_names_step_block_and_utterance(self, small_setup):
+        # audio is a bare float64 array that nothing scans for finiteness on
+        # the way in; the step stops at the first encoder block
+        config, corpus, labels = small_setup
+        batch, batch_labels = first_batch(config, corpus, labels)
+        poisoned = batch.utterances[1].waveform.copy()      # the corpus is shared
+        poisoned[100] = np.nan
+        batch.utterances[1].waveform = poisoned
+        state = init_state(config)
+        with pytest.raises(FloatingPointError) as err:
+            train_step(state, batch, batch_labels, config)
+        message = str(err.value)
+        assert "step 1" in message and "block 0" in message
+        assert repr(batch.utterances[1].id) in message
+        assert state.step == 0
+
     def test_nan_loss_names_step_terms_and_utterances(self, small_setup):
         config, corpus, labels = small_setup
         batch, batch_labels = first_batch(config, corpus, labels)
